@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
+from ..diffusion import negative_sampling
 from ..diffusion.logistic import LogisticTrainer, LogisticTrainerConfig
 from ..diffusion.negative_sampling import sample_negative_diffusion_pairs
 from ..graph.social_graph import SocialGraph
@@ -61,6 +62,11 @@ class CPDModel:
         )
         trace: list[IterationTrace] = []
         sweeper = options.document_sweeper
+        # the negative sampler's tables depend on the graph alone: one build
+        # serves every M-step of the fit
+        word_index = None
+        if self._fits_factor_weights(graph, sampler):
+            word_index = negative_sampling.build_word_document_index(graph)
         with obs.span("fit", tags={"graph": graph.name}):
             for iteration in range(config.n_iterations):
                 started = time.perf_counter()
@@ -79,7 +85,7 @@ class CPDModel:
                         sampler.sample_deltas()
                     augmentation_done = time.perf_counter()
                     # M-step (Alg. 1 steps 11-14)
-                    self._m_step(graph, sampler, sweeper)
+                    self._m_step(graph, sampler, sweeper, word_index)
                     m_step_done = time.perf_counter()
                 entry = None
                 if options.record_trace or obs.get_registry().enabled:
@@ -99,35 +105,44 @@ class CPDModel:
 
     # ----------------------------------------------------------------- M-step
 
-    def _m_step(
-        self, graph: SocialGraph, sampler: CPDSampler, sweeper: object | None = None
-    ) -> None:
-        config = self.config
-        if not (config.model_diffusion and graph.n_diffusion_links):
-            return
-        if sampler.uses_profile_diffusion:
-            eta = None
-            if getattr(sweeper, "fused_augmentation", False):
-                # workers counted their link partitions during the sweep; the
-                # coordinator only summed the partial tables
-                eta = sweeper.aggregated_eta()
-            sampler.params.eta = eta if eta is not None else sampler.aggregate_eta()
-            self._fit_factor_weights(graph, sampler)
+    def _fits_factor_weights(self, graph: SocialGraph, sampler: CPDSampler) -> bool:
+        """Whether the M-step re-aggregates eta and refits the factor weights."""
+        return bool(graph.n_diffusion_links) and sampler.uses_profile_diffusion
 
-    def _fit_factor_weights(self, graph: SocialGraph, sampler: CPDSampler) -> None:
+    def _m_step(
+        self,
+        graph: SocialGraph,
+        sampler: CPDSampler,
+        sweeper: object | None = None,
+        word_index: negative_sampling.WordDocumentIndex | None = None,
+    ) -> None:
+        if not self._fits_factor_weights(graph, sampler):
+            return
+        eta = None
+        if getattr(sweeper, "fused_augmentation", False):
+            # workers counted their link partitions during the sweep; the
+            # coordinator only summed the partial tables
+            eta = sweeper.aggregated_eta()
+        sampler.params.eta = eta if eta is not None else sampler.aggregate_eta()
+        self._fit_factor_weights(graph, sampler, word_index)
+
+    def _fit_factor_weights(
+        self,
+        graph: SocialGraph,
+        sampler: CPDSampler,
+        word_index: negative_sampling.WordDocumentIndex | None = None,
+    ) -> None:
         """Fit (comm_weight, pop_weight, nu, bias) by offset-free logistic
         regression on observed links vs. sampled non-links (Sect. 4.2)."""
         config = self.config
         n_positive = graph.n_diffusion_links
         n_negative = int(round(config.negative_ratio * n_positive))
         negatives = sample_negative_diffusion_pairs(
-            graph, n_negative, self.rng, allow_fewer=True
+            graph, n_negative, self.rng, allow_fewer=True, word_index=word_index
         )
         if not negatives:
             return
-        neg_src = np.asarray([n[0] for n in negatives], dtype=np.int64)
-        neg_tgt = np.asarray([n[1] for n in negatives], dtype=np.int64)
-        neg_time = np.asarray([n[2] for n in negatives], dtype=np.int64)
+        neg_src, neg_tgt, neg_time = np.asarray(negatives, dtype=np.int64).T
 
         positive = sampler.diffusion_components(
             sampler.e_src, sampler.e_tgt, sampler.e_time, sampler.e_features
