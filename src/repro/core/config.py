@@ -46,7 +46,8 @@ class CPDConfig:
     rho: Optional[float] = None
     beta: float = 0.1
 
-    # Schedules: T1 outer EM/Gibbs iterations, T2 inner nu gradient steps.
+    # Schedules: T1 outer EM/Gibbs iterations, T2 a cap on the inner nu
+    # solver's Newton steps (it usually stops on its tolerance first).
     n_iterations: int = 30
     nu_iterations: int = 60
 
@@ -75,8 +76,6 @@ class CPDConfig:
     eta_smoothing: float = 0.01
     #: negatives per observed diffusion link for the nu logistic regression
     negative_ratio: float = 1.0
-    #: learning rate for the nu logistic regression
-    nu_learning_rate: float = 0.5
     #: L2 penalty for the nu logistic regression
     nu_l2_penalty: float = 1e-3
 

@@ -72,6 +72,9 @@ _SUPPORTED_VERSIONS = (1, 2, 3)
 _META_NAME = "cpd_meta.json"
 _VOCABULARY_NAME = "vocabulary.json"
 _SUMMARY_NAME = "graph_summary.json"
+#: CPDConfig fields that older artifacts still carry but the model no longer
+#: reads; dropped on load. Any other unknown field still fails the load.
+_RETIRED_CONFIG_KEYS = frozenset({"nu_learning_rate"})
 
 
 class ArtifactError(ValueError):
@@ -232,10 +235,18 @@ def save_result(
 
 
 def _read_entry(archive: zipfile.ZipFile, name: str, path: Path) -> bytes:
-    """One archive member's bytes; container CRC failures become ours."""
+    """One archive member's bytes; container CRC, inflate and missing-member
+    failures become ours."""
     try:
         return archive.read(name)
-    except zipfile.BadZipFile as error:
+    except (
+        zipfile.BadZipFile,
+        zlib.error,
+        KeyError,
+        EOFError,
+        NotImplementedError,
+        OSError,
+    ) as error:
         raise ArtifactCorruptError(
             f"corrupt CPD artifact {path}: entry {name!r} failed the zip "
             f"integrity check ({error})"
@@ -279,7 +290,7 @@ def load_artifact(path: PathLike, verify: bool = False) -> CPDArtifact:
         )
     try:
         archive_cm = zipfile.ZipFile(path, "r")
-    except (zipfile.BadZipFile, OSError) as error:
+    except (zipfile.BadZipFile, NotImplementedError, OSError) as error:
         if isinstance(error, FileNotFoundError):
             raise
         raise ArtifactCorruptError(
@@ -288,7 +299,7 @@ def load_artifact(path: PathLike, verify: bool = False) -> CPDArtifact:
     with archive_cm as archive:
         try:
             meta = json.loads(_read_entry(archive, _META_NAME, path).decode("utf-8"))
-        except (KeyError, json.JSONDecodeError) as error:
+        except (json.JSONDecodeError, UnicodeDecodeError) as error:
             raise ArtifactCorruptError(
                 f"corrupt CPD artifact {path}: metadata entry unreadable ({error})"
             ) from error
@@ -335,7 +346,13 @@ def load_artifact(path: PathLike, verify: bool = False) -> CPDArtifact:
                 _read_entry(archive, _SUMMARY_NAME, path).decode("utf-8")
             )
 
-    config = CPDConfig(**meta["config"])
+    config = CPDConfig(
+        **{
+            key: value
+            for key, value in meta["config"].items()
+            if key not in _RETIRED_CONFIG_KEYS
+        }
+    )
     diffusion = DiffusionParameters(
         eta=eta,
         comm_weight=meta["diffusion"]["comm_weight"],
@@ -445,7 +462,14 @@ def verify_artifact(path: PathLike) -> ArtifactCheck:
             )
     except FileNotFoundError:
         return ArtifactCheck(path=str(path), ok=False, error="file not found")
-    except (ArtifactCorruptError, zipfile.BadZipFile, json.JSONDecodeError, OSError) as error:
+    except (
+        ArtifactCorruptError,
+        zipfile.BadZipFile,
+        json.JSONDecodeError,
+        UnicodeDecodeError,
+        NotImplementedError,
+        OSError,
+    ) as error:
         return ArtifactCheck(path=str(path), ok=False, error=str(error))
 
 

@@ -166,7 +166,6 @@ class CPDModel:
         initial = np.concatenate([[params.comm_weight, params.pop_weight], params.nu])
         trainer = LogisticTrainer(
             LogisticTrainerConfig(
-                learning_rate=config.nu_learning_rate,
                 n_iterations=config.nu_iterations,
                 l2_penalty=config.nu_l2_penalty,
                 standardize=True,

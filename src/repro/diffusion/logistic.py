@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from ..sampling.polya_gamma import sigmoid
 
@@ -42,35 +43,40 @@ class LogisticFit:
 
 @dataclass
 class LogisticTrainerConfig:
-    """Full-batch gradient-descent settings (the paper's inner loop T2)."""
+    """Projected-Newton settings (the paper's inner loop T2)."""
 
-    learning_rate: float = 0.5
+    #: cap on Newton steps; the solver usually stops on ``tolerance`` first
     n_iterations: int = 100
     l2_penalty: float = 1e-3
     fit_bias: bool = True
     tolerance: float = 1e-7
     #: z-score features internally, then fold the scaling back into the
-    #: returned weights. Essential when feature magnitudes differ by orders
-    #: of magnitude (the probability-normalised community term vs. the
-    #: log-ratio user features): raw gradient descent would need thousands
-    #: of iterations to upweight the small column.
+    #: returned weights. The L2 penalty applies to the standardised weights,
+    #: so features whose magnitudes differ by orders of magnitude (the
+    #: probability-normalised community term vs. the log-ratio user
+    #: features) are shrunk alike.
     standardize: bool = False
-    #: feature indices whose weights are projected to be >= 0 after every
-    #: step. Used for factor-*contribution* weights (community, popularity)
-    #: that are meaningful only as non-negative strengths; collinear
-    #: features can otherwise flip their signs arbitrarily.
+    #: feature indices whose weights are constrained to be >= 0. Used for
+    #: factor-*contribution* weights (community, popularity) that are
+    #: meaningful only as non-negative strengths; collinear features can
+    #: otherwise flip their signs arbitrarily.
     nonnegative: tuple[int, ...] = ()
 
 
+#: Armijo sufficient-decrease constant and the smallest step fraction tried
+_ARMIJO = 1e-4
+_MIN_STEP = 1e-10
+
+
 class LogisticTrainer:
-    """Full-batch gradient descent for the offset logistic model."""
+    """Projected Newton for the offset logistic model (DESIGN.md §3 item 5)."""
 
     def __init__(self, config: LogisticTrainerConfig | None = None) -> None:
         self.config = config or LogisticTrainerConfig()
-        if self.config.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
         if self.config.n_iterations < 1:
             raise ValueError("n_iterations must be at least 1")
+        if self.config.l2_penalty < 0:
+            raise ValueError("l2_penalty must be non-negative")
 
     def fit(
         self,
@@ -83,7 +89,7 @@ class LogisticTrainer:
         """Maximise the penalised Bernoulli log-likelihood.
 
         ``labels`` must be 0/1; ``offsets`` (if given) are added to every
-        logit but carry no trainable parameter.
+        logit but carry no trainable parameter. The bias is unpenalised.
         """
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.float64)
@@ -111,37 +117,70 @@ class LogisticTrainer:
             means = np.zeros(n_features)
             stds = np.ones(n_features)
 
-        weights = (
-            np.zeros(n_features)
-            if initial_weights is None
-            else np.asarray(initial_weights, dtype=np.float64) * stds
-        )
-        bias = float(initial_bias) + float(
-            (np.zeros(n_features) if initial_weights is None else initial_weights) @ means
-        )
-        previous_loss = np.inf
-        loss = previous_loss
+        # one parameter vector: standardised weights, then the bias, which
+        # multiplies a constant column and carries no penalty
+        design = np.column_stack([features, np.ones(n_examples)])
+        penalty = np.full(n_features + 1, cfg.l2_penalty)
+        penalty[-1] = 0.0
+        clamped = np.zeros(n_features + 1, dtype=bool)
+        clamped[list(cfg.nonnegative)] = True
+        held = np.zeros(n_features + 1, dtype=bool)
+        held[-1] = not cfg.fit_bias
+
+        params = np.zeros(n_features + 1)
+        params[-1] = float(initial_bias)
+        if initial_weights is not None:
+            initial_weights = np.asarray(initial_weights, dtype=np.float64)
+            params[:-1] = initial_weights * stds
+            params[-1] += float(initial_weights @ means)
+        # standardisation keeps stds positive, so signs carry over
+        params[clamped] = np.maximum(params[clamped], 0.0)
+
+        logits = design @ params + offsets
+        loss = self._loss(logits, labels, params, penalty)
         iterations_run = 0
-        for iteration in range(cfg.n_iterations):
-            iterations_run = iteration + 1
-            logits = features @ weights + bias + offsets
-            probabilities = sigmoid(logits)
-            error = probabilities - labels
-            gradient_w = features.T @ error / n_examples + cfg.l2_penalty * weights
-            weights -= cfg.learning_rate * gradient_w
-            for index in cfg.nonnegative:
-                # standardisation keeps stds positive, so signs carry over
-                if weights[index] < 0.0:
-                    weights[index] = 0.0
-            if cfg.fit_bias:
-                bias -= cfg.learning_rate * float(error.mean())
-            loss = self._loss(logits, labels, weights)
-            if abs(previous_loss - loss) < cfg.tolerance:
+        for iterations_run in range(1, cfg.n_iterations + 1):
+            probabilities = expit(logits)
+            gradient = design.T @ (probabilities - labels) / n_examples + penalty * params
+            # active set: a clamped weight at 0 that the gradient pushes
+            # further down stays put this step
+            fixed = held | (clamped & (params <= 0.0) & (gradient > 0.0))
+            curvature = probabilities * (1.0 - probabilities) / n_examples
+            while True:
+                free = ~fixed
+                reduced = design[:, free]
+                hessian = (reduced.T * curvature) @ reduced + np.diag(penalty[free])
+                # lstsq: a singular Hessian (no penalty, a constant column)
+                # still yields the minimum-norm Newton step
+                step = np.zeros_like(params)
+                step[free] = np.linalg.lstsq(hessian, -gradient[free], rcond=None)[0]
+                # a clamped weight at 0 that the step would push below 0 is
+                # held too; re-solve without it so the step stays a descent
+                blocked = free & clamped & (params <= 0.0) & (step < 0.0)
+                if not blocked.any():
+                    break
+                fixed |= blocked
+            # Armijo backtracking along the projected arc
+            fraction = 1.0
+            while True:
+                candidate = params + fraction * step
+                candidate[clamped] = np.maximum(candidate[clamped], 0.0)
+                candidate_logits = design @ candidate + offsets
+                candidate_loss = self._loss(candidate_logits, labels, candidate, penalty)
+                decrease = _ARMIJO * float(gradient @ (candidate - params))
+                if candidate_loss <= loss + decrease:
+                    break
+                fraction *= 0.5
+                if fraction < _MIN_STEP:
+                    candidate, candidate_logits, candidate_loss = params, logits, loss
+                    break
+            change = loss - candidate_loss
+            params, logits, loss = candidate, candidate_logits, candidate_loss
+            if change < cfg.tolerance:
                 break
-            previous_loss = loss
         # fold the standardisation back: logits over raw features are identical
-        raw_weights = weights / stds
-        raw_bias = bias - float((weights / stds) @ means)
+        raw_weights = params[:-1] / stds
+        raw_bias = float(params[-1]) - float(raw_weights @ means)
         return LogisticFit(
             weights=raw_weights,
             bias=raw_bias,
@@ -149,10 +188,11 @@ class LogisticTrainer:
             final_loss=float(loss),
         )
 
-    def _loss(self, logits: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> float:
+    @staticmethod
+    def _loss(
+        logits: np.ndarray, labels: np.ndarray, params: np.ndarray, penalty: np.ndarray
+    ) -> float:
         """Mean negative log-likelihood plus the L2 penalty (stable form)."""
         # log(1 + exp(x)) computed without overflow
-        softplus = np.logaddexp(0.0, logits)
-        nll = softplus - labels * logits
-        penalty = 0.5 * self.config.l2_penalty * float(weights @ weights)
-        return float(nll.mean()) + penalty
+        nll = np.logaddexp(0.0, logits) - labels * logits
+        return float(nll.mean()) + 0.5 * float(penalty @ (params * params))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from repro.diffusion import LogisticTrainer, LogisticTrainerConfig
 
@@ -92,6 +93,115 @@ class TestStandardize:
         assert corr > 0.99
 
 
+def objective(x, y, offsets, weights, bias, l2_penalty, stds):
+    """Mean softplus NLL plus ½λ‖w·stds‖², from raw weights and bias."""
+    logits = x @ weights + bias + offsets
+    nll = np.logaddexp(0.0, logits) - y * logits
+    return nll.mean() + 0.5 * l2_penalty * np.sum((weights * stds) ** 2)
+
+
+def raw_stds(x):
+    stds = x.std(axis=0)
+    return np.where(stds > 1e-8, stds, 1.0)
+
+
+class TestFinalLoss:
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_describes_returned_weights(self, rng, standardize):
+        x, y = separable_data(rng)
+        x = x * np.array([3.0, 0.2]) + np.array([1.0, -2.0])
+        offsets = rng.normal(scale=0.5, size=len(y))
+        config = LogisticTrainerConfig(
+            n_iterations=5, l2_penalty=0.05, standardize=standardize
+        )
+        fit = LogisticTrainer(config).fit(x, y, offsets=offsets)
+        stds = raw_stds(x) if standardize else np.ones(x.shape[1])
+        expected = objective(x, y, offsets, fit.weights, fit.bias, 0.05, stds)
+        assert fit.final_loss == pytest.approx(expected, abs=1e-12, rel=0)
+
+
+class TestDegenerate:
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_unpenalised_constant_column(self, rng, standardize):
+        """No penalty plus a constant column makes the Hessian singular."""
+        x, y = separable_data(rng)
+        x_const = np.column_stack([x, np.full(len(x), 2.0)])
+        fit = LogisticTrainer(
+            LogisticTrainerConfig(l2_penalty=0.0, standardize=standardize)
+        ).fit(x_const, y)
+        assert np.all(np.isfinite(fit.weights)) and np.isfinite(fit.bias)
+        assert fit.final_loss <= np.log(2.0)  # the loss at the zero start
+
+
+def constrained_problem(rng, n=600):
+    """Offsets, mixed feature scales, and a negative truth for feature 1."""
+    x = rng.normal(size=(n, 3)) * np.array([2.0, 0.05, 10.0]) + np.array([1.0, 0.0, -3.0])
+    offsets = rng.normal(scale=0.7, size=n)
+    logits = 1.2 * x[:, 0] - 30.0 * x[:, 1] + 0.05 * x[:, 2] + offsets - 0.4
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logits))).astype(float)
+    return x, y, offsets
+
+
+class TestOptimality:
+    """Projected Newton must reach the constrained optimum, not just descend."""
+
+    l2_penalty = 1e-2
+    config = LogisticTrainerConfig(
+        l2_penalty=l2_penalty, standardize=True, nonnegative=(0, 1)
+    )
+
+    def standardised(self, x):
+        means, stds = x.mean(axis=0), raw_stds(x)
+        return np.column_stack([(x - means) / stds, np.ones(len(x))]), means, stds
+
+    def test_feature_1_optimum_is_negative_unconstrained(self, rng):
+        x, y, offsets = constrained_problem(rng)
+        free = LogisticTrainerConfig(l2_penalty=self.l2_penalty, standardize=True)
+        assert LogisticTrainer(free).fit(x, y, offsets=offsets).weights[1] < 0.0
+
+    def test_kkt_conditions_hold(self, rng):
+        x, y, offsets = constrained_problem(rng)
+        fit = LogisticTrainer(self.config).fit(x, y, offsets=offsets)
+        design, means, stds = self.standardised(x)
+        params = np.append(fit.weights * stds, fit.bias + fit.weights @ means)
+        probabilities = 1.0 / (1.0 + np.exp(-(design @ params + offsets)))
+        penalty = np.array([self.l2_penalty] * 3 + [0.0])
+        gradient = design.T @ (probabilities - y) / len(y) + penalty * params
+        at_bound = np.zeros(4, dtype=bool)
+        at_bound[[0, 1]] = params[[0, 1]] <= 0.0
+        assert at_bound[1] and not at_bound[0]
+        assert np.all(np.abs(gradient[~at_bound]) < 1e-6)
+        assert np.all(gradient[at_bound] >= -1e-8)
+
+    def test_matches_bounded_lbfgs(self, rng):
+        x, y, offsets = constrained_problem(rng)
+        fit = LogisticTrainer(self.config).fit(x, y, offsets=offsets)
+        design, _, _ = self.standardised(x)
+        penalty = np.array([self.l2_penalty] * 3 + [0.0])
+
+        def loss_and_grad(params):
+            logits = design @ params + offsets
+            nll = np.logaddexp(0.0, logits) - y * logits
+            probabilities = 1.0 / (1.0 + np.exp(-logits))
+            gradient = design.T @ (probabilities - y) / len(y) + penalty * params
+            return nll.mean() + 0.5 * penalty @ (params * params), gradient
+
+        reference = minimize(
+            loss_and_grad,
+            np.zeros(4),
+            jac=True,
+            method="L-BFGS-B",
+            bounds=[(0.0, None), (0.0, None), (None, None), (None, None)],
+            options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 10_000},
+        )
+        assert fit.final_loss == pytest.approx(reference.fun, abs=1e-8, rel=0)
+
+    def test_converges_in_few_steps(self, rng):
+        x, y, offsets = constrained_problem(rng)
+        fit = LogisticTrainer(self.config).fit(x, y, offsets=offsets)
+        assert fit.n_iterations <= 10
+
+
 class TestNonnegative:
     def test_projection_enforced(self, rng):
         x, y = separable_data(rng)
@@ -122,6 +232,9 @@ class TestValidation:
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
-            LogisticTrainer(LogisticTrainerConfig(learning_rate=0.0))
-        with pytest.raises(ValueError):
             LogisticTrainer(LogisticTrainerConfig(n_iterations=0))
+
+    def test_rejects_negative_penalty(self):
+        # a negative L2 penalty makes the objective non-convex
+        with pytest.raises(ValueError, match="l2_penalty"):
+            LogisticTrainer(LogisticTrainerConfig(l2_penalty=-1e-3))
