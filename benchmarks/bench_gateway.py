@@ -3,7 +3,7 @@
 The ISSUE 9 acceptance record. A real :class:`repro.gateway.GatewayServer`
 serves on a socket while closed-loop client threads (keep-alive stdlib
 HTTP connections, next request issued the moment the last one answers)
-hammer ``/rank``. Four legs:
+hammer ``/rank``. Four legs and one A/B:
 
 * **store** — monolithic :class:`~repro.serving.ProfileStore` backend:
   sustainable throughput and p50/p99 latency, micro-batching active;
@@ -15,7 +15,11 @@ hammer ``/rank``. Four legs:
 * **chaos** — the router leg with a mid-run injected shard-0 outage and a
   hot swap afterwards: p99 stays bounded, every non-exact answer carries
   the degraded coverage envelope (zero wrong-coverage responses), no 5xx
-  storm, and the swap restores exact service before the run ends.
+  storm, and the swap restores exact service before the run ends;
+* **batching A/B** — the store leg beside an unbatched store leg (the
+  same store with ``rank_many`` hidden, so every request is its own
+  executor call) at 1, 8 and 32 clients: the record that decides
+  whether :class:`~repro.gateway.RankBatcher` earns its keep.
 
 Scale knobs from :mod:`bench_support` apply; the trajectory record goes to
 ``BENCH_gateway.json`` at the repository root.
@@ -51,6 +55,7 @@ MAX_QUERIES = 16
 DURATION_SECONDS = 0.8 if SMOKE_MODE else 3.0
 N_CLIENTS = 4 if SMOKE_MODE else 8
 OVERLOAD_CLIENTS = 4 * N_CLIENTS
+AB_CLIENTS = (1, 8, 32)
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_gateway.json"
 
@@ -62,7 +67,8 @@ class _SlowStore:
     """Store wrapper whose rank holds its admission slot for ``delay``s.
 
     No ``rank_many``/``gather`` attribute, so the gateway falls back to
-    one slot per request — the overload-leg substrate.
+    one slot per request — the overload-leg substrate, and (``delay=0``)
+    the unbatched side of the batching A/B.
     """
 
     def __init__(self, store, delay):
@@ -241,6 +247,20 @@ def _measure() -> dict:
         terms, N_CLIENTS, DURATION_SECONDS,
     )
 
+    # ---------------------------------------------------------- batching A/B
+    ab: dict[str, dict] = {}
+    for n_clients in AB_CLIENTS:
+        ab[str(n_clients)] = {
+            name: _run_load(
+                GatewayServer(backend, port=0, max_in_flight=8, max_queue=64),
+                terms, n_clients, DURATION_SECONDS,
+            )
+            for name, backend in (
+                ("store", store),
+                ("store_unbatched", _SlowStore(store, delay=0)),
+            )
+        }
+
     # ------------------------------------------------------------ router leg
     legs["router"] = _run_load(
         GatewayServer(
@@ -294,13 +314,15 @@ def _measure() -> dict:
     legs["chaos"]["healed_exact"] = bool(after_swap) and all(
         h == "1" for h in after_swap[-max(1, len(after_swap) // 2):]
     )
-    for leg in legs.values():
+    ab_legs = [leg for cell in ab.values() for leg in cell.values()]
+    for leg in [*legs.values(), *ab_legs]:
         leg.pop("_answers", None)
 
     return {
         "n_queries": len(terms),
         "duration_seconds": DURATION_SECONDS,
         "legs": legs,
+        "batching_ab": ab,
     }
 
 
@@ -341,6 +363,27 @@ def test_gateway_load(benchmark):
         ),
     )
 
+    ab = measured["batching_ab"]
+    report(
+        "gateway_batching_ab",
+        format_table(
+            f"Rank batching A/B, store backend (separated {BENCH_SCALE})",
+            ["clients", "leg", "rps", "p50 s", "p99 s", "batches"],
+            [
+                [
+                    clients,
+                    name,
+                    leg["throughput_rps"],
+                    leg["latency"]["p50"],
+                    leg["latency"]["p99"],
+                    leg["batches"],
+                ]
+                for clients, cell in ab.items()
+                for name, leg in cell.items()
+            ],
+        ),
+    )
+
     # healthy legs: real throughput, no shedding, no server errors
     for name in ("store", "router"):
         contract(legs[name]["served"] > 0, f"{name} leg served requests")
@@ -351,6 +394,16 @@ def test_gateway_load(benchmark):
             f"{name} leg coverage headers are truthful",
         )
     contract(legs["store"]["batches"] >= 1, "micro-batching engaged")
+    for clients, cell in ab.items():
+        for name, leg in cell.items():
+            contract(leg["served"] > 0, f"A/B {name} x{clients} served requests")
+            contract(leg["server_5xx"] == 0, f"A/B {name} x{clients} has no 5xx")
+            contract(leg["shed_429"] == 0, f"A/B {name} x{clients} sheds nothing")
+        contract(cell["store"]["batches"] >= 1, f"A/B x{clients} batches")
+        contract(
+            cell["store_unbatched"]["batches"] == 0,
+            f"A/B x{clients} unbatched leg never batches",
+        )
 
     # overload: the flood sheds with 429 and the limit holds exactly
     contract(legs["overload"]["shed_429"] > 0, "overload leg sheds")

@@ -376,14 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="Retry-After seconds advertised on shed (429) responses",
     )
     serve.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="micro-batching window for concurrent deadline-less /rank calls",
-    )
-    serve.add_argument(
-        "--max-batch", type=int, default=32,
-        help="unique queries per micro-batch before an immediate flush",
-    )
-    serve.add_argument(
         "--default-deadline-ms", type=float, default=None,
         help="budget applied to requests without an X-Deadline-Ms header",
     )
@@ -1628,8 +1620,6 @@ def run_serve(args, out=None) -> int:
         max_in_flight=args.max_in_flight,
         max_queue=args.max_queue,
         retry_after=args.retry_after,
-        batch_window=args.batch_window_ms / 1000.0,
-        max_batch=args.max_batch,
         default_deadline=(
             args.default_deadline_ms / 1000.0
             if args.default_deadline_ms is not None

@@ -14,9 +14,11 @@ failure as the default case — see DESIGN.md §12:
   are enforced at admission (a pre-expired request never reaches the
   backend) and handed to the router as a remaining budget, so a request
   with 80 ms left cannot buy a 500 ms shard retry;
-* **micro-batching** — concurrent rank calls coalesce into one vectorized
-  Eq. 19 pass (:class:`~repro.gateway.batcher.RankBatcher` over
-  :meth:`~repro.serving.ProfileStore.rank_many`);
+* **micro-batching** — deadline-less store rank calls that arrive in the
+  same event-loop turn coalesce into one vectorized Eq. 19 pass
+  (:class:`~repro.gateway.batcher.RankBatcher` over
+  :meth:`~repro.serving.ProfileStore.rank_many`), with no wait for a
+  lone request; router requests are one gather each;
 * **graceful degradation** — router-backed answers carry the
   :class:`~repro.shard.GatherResult` coverage envelope as response
   metadata (``X-Repro-Exact`` / ``X-Repro-Coverage`` headers and a

@@ -1,62 +1,37 @@
 """Micro-batching of concurrent rank calls into one vectorized pass.
 
-Under concurrency the gateway sees many independent ``/rank`` requests in
-the same few milliseconds. Answering them one by one costs one Eq. 19
-matvec each; :class:`RankBatcher` holds the first request for a bounded
-window (default 2 ms), collects whatever else arrives, deduplicates
-identical queries, and runs the whole batch through one fused
-:meth:`repro.serving.ProfileStore.rank_many` matmul on the executor (or,
-router-backed, one flush of per-query gathers). The window bounds the
-latency a lone request can lose to batching; a full batch (``max_batch``)
-flushes immediately.
+Under concurrency the gateway sees many independent ``/rank`` requests
+land in the same event-loop turn. :class:`RankBatcher` schedules one
+flush for the next turn (``loop.call_soon``), so every request that
+reaches it before then shares one fused
+:meth:`repro.serving.ProfileStore.rank_many` matmul on the executor, with
+identical queries deduplicated. There is no window: a lone request waits
+no time, and admission runs first, so a batch never holds more than the
+gateway's ``max_in_flight`` queries.
 
 The batcher is deadline-neutral by design: requests carrying an explicit
 deadline bypass it in the server (their budget must reach the backend
-per-request), so only deadline-less traffic coalesces.
+per-request), so only deadline-less store traffic coalesces.
 
 Tracing rides along without changing the runner contract: ``rank`` takes
 an optional per-request context (:class:`~repro.gateway.tracing.
 RequestContext`), and the batcher — which is the only place that knows
 when a request was enqueued and when its batch actually ran — emits each
-waiter's ``gateway.batch_wait`` and ``gateway.backend`` phases itself. A
-runner that declares a second positional parameter additionally receives
-one context per deduplicated query (the first waiter's), so it can parent
-backend spans correctly; single-parameter runners keep working untouched.
+waiter's ``gateway.batch_wait`` and ``gateway.backend`` phases itself.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
 import time
 from typing import Awaitable, Callable, Sequence
 
-#: a batch runner maps queries -> one result or exception per query;
-#: it may declare a second positional parameter to receive per-query
-#: request contexts (None for untraced requests)
+#: a batch runner maps queries -> one result or exception per query
 BatchRunner = Callable[[Sequence[str]], Awaitable[list]]
 
 
-def _accepts_contexts(runner) -> bool:
-    """Does the runner take a second positional (per-query contexts) arg?"""
-    try:
-        signature = inspect.signature(runner)
-    except (TypeError, ValueError):
-        return False
-    positional = 0
-    for parameter in signature.parameters.values():
-        if parameter.kind == parameter.VAR_POSITIONAL:
-            return True
-        if parameter.kind in (
-            parameter.POSITIONAL_ONLY,
-            parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            positional += 1
-    return positional >= 2
-
-
 class RankBatcher:
-    """Coalesce concurrent rank calls within a bounded window.
+    """Coalesce the rank calls of one event-loop turn into one runner call.
 
     ``runner`` receives the deduplicated batch and must return one entry
     per query — a result, or an ``Exception`` instance for per-query
@@ -64,47 +39,28 @@ class RankBatcher:
     batch). Lives on the event-loop thread; ``rank`` is the only API.
     """
 
-    def __init__(
-        self,
-        runner: BatchRunner,
-        window: float = 0.002,
-        max_batch: int = 32,
-    ) -> None:
-        if max_batch < 1:
-            raise ValueError("max_batch must be at least 1")
-        if window < 0:
-            raise ValueError("window cannot be negative")
+    def __init__(self, runner: BatchRunner) -> None:
         self.runner = runner
-        self.window = window
-        self.max_batch = max_batch
-        self._wants_contexts = _accepts_contexts(runner)
         # query -> [(future, trace_ctx, enqueued_perf, enqueued_wall), ...]
         self._pending: dict[str, list[tuple]] = {}
-        self._flush_handle: asyncio.TimerHandle | None = None
+        self._flush_scheduled = False
         self.batches = 0
         self.batched_queries = 0
         self.largest_batch = 0
 
     async def rank(self, query: str, trace=None):
-        """The ranking for ``query``, served from the next batch flush."""
+        """The ranking for ``query``, served from the next-turn flush."""
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         waiters = self._pending.setdefault(query, [])
         waiters.append((future, trace, time.perf_counter(), time.time()))
-        if len(self._pending) >= self.max_batch:
-            self._cancel_timer()
-            self._start_flush()
-        elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(self.window, self._start_flush)
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            loop.call_soon(self._start_flush)
         return await future
 
-    def _cancel_timer(self) -> None:
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-
     def _start_flush(self) -> None:
-        self._flush_handle = None
+        self._flush_scheduled = False
         if not self._pending:
             return
         batch = self._pending
@@ -118,23 +74,14 @@ class RankBatcher:
         queries = list(batch.keys())
         run_wall = time.time()
         run_perf = time.perf_counter()
-        contexts: list = []
-        for query in queries:
-            first = None
-            for _future, trace, enqueued_perf, enqueued_wall in batch[query]:
-                if trace is None:
-                    continue
-                trace.observe_batch_wait(
-                    max(run_perf - enqueued_perf, 0.0), enqueued_wall
-                )
-                if first is None:
-                    first = trace
-            contexts.append(first)
+        for waiters in batch.values():
+            for _future, trace, enqueued_perf, enqueued_wall in waiters:
+                if trace is not None:
+                    trace.observe_batch_wait(
+                        max(run_perf - enqueued_perf, 0.0), enqueued_wall
+                    )
         try:
-            if self._wants_contexts:
-                results = await self.runner(queries, contexts)
-            else:
-                results = await self.runner(queries)
+            results = await self.runner(queries)
         except Exception as exc:  # noqa: BLE001 — runner died: fail the batch
             results = [exc] * len(queries)
         duration = time.perf_counter() - run_perf
@@ -173,6 +120,5 @@ class RankBatcher:
 
     async def drain(self) -> None:
         """Flush anything still waiting (used on shutdown)."""
-        self._cancel_timer()
         self._start_flush()
         await asyncio.sleep(0)

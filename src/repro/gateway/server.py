@@ -6,7 +6,7 @@ Request lifecycle (DESIGN.md §12–13)::
       -> trace context (X-Repro-Trace accepted or minted, echoed back)
       -> deadline parse (400 on garbage; 504 if already expired)
       -> admission (429 + Retry-After when saturated)
-      -> batcher (deadline-less rank/gather) | executor call
+      -> batcher (deadline-less store rank) | executor call
       -> response (+ coverage envelope headers on router answers)
       -> access log + SLO record + tail-sampled span tree
 
@@ -14,8 +14,9 @@ Backend calls run on a thread pool sized to the in-flight limit — the
 store and router are thread-safe as of this layer (locked memo builds,
 internally-locked LRUs), and the event loop never blocks on a matmul.
 
-Each request times its own phases (parse, admission wait, batch wait,
-backend) and emits them as one connected span tree under a per-request
+Each request times its own phases (parse, admission wait, batch wait
+for a batched store request, backend) and emits them as one connected
+span tree under a per-request
 :class:`~repro.gateway.tracing.RequestContext` — the thread-local span
 stack cannot be trusted on a shared event loop. Whether the tree reaches
 the global sink is decided *after* the response (tail sampling): errors,
@@ -105,7 +106,8 @@ class GatewayServer:
 
     ``backend`` is duck-typed: anything with ``rank`` works for the query
     routes; ``gather`` marks it router-like (coverage envelopes, budget
-    propagation); ``rank_many`` + ``query_word_ids`` enable micro-batching.
+    propagation); ``rank_many`` + ``query_word_ids`` on a store enable
+    micro-batching.
     """
 
     def __init__(
@@ -116,8 +118,6 @@ class GatewayServer:
         max_in_flight: int = 8,
         max_queue: int = 16,
         retry_after: float = 1.0,
-        batch_window: float = 0.002,
-        max_batch: int = 32,
         default_deadline: Optional[float] = None,
         read_timeout: float = 5.0,
         clock: Callable[[], float] = time.monotonic,
@@ -141,12 +141,10 @@ class GatewayServer:
             max_queue=max_queue,
             retry_after=retry_after,
         )
-        # routers batch too: deadline-less gathers coalesce so one flush
-        # serves the dedup'd queries (and the span tree shows the batcher)
-        self._can_batch = self.is_router or hasattr(backend, "rank_many")
-        self.batcher = RankBatcher(
-            self._run_batch, window=batch_window, max_batch=max_batch
-        )
+        # only a store batches: its rank_many is one fused matmul, while a
+        # router batch would be a loop of per-query gathers
+        self._can_batch = not self.is_router and hasattr(backend, "rank_many")
+        self.batcher = RankBatcher(self._run_batch)
         self.slo = slo if slo is not None else SloTracker(
             availability_target=slo_availability_target,
             latency_target=slo_latency_target,
@@ -354,6 +352,8 @@ class GatewayServer:
                 )
         try:
             response = await self._route(request)
+        except BadRequest as exc:
+            response = Response(400, {"error": str(exc)})
         except ShedError as exc:
             registry = obs.get_registry()
             if registry.enabled:
@@ -631,19 +631,17 @@ class GatewayServer:
     ) -> tuple[list, dict]:
         """``(ranking, coverage)`` for one query under the deadline.
 
-        Deadline-less requests coalesce in the batcher (store: one fused
-        ``rank_many``; router: one flush of per-query gathers). A request
-        carrying a deadline bypasses it — its budget must reach the
-        backend per-request. Router answers that are not exact raise
+        Deadline-less store requests coalesce in the batcher (one fused
+        ``rank_many`` per loop turn). A store request carrying a deadline
+        bypasses it. A router request is always one ``gather`` whose
+        budget is the deadline's remainder (``None`` without a
+        deadline). Router answers that are not exact raise
         :class:`DegradedError` unless the router is best-effort (the
         envelope then rides the response instead).
         """
         if self._can_batch and deadline.cutoff is None:
-            result = await self.batcher.rank(query, trace=ctx)
-            if self.is_router:
-                self._check_exact(result)
-                return list(result.ranking), _coverage_payload(result)
-            return list(result), _exact_coverage()
+            ranking = await self.batcher.rank(query, trace=ctx)
+            return list(ranking), _exact_coverage()
         if self.is_router:
             budget = deadline.remaining()
             envelope = await self._backend_call(
@@ -669,15 +667,30 @@ class GatewayServer:
             raise BadRequest("missing ?q= query parameter")
         return query
 
-    async def _rank_route(self, request: Request, deadline: Deadline) -> Response:
+    @staticmethod
+    def _count_param(
+        request: Request, name: str, default: Optional[int]
+    ) -> Optional[int]:
+        """The non-negative integer ``?name=``, or ``default`` if absent."""
+        raw = request.params.get(name)
+        if raw is None:
+            return default
         try:
-            query = self._require_query(request)
-        except BadRequest as exc:
-            return Response(400, {"error": str(exc)})
+            value = int(raw)
+            if value < 0:
+                raise ValueError(raw)
+        except ValueError:
+            raise BadRequest(
+                f"?{name}= must be a non-negative integer"
+            ) from None
+        return value
+
+    async def _rank_route(self, request: Request, deadline: Deadline) -> Response:
+        query = self._require_query(request)
+        k = self._count_param(request, "k", None)
         ranking, coverage = await self._ranked(query, deadline, request.trace)
-        k = request.params.get("k")
         if k is not None:
-            ranking = ranking[: max(int(k), 0)]
+            ranking = ranking[:k]
         return Response(
             200,
             {
@@ -689,11 +702,8 @@ class GatewayServer:
         )
 
     async def _top_k_route(self, request: Request, deadline: Deadline) -> Response:
-        try:
-            query = self._require_query(request)
-        except BadRequest as exc:
-            return Response(400, {"error": str(exc)})
-        k = int(request.params.get("k", "5"))
+        query = self._require_query(request)
+        k = self._count_param(request, "k", 5)
         ranking, coverage = await self._ranked(query, deadline, request.trace)
         return Response(
             200,
@@ -707,7 +717,7 @@ class GatewayServer:
         )
 
     async def _members_route(self, request: Request, _deadline: Deadline) -> Response:
-        k = int(request.params.get("k", "5"))
+        k = self._count_param(request, "k", 5)
         with_members = request.params.get("members", "0") == "1"
         members = await self._backend_call(
             request.trace,
@@ -723,7 +733,7 @@ class GatewayServer:
         return Response(200, {"k": k, "communities": communities})
 
     async def _labels_route(self, request: Request, _deadline: Deadline) -> Response:
-        n_words = int(request.params.get("n", "3"))
+        n_words = self._count_param(request, "n", 3)
         labels = await self._backend_call(
             request.trace,
             lambda _header: self.backend.labels(n_words),
@@ -779,7 +789,7 @@ class GatewayServer:
 
     # ------------------------------------------------------------ micro-batch
 
-    def _rank_batch_sync(self, queries: list[str], _contexts: list) -> list:
+    def _rank_batch_sync(self, queries: list[str]) -> list:
         """Executor-side batch body: per-query validation, one fused pass.
 
         Returns one entry per query — a ranking, or the exception that
@@ -812,39 +822,13 @@ class GatewayServer:
                     results[i] = ranking
         return results
 
-    def _gather_batch_sync(self, queries: list[str], contexts: list) -> list:
-        """Executor-side router batch: one deadline-less gather per query.
-
-        Per-query isolation as in the store path — a failed gather is an
-        entry, not a batch failure. Each gather's spans are captured into
-        its request's buffer, parented to the ``gateway.backend`` span the
-        batcher records afterwards.
-        """
-        results: list = []
-        for query, ctx in zip(queries, contexts):
-            header = ctx.backend_header() if ctx is not None else None
-            try:
-                if ctx is not None and ctx.buffer is not None:
-                    with obs.capture_spans(ctx.buffer):
-                        envelope = self.backend.gather(query, trace=header)
-                else:
-                    envelope = self.backend.gather(query, trace=header)
-            except Exception as exc:  # noqa: BLE001 — per-query isolation
-                results.append(exc)
-            else:
-                results.append(envelope)
-        return results
-
-    async def _run_batch(self, queries, contexts) -> list:
+    async def _run_batch(self, queries) -> list:
         registry = obs.get_registry()
         if registry.enabled:
             registry.histogram("repro_gateway_batch_size").observe(
                 len(queries)
             )
-        body = (
-            self._gather_batch_sync if self.is_router else self._rank_batch_sync
-        )
-        return await self._in_executor(body, list(queries), list(contexts))
+        return await self._in_executor(self._rank_batch_sync, list(queries))
 
 
 class GatewayThread:

@@ -2,8 +2,6 @@
 
 import asyncio
 
-import pytest
-
 from repro.gateway import RankBatcher
 
 
@@ -30,7 +28,7 @@ class TestCoalescing:
     def test_concurrent_calls_share_one_runner_invocation(self):
         async def body():
             runner = RecordingRunner()
-            batcher = RankBatcher(runner, window=0.005)
+            batcher = RankBatcher(runner)
             results = await asyncio.gather(
                 batcher.rank("a"), batcher.rank("b"), batcher.rank("c")
             )
@@ -45,7 +43,7 @@ class TestCoalescing:
     def test_identical_queries_deduplicate(self):
         async def body():
             runner = RecordingRunner()
-            batcher = RankBatcher(runner, window=0.005)
+            batcher = RankBatcher(runner)
             results = await asyncio.gather(
                 batcher.rank("a"), batcher.rank("a"), batcher.rank("a")
             )
@@ -55,25 +53,24 @@ class TestCoalescing:
 
         run(body())
 
-    def test_full_batch_flushes_without_waiting_for_the_window(self):
+    def test_lone_request_waits_for_no_timer(self):
         async def body():
             runner = RecordingRunner()
-            # a window long enough that only the max_batch flush explains
-            # the batch completing quickly
-            batcher = RankBatcher(runner, window=30.0, max_batch=2)
-            results = await asyncio.wait_for(
-                asyncio.gather(batcher.rank("a"), batcher.rank("b")),
-                timeout=5,
-            )
-            assert results == ["rank:a", "rank:b"]
-            assert len(runner.calls) == 1
+            batcher = RankBatcher(runner)
+            task = asyncio.create_task(batcher.rank("a"))
+            # the flush runs on the next loop turn, not after a window
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert task.done()
+            assert task.result() == "rank:a"
+            assert runner.calls == [["a"]]
 
         run(body())
 
     def test_sequential_calls_each_get_their_own_batch(self):
         async def body():
             runner = RecordingRunner()
-            batcher = RankBatcher(runner, window=0.0)
+            batcher = RankBatcher(runner)
             assert await batcher.rank("a") == "rank:a"
             assert await batcher.rank("b") == "rank:b"
             assert runner.calls == [["a"], ["b"]]
@@ -87,7 +84,7 @@ class TestFailureIsolation:
             runner = RecordingRunner(
                 results={"bad": KeyError("bad is not a word")}
             )
-            batcher = RankBatcher(runner, window=0.005)
+            batcher = RankBatcher(runner)
             good, bad = await asyncio.gather(
                 batcher.rank("good"),
                 batcher.rank("bad"),
@@ -101,7 +98,7 @@ class TestFailureIsolation:
     def test_runner_crash_fails_the_whole_batch(self):
         async def body():
             runner = RecordingRunner(error=RuntimeError("backend died"))
-            batcher = RankBatcher(runner, window=0.005)
+            batcher = RankBatcher(runner)
             results = await asyncio.gather(
                 batcher.rank("a"), batcher.rank("b"), return_exceptions=True
             )
@@ -114,7 +111,7 @@ class TestFailureIsolation:
             async def short_runner(queries):
                 return ["only-one"]
 
-            batcher = RankBatcher(short_runner, window=0.005)
+            batcher = RankBatcher(short_runner)
             results = await asyncio.gather(
                 batcher.rank("a"), batcher.rank("b"), return_exceptions=True
             )
@@ -128,7 +125,7 @@ class TestDrain:
     def test_drain_flushes_pending_queries(self):
         async def body():
             runner = RecordingRunner()
-            batcher = RankBatcher(runner, window=60.0)
+            batcher = RankBatcher(runner)
             task = asyncio.create_task(batcher.rank("a"))
             await asyncio.sleep(0)
             await batcher.drain()
@@ -136,13 +133,3 @@ class TestDrain:
 
         run(body())
 
-
-class TestValidation:
-    def test_bad_parameters_rejected(self):
-        async def noop(queries):
-            return list(queries)
-
-        with pytest.raises(ValueError, match="max_batch"):
-            RankBatcher(noop, max_batch=0)
-        with pytest.raises(ValueError, match="window"):
-            RankBatcher(noop, window=-0.1)

@@ -137,6 +137,29 @@ class TestRoutes:
         assert status == 400
         assert "?q=" in body["error"]
 
+    @pytest.mark.parametrize("value", ["abc", "-1"])
+    @pytest.mark.parametrize(
+        "route, name",
+        [
+            ("/rank?q={term}&", "k"),
+            ("/top-k?q={term}&", "k"),
+            ("/community-members?", "k"),
+            ("/labels?", "n"),
+        ],
+    )
+    def test_bad_count_parameter_is_400_not_an_error(
+        self, store, term, route, name, value
+    ):
+        gateway = GatewayServer(store, port=0)
+        with GatewayThread(gateway) as handle:
+            status, _headers, body = handle.get(
+                f"{route.format(term=term)}{name}={value}"
+            )
+        assert status == 400
+        assert f"?{name}=" in body["error"]
+        assert gateway.stats()["errors"] == 0
+        assert gateway.stats()["batches"] == 0  # parsed before the backend
+
     def test_health_ready_metrics(self, store):
         gateway = GatewayServer(store, port=0)
         with GatewayThread(gateway) as handle:
@@ -430,7 +453,7 @@ class TestBatching:
         """Deadline-less store-backed rank traffic batches: a concurrent
         burst must complete in fewer backend batches than requests."""
         gateway = GatewayServer(
-            store, port=0, max_in_flight=8, max_queue=64, batch_window=0.02
+            store, port=0, max_in_flight=8, max_queue=64
         )
         n = 16
         with GatewayThread(gateway) as handle:

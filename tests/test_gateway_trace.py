@@ -166,6 +166,8 @@ class TestDegradedGatewayTraceTree:
         phases = {child["span"]["name"] for child in root["children"]}
         assert {"gateway.parse", "gateway.admission_wait",
                 "gateway.backend"} <= phases
+        assert "gateway.batch_wait" not in phases  # routers never batch
+        assert gateway.stats()["batches"] == 0
         (backend,) = [
             c for c in root["children"]
             if c["span"]["name"] == "gateway.backend"
