@@ -21,6 +21,10 @@ the parallel plane keep working unchanged. The struct layout is generated
 from one field spec for both the C source and the ctypes mirror, so the
 two can never drift.
 
+The same translation unit carries ``cpd_lda_sweep``, one collapsed-Gibbs
+LDA sweep for the topic segmentation of the parallel scheduler and the
+sharder (:func:`lda_sweep`, behind ``topics/lda.py``).
+
 Set ``REPRO_COMPILED_DISABLE=1`` to force the fallback path (used by CI to
 assert the no-toolchain story); ``REPRO_CC_CACHE_DIR`` overrides the
 shared-object cache directory.
@@ -516,6 +520,69 @@ void cpd_pg_series(const double *z, const double *gammas, int64_t n,
         out[i] = series / two_pi_sq + b * ((full - partial) / two_pi_sq);
     }
 }
+
+/* numpy's pairwise summation (the float64 add.reduce inner loop), term for
+   term, so the LDA draw's total equals `weights.sum()` bit for bit. */
+static double pairwise_sum(const double *a, int64_t n) {
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; ++i) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int j = 0; j < 8; ++j) r[j] = a[j];
+        int64_t i;
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int j = 0; j < 8; ++j) r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; ++i) res += a[i];
+        return res;
+    }
+    int64_t n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* One collapsed-Gibbs LDA sweep over a CSR token layout: the C translation
+   of topics/lda.py gibbs_sweep, one pre-drawn uniform per token in token
+   order. The draw copies sampling/categorical.py sample_categorical: the
+   pairwise total, the first sequential cumulative bound strictly above
+   uniform * total, clipped to K - 1, zero-weight walk-back. The caller
+   guarantees word ids in [0, n_words), assignments in [0, n_topics) and
+   positive priors. */
+void cpd_lda_sweep(int64_t n_docs, int64_t n_topics, int64_t n_words, double alpha,
+                   double beta, const int64_t *words, const int64_t *indptr,
+                   int64_t *assignments, double *topic_word, double *doc_topic,
+                   double *topic_totals, const double *uniforms, double *weights) {
+    const int64_t K = n_topics, W = n_words;
+    const double words_beta = (double)n_words * beta;
+    for (int64_t d = 0; d < n_docs; ++d) {
+        double *dt = doc_topic + d * K;
+        for (int64_t p = indptr[d]; p < indptr[d + 1]; ++p) {
+            const int64_t word = words[p];
+            const int64_t z_old = assignments[p];
+            topic_word[z_old * W + word] -= 1.0;
+            dt[z_old] -= 1.0;
+            topic_totals[z_old] -= 1.0;
+            for (int64_t k = 0; k < K; ++k)
+                weights[k] = (dt[k] + alpha) * (topic_word[k * W + word] + beta)
+                             / (topic_totals[k] + words_beta);
+            const double draw = uniforms[p] * pairwise_sum(weights, K);
+            int64_t z_new = K - 1;
+            double cumulative = 0.0;
+            for (int64_t k = 0; k < K; ++k) {
+                cumulative += weights[k];
+                if (cumulative > draw) { z_new = k; break; }
+            }
+            while (z_new > 0 && weights[z_new] == 0.0) --z_new;
+            assignments[p] = z_new;
+            topic_word[z_new * W + word] += 1.0;
+            dt[z_new] += 1.0;
+            topic_totals[z_new] += 1.0;
+        }
+    }
+}
 """.replace("__STRUCT_BODY__", _STRUCT_BODY)
 
 
@@ -608,6 +675,11 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
         f64_p, f64_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, f64_p
     ]
     library.cpd_pg_series.restype = None
+    library.cpd_lda_sweep.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
+        i64_p, i64_p, i64_p, f64_p, f64_p, f64_p, f64_p, f64_p,
+    ]
+    library.cpd_lda_sweep.restype = None
     return library
 
 
@@ -677,3 +749,51 @@ def pg_series(z: np.ndarray, gammas: np.ndarray, b: float) -> np.ndarray | None:
         out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
     )
     return out
+
+
+def lda_sweep(
+    words: np.ndarray,
+    indptr: np.ndarray,
+    assignments: np.ndarray,
+    topic_word: np.ndarray,
+    doc_topic: np.ndarray,
+    topic_totals: np.ndarray,
+    alpha: float,
+    beta: float,
+    uniforms: np.ndarray,
+) -> None:
+    """One compiled collapsed-Gibbs LDA sweep (``cpd_lda_sweep``), in place.
+
+    ``words``/``indptr`` are the CSR token layout, ``uniforms`` one draw
+    per token. The count arrays and ``assignments`` are mutated through
+    their pointers, so each must be C-contiguous with the kernel's dtype
+    (a silent copy would divert the updates into a throwaway buffer). The
+    caller guarantees word ids in ``[0, n_words)``, assignments in
+    ``[0, n_topics)`` and positive priors. Raises
+    :class:`CompiledBackendUnavailable` without a backend.
+    """
+    library = load_library()
+    n_topics, n_words = topic_word.shape
+    n_docs = indptr.shape[0] - 1
+    if (
+        doc_topic.shape != (n_docs, n_topics)
+        or topic_totals.shape != (n_topics,)
+        or assignments.shape != words.shape
+        or uniforms.shape != words.shape
+        or indptr[-1] != words.shape[0]
+    ):
+        raise ValueError("inconsistent LDA sweep shapes")
+    weights = np.empty(n_topics, dtype=np.float64)  # per-token scratch
+    pointers = []
+    for array, kind in (
+        (words, "p_i64"), (indptr, "p_i64"), (assignments, "p_i64"),
+        (topic_word, "p_f64"), (doc_topic, "p_f64"), (topic_totals, "p_f64"),
+        (uniforms, "p_f64"), (weights, "p_f64"),
+    ):
+        if array.dtype != _POINTER_DTYPES[kind] or not array.flags.c_contiguous:
+            raise ValueError(
+                f"LDA sweep arrays must be C-contiguous {_POINTER_DTYPES[kind]}, "
+                f"got {array.dtype} (contiguous={array.flags.c_contiguous})"
+            )
+        pointers.append(array.ctypes.data_as(_CTYPES_TYPES[kind]))
+    library.cpd_lda_sweep(n_docs, n_topics, n_words, float(alpha), float(beta), *pointers)

@@ -67,30 +67,39 @@ def build_segments(graph: SocialGraph, user_segment: np.ndarray) -> list[DataSeg
     user_segment = np.asarray(user_segment, dtype=np.int64)
     if user_segment.shape != (graph.n_users,):
         raise ValueError("user_segment must have one entry per user")
-    segments: list[DataSegment] = []
-    doc_user = graph.document_user_array()
-    for segment_id in np.unique(user_segment):
-        users = np.flatnonzero(user_segment == segment_id)
-        user_set = set(int(u) for u in users)
-        doc_ids = np.flatnonzero(np.isin(doc_user, users))
-        n_friend = sum(
-            1
-            for link in graph.friendship_links
-            if link.source in user_set or link.target in user_set
+    segment_ids, user_index = np.unique(user_segment, return_inverse=True)
+    n_segments = len(segment_ids)
+    doc_index = user_index[graph.document_user_array()]
+    friend_ends = np.array(
+        [(link.source, link.target) for link in graph.friendship_links], dtype=np.int64
+    ).reshape(-1, 2)
+    diffusion_ends = np.array(
+        [(link.source_doc, link.target_doc) for link in graph.diffusion_links],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    n_friend = _incident_links(user_index[friend_ends], n_segments)
+    n_diff = _incident_links(doc_index[diffusion_ends], n_segments)
+    return [
+        DataSegment(
+            segment_id=int(segment_id),
+            users=np.flatnonzero(user_index == index),
+            doc_ids=np.flatnonzero(doc_index == index),
+            n_friendship_links=int(n_friend[index]),
+            n_diffusion_links=int(n_diff[index]),
         )
-        n_diff = sum(
-            1
-            for link in graph.diffusion_links
-            if int(doc_user[link.source_doc]) in user_set
-            or int(doc_user[link.target_doc]) in user_set
-        )
-        segments.append(
-            DataSegment(
-                segment_id=int(segment_id),
-                users=users,
-                doc_ids=doc_ids,
-                n_friendship_links=n_friend,
-                n_diffusion_links=n_diff,
-            )
-        )
-    return segments
+        for index, segment_id in enumerate(segment_ids)
+    ]
+
+
+def _incident_links(endpoint_segments: np.ndarray, n_segments: int) -> np.ndarray:
+    """Per segment, the links with at least one endpoint in it.
+
+    Each link adds one to both endpoints' segments; a link inside one
+    segment is then subtracted once so it counts once.
+    """
+    source, target = endpoint_segments[:, 0], endpoint_segments[:, 1]
+    return (
+        np.bincount(source, minlength=n_segments)
+        + np.bincount(target, minlength=n_segments)
+        - np.bincount(source[source == target], minlength=n_segments)
+    )

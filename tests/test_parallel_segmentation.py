@@ -54,6 +54,49 @@ class TestSegmentation:
         assert len(segments) == 2
 
 
+    @pytest.mark.parametrize("kind", ["lda", "sparse_ids", "single"])
+    def test_build_segments_matches_per_segment_loop(self, twitter_tiny, kind):
+        graph, _ = twitter_tiny
+        if kind == "lda":
+            mapping = np.empty(graph.n_users, dtype=np.int64)
+            for segment in segment_users_by_topic(graph, 4, lda_iterations=5, rng=0):
+                mapping[segment.users] = segment.segment_id
+        elif kind == "sparse_ids":
+            mapping = (np.arange(graph.n_users) * 7) % 5 * 10 - 20
+        else:
+            mapping = np.zeros(graph.n_users, dtype=np.int64)
+        ours = build_segments(graph, mapping)
+        expected = _segments_by_loop(graph, mapping)
+        assert len(ours) == len(expected)
+        for segment, (segment_id, users, doc_ids, n_friend, n_diff) in zip(ours, expected):
+            assert segment.segment_id == segment_id
+            np.testing.assert_array_equal(segment.users, users)
+            np.testing.assert_array_equal(segment.doc_ids, doc_ids)
+            assert segment.n_friendship_links == n_friend
+            assert segment.n_diffusion_links == n_diff
+
+
+def _segments_by_loop(graph, user_segment):
+    """The per-segment link loops ``build_segments`` replaced."""
+    doc_user = graph.document_user_array()
+    rows = []
+    for segment_id in np.unique(user_segment):
+        users = np.flatnonzero(user_segment == segment_id)
+        user_set = set(int(u) for u in users)
+        n_friend = sum(
+            1 for link in graph.friendship_links
+            if link.source in user_set or link.target in user_set
+        )
+        n_diff = sum(
+            1 for link in graph.diffusion_links
+            if int(doc_user[link.source_doc]) in user_set
+            or int(doc_user[link.target_doc]) in user_set
+        )
+        doc_ids = np.flatnonzero(np.isin(doc_user, users))
+        rows.append((int(segment_id), users, doc_ids, n_friend, n_diff))
+    return rows
+
+
 class TestWorkloadModel:
     def test_estimate_is_linear(self):
         model = WorkloadModel(0.1, 0.01, 0.02)
