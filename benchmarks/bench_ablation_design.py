@@ -2,9 +2,10 @@
 
 Three implementation decisions get quantified so a reader can judge them:
 
-1. **Pólya-Gamma series truncation** — the bulk sampler truncates the
-   definitional series at K terms with an analytic tail-mean correction;
-   how close are the corrected moments to the exact Devroye sampler's?
+1. **Pólya-Gamma block sampler** — the bulk sampler runs Devroye's exact
+   method over fixed uniform blocks with refill rounds (numpy or compiled);
+   do its moments track the analytic ones, and its draws the scalar
+   Devroye spec's?
 2. **Hard-negative fraction** — the evaluation mixes shared-rare-word
    negatives into the AUC protocol; how does the fraction move the scores
    of CPD vs. the content-similarity baseline (WTM)?
@@ -28,21 +29,25 @@ from repro.evaluation import auc_score
 from repro.sampling import pg_mean, pg_variance, sample_pg1, sample_pg_array
 
 
-def _pg_truncation_rows(n_draws: int = 4000):
+def _pg_exactness_rows(n_draws: int = 4000):
+    from scipy.stats import ks_2samp
+
     rng = np.random.default_rng(0)
     rows = []
-    for z in (0.0, 2.0, 8.0):
+    for z in (0.0, 2.0, 8.0, 30.0):
         exact = np.array([sample_pg1(z, rng) for _ in range(n_draws)])
-        for terms in (4, 16, 64):
-            series = sample_pg_array(np.full(n_draws, z), rng, n_terms=terms)
+        for compiled in (False, True):
+            block = sample_pg_array(np.full(n_draws, z), rng, compiled=compiled)
             rows.append(
                 [
                     z,
-                    terms,
+                    "compiled" if compiled else "numpy",
                     pg_mean(1, z),
                     float(exact.mean()),
-                    float(series.mean()),
-                    float(abs(series.var() - pg_variance(1, z)) / pg_variance(1, z)),
+                    float(block.mean()),
+                    float(np.sqrt(pg_variance(1, z) / n_draws)),
+                    float(abs(block.var() - pg_variance(1, z)) / pg_variance(1, z)),
+                    float(ks_2samp(block, exact).pvalue),
                 ]
             )
     return rows
@@ -94,21 +99,27 @@ def _eta_smoothing_rows():
     return rows
 
 
-def test_ablation_pg_truncation(benchmark):
-    rows = benchmark.pedantic(_pg_truncation_rows, rounds=1, iterations=1)
+def test_ablation_pg_exactness(benchmark):
+    rows = benchmark.pedantic(_pg_exactness_rows, rounds=1, iterations=1)
     report(
-        "ablation_pg_truncation",
+        "ablation_pg_exactness",
         format_table(
-            "Ablation: PG series truncation vs exact Devroye sampler",
-            ["z", "terms", "analytic mean", "devroye mean", "series mean", "rel var error"],
+            "Ablation: PG block sampler vs scalar Devroye spec vs analytic moments",
+            [
+                "z", "backend", "analytic mean", "devroye mean", "block mean",
+                "mean std err", "rel var error", "KS p vs devroye",
+            ],
             rows,
         ),
     )
-    # with 64 terms the corrected series mean must track the analytic mean
+    # the exact sampler's mean must sit within 0.01 and within 5 standard
+    # errors of the analytic mean, and its draws must pass a two-sample KS
+    # test against the scalar spec
     for row in rows:
-        if row[1] == 64:
-            contract(abs(row[4] - row[2]) < 0.01, 'abs(row[4] - row[2]) < 0.01')
-            contract(row[5] < 0.1, 'row[5] < 0.1')
+        error = abs(row[4] - row[2])
+        contract(error < min(0.01, 5 * row[5]), 'error < min(0.01, 5 * row[5])')
+        contract(row[6] < 0.1, 'row[6] < 0.1')
+        contract(row[7] > 1e-3, 'row[7] > 1e-3')
 
 
 def test_ablation_hard_negatives(benchmark):

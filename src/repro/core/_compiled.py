@@ -21,9 +21,11 @@ the parallel plane keep working unchanged. The struct layout is generated
 from one field spec for both the C source and the ctypes mirror, so the
 two can never drift.
 
-The same translation unit carries ``cpd_lda_sweep``, one collapsed-Gibbs
-LDA sweep for the topic segmentation of the parallel scheduler and the
-sharder (:func:`lda_sweep`, behind ``topics/lda.py``).
+The same translation unit carries ``cpd_pg1``, one round of exact
+Pólya-Gamma draws for the augmentation variables (:func:`pg1_rounds`, behind
+``sampling/polya_gamma.py:sample_pg_array``), and ``cpd_lda_sweep``, one
+collapsed-Gibbs LDA sweep for the topic segmentation of the parallel
+scheduler and the sharder (:func:`lda_sweep`, behind ``topics/lda.py``).
 
 Set ``REPRO_COMPILED_DISABLE=1`` to force the fallback path (used by CI to
 assert the no-toolchain story); ``REPRO_CC_CACHE_DIR`` overrides the
@@ -39,6 +41,7 @@ import shutil
 import subprocess
 import tempfile
 import threading
+from typing import Callable
 
 import numpy as np
 
@@ -496,29 +499,154 @@ int64_t cpd_sweep_docs(CpdCtx *c, const int64_t *doc_ids, int64_t n,
     return consumed;
 }
 
-/* Truncated-series PG sum (sampling/polya_gamma.py sample_pg_array) over
-   pre-drawn Gamma(b, 1) innovations: the caller draws `gammas` from the
-   same Generator call the numpy path uses, so the bit stream is identical;
-   only the summation association differs (ulp-level). */
-void cpd_pg_series(const double *z, const double *gammas, int64_t n,
-                   int64_t k_terms, double b, double *out) {
-    const double two_pi = 2.0 * CPD_PI;
-    const double two_pi_sq = 2.0 * CPD_PI * CPD_PI;
-    for (int64_t i = 0; i < n; ++i) {
-        const double c_i = fabs(z[i]) / two_pi;
-        const double c_sq = c_i * c_i;
-        const double *g = gammas + i * k_terms;
-        double series = 0.0, partial = 0.0;
-        for (int64_t k = 0; k < k_terms; ++k) {
-            const double denom = (k + 0.5) * (k + 0.5) + c_sq;
-            series += g[k] / denom;
-            partial += 1.0 / denom;
-        }
-        double full;
-        if (c_i < 1e-8) full = CPD_PI * CPD_PI / 2.0;
-        else full = (CPD_PI / (2.0 * c_i)) * tanh(CPD_PI * c_i);
-        out[i] = series / two_pi_sq + b * ((full - partial) / two_pi_sq);
+/* Exact PG(1, z) draws: Devroye's alternating-series sampler
+   (sampling/polya_gamma.py sample_pg1), one round of sample_pg_array's
+   refill protocol, operation for operation like its numpy round _pg1_round.
+   Link pending[i] reads uniforms[i * slots ...] left to right, one uniform
+   per step: the branch (tail if u < tail mass), then the tail exponential
+   -log1p(-u), or the body's chi trials (two exponentials, then an accept
+   uniform) or inverse-Gaussian trials (Box-Muller chi-square from an
+   exponential and a cosine, then a flip uniform), then the series uniform.
+   An accepted link writes out[link] = x / 4. A rejected proposal restarts
+   at the branch read. A link out of slots abandons its unfinished proposal
+   but keeps branch[link] (1 tail, 2 body, 0 none) for the next round.
+   Pending links are compacted to the front of pending, order kept; returns
+   their count. */
+#define PG_T 0.64
+#define PG_PI_SQ (CPD_PI * CPD_PI)
+#define PG_INV_SQRT2 0.70710678118654752440
+
+/* log Phi(x) (scipy.special.log_ndtr): erfc where it is accurate, the
+   asymptotic series below -20 where erfc underflows. */
+static double pg_log_ndtr(double x) {
+    if (x > 0.0) return log1p(-0.5 * erfc(x * PG_INV_SQRT2));
+    if (x > -20.0) return log(0.5 * erfc(-x * PG_INV_SQRT2));
+    const double r = 1.0 / (x * x);
+    double term = 1.0, sum = 1.0;
+    for (int k = 1; k <= 10; ++k) {
+        term *= -(2.0 * k - 1.0) * r;
+        sum += term;
     }
+    return -0.5 * x * x - log(-x) - 0.5 * log(2.0 * CPD_PI) + log(sum);
+}
+
+/* _mass_texpon, 1 / (1 + q). Below h = 20 q is summed directly (no term
+   over- or underflows there, and it needs half the libm calls); above,
+   the two log terms grow like 0.32 h^2, so they are added in log space. */
+static double pg_tail_mass(double h) {
+    const double fz = PG_PI_SQ / 8.0 + 0.5 * h * h;
+    const double right = (PG_T * h - 1.0) / sqrt(PG_T);
+    const double left = -(PG_T * h + 1.0) / sqrt(PG_T);
+    if (h < 20.0) {
+        const double q = 4.0 / CPD_PI * fz * 0.5
+                         * (exp(fz * PG_T - h) * erfc(-right * PG_INV_SQRT2)
+                            + exp(fz * PG_T + h) * erfc(-left * PG_INV_SQRT2));
+        return 1.0 / (1.0 + q);
+    }
+    const double x0 = log(fz) + fz * PG_T;
+    const double lr = x0 - h + pg_log_ndtr(right);
+    const double ll = x0 + h + pg_log_ndtr(left);
+    const double hi = lr > ll ? lr : ll;
+    const double log_q = log(4.0 / CPD_PI) + hi + log1p(exp(-fabs(lr - ll)));
+    const double e = exp(-log_q); /* log_q > 100 here */
+    return e / (1.0 + e);
+}
+
+/* a_n(x); log_body = 1.5 * log(2 / (pi x)), hoisted out of the series */
+static double pg_coef(int64_t n, double x, double log_body) {
+    const double k = n + 0.5;
+    if (x > PG_T) return CPD_PI * k * exp(-k * k * PG_PI_SQ * x / 2.0);
+    return CPD_PI * k * exp(log_body - 2.0 * k * k / x);
+}
+
+static int pg_series_accepts(double x, double u) {
+    const double log_body = 1.5 * log(2.0 / (CPD_PI * x));
+    double series = pg_coef(0, x, log_body);
+    const double threshold = u * series;
+    for (int64_t n = 1;; ++n) {
+        if (n % 2 == 1) {
+            series -= pg_coef(n, x, log_body);
+            if (threshold <= series) return 1;
+        } else {
+            series += pg_coef(n, x, log_body);
+            if (threshold > series) return 0;
+        }
+    }
+}
+
+/* One proposal from branch b starting at u[*s]; 0 when the slots run out. */
+static int pg_proposal(int b, double h, double fz, const double *u, int64_t slots,
+                       int64_t *s, double *x) {
+    int64_t k = *s;
+    int ok = 0;
+    if (b == 1) {
+        if (k < slots) {
+            *x = PG_T + -log1p(-u[k++]) / fz;
+            ok = 1;
+        }
+    } else if (h < 1.0 / PG_T) {
+        while (!ok) {
+            double e1, e2;
+            do {
+                if (k + 2 > slots) goto done;
+                e1 = -log1p(-u[k++]);
+                e2 = -log1p(-u[k++]);
+            } while (!(e1 * e1 <= 2.0 * e2 / PG_T));
+            if (k == slots) goto done;
+            const double d = 1.0 + PG_T * e1;
+            *x = PG_T / (d * d);
+            ok = u[k++] <= exp(-0.5 * h * h * *x);
+        }
+    } else {
+        const double mu = 1.0 / h;
+        while (!ok) {
+            if (k + 3 > slots) goto done;
+            const double e = -log1p(-u[k++]);
+            const double c = cos(2.0 * CPD_PI * u[k++]);
+            const double a = 0.5 * mu * (2.0 * e * c * c);
+            double candidate = mu / (1.0 + a + sqrt(a * a + 2.0 * a));
+            if (u[k++] > mu / (mu + candidate)) candidate = mu * mu / candidate;
+            if (candidate <= PG_T) {
+                *x = candidate;
+                ok = 1;
+            }
+        }
+    }
+done:
+    *s = k;
+    return ok;
+}
+
+int64_t cpd_pg1(const double *z, int64_t *pending, int64_t n_pending, int8_t *branch,
+                const double *uniforms, int64_t slots, double *out) {
+    int64_t kept = 0;
+    for (int64_t i = 0; i < n_pending; ++i) {
+        const int64_t link = pending[i];
+        const double *u = uniforms + i * slots;
+        const double h = 0.5 * fabs(z[link]);
+        const double fz = PG_PI_SQ / 8.0 + 0.5 * h * h;
+        int b = branch[link];
+        int64_t s = 0;
+        for (;;) {
+            double x;
+            if (b == 0) {
+                if (s == slots) break;
+                b = u[s++] < pg_tail_mass(h) ? 1 : 2;
+            }
+            if (!pg_proposal(b, h, fz, u, slots, &s, &x) || s == slots) break;
+            if (pg_series_accepts(x, u[s++])) {
+                out[link] = 0.25 * x;
+                b = -1;
+                break;
+            }
+            b = 0;
+        }
+        if (b >= 0) {
+            branch[link] = (int8_t)b;
+            pending[kept++] = link;
+        }
+    }
+    return kept;
 }
 
 /* numpy's pairwise summation (the float64 add.reduce inner loop), term for
@@ -671,10 +799,12 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     library.cpd_sweep_docs.restype = ctypes.c_int64
     library.cpd_draw_log_categorical.argtypes = [f64_p, ctypes.c_int64, ctypes.c_double, f64_p]
     library.cpd_draw_log_categorical.restype = ctypes.c_int64
-    library.cpd_pg_series.argtypes = [
-        f64_p, f64_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, f64_p
+    # raw addresses: pg1_rounds checks dtypes once per draw, not per round
+    void_p = ctypes.c_void_p
+    library.cpd_pg1.argtypes = [
+        void_p, void_p, ctypes.c_int64, void_p, void_p, ctypes.c_int64, void_p
     ]
-    library.cpd_pg_series.restype = None
+    library.cpd_pg1.restype = ctypes.c_int64
     library.cpd_lda_sweep.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
         i64_p, i64_p, i64_p, f64_p, f64_p, f64_p, f64_p, f64_p,
@@ -726,29 +856,51 @@ def reset_for_tests() -> None:
         _LIB_ERROR = None
 
 
-def pg_series(z: np.ndarray, gammas: np.ndarray, b: float) -> np.ndarray | None:
-    """Compiled truncated-series PG sum; ``None`` when the backend is absent.
+def pg1_rounds(
+    z: np.ndarray, pending: np.ndarray, branch: np.ndarray, out: np.ndarray
+) -> Callable[[np.ndarray], int]:
+    """Bind ``cpd_pg1`` to one draw's buffers; returns ``round(uniforms) -> kept``.
 
-    ``gammas`` must be the ``(n, k_terms)`` Gamma(b, 1) innovations drawn by
-    the caller (from the same Generator call as the numpy path, preserving
-    the bit stream).
+    The C twin of ``sampling/polya_gamma.py:_pg1_round``: a round feeds
+    row ``i`` of the ``(n_pending, slots)`` block ``uniforms`` to link
+    ``pending[i]``, writes accepted draws to ``out``, compacts the links
+    still pending to the front of ``pending`` with their branch in
+    ``branch``, and returns their count. C reads and writes every array
+    through its pointer, so each must be C-contiguous with the kernel's
+    dtype; the pointers are taken once here, since ``pending`` only ever
+    shrinks in place. Raises :class:`CompiledBackendUnavailable` without a
+    backend.
     """
-    try:
-        library = load_library()
-    except CompiledBackendUnavailable:
-        return None
-    z = np.ascontiguousarray(z, dtype=np.float64)
-    gammas = np.ascontiguousarray(gammas, dtype=np.float64)
-    out = np.empty(z.shape[0], dtype=np.float64)
-    library.cpd_pg_series(
-        z.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        gammas.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        ctypes.c_int64(z.shape[0]),
-        ctypes.c_int64(gammas.shape[1]),
-        ctypes.c_double(float(b)),
-        out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+    library = load_library()
+    if not (z.ndim == 1 and pending.shape == branch.shape == out.shape == z.shape):
+        raise ValueError("PG round arrays must match z in shape")
+    for array, kind in ((z, "p_f64"), (pending, "p_i64"), (branch, "p_i8"), (out, "p_f64")):
+        if array.dtype != _POINTER_DTYPES[kind] or not array.flags.c_contiguous:
+            raise ValueError(
+                f"PG round arrays must be C-contiguous {_POINTER_DTYPES[kind]}, "
+                f"got {array.dtype} (contiguous={array.flags.c_contiguous})"
+            )
+    if pending.size and not (0 <= pending.min() and pending.max() < z.shape[0]):
+        raise ValueError("pending link ids must index z")
+    z_p, pending_p, branch_p, out_p = (
+        z.ctypes.data, pending.ctypes.data, branch.ctypes.data, out.ctypes.data
     )
-    return out
+
+    def draw_round(uniforms: np.ndarray) -> int:
+        if not (
+            uniforms.ndim == 2
+            and uniforms.shape[0] <= pending.shape[0]
+            and uniforms.dtype == np.float64
+            and uniforms.flags.c_contiguous
+        ):
+            raise ValueError("PG round needs a C-contiguous float64 row per pending link")
+        n_pending, slots = uniforms.shape
+        return library.cpd_pg1(
+            z_p, pending_p, n_pending, branch_p, uniforms.ctypes.data, slots, out_p
+        )
+
+    draw_round.buffers = (z, pending, branch, out)  # C keeps their raw addresses
+    return draw_round
 
 
 def lda_sweep(

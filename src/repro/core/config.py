@@ -80,8 +80,6 @@ class CPDConfig:
     nu_l2_penalty: float = 1e-3
 
     # --- sampler numerics ---
-    #: series terms for the bulk Pólya-Gamma draws
-    pg_terms: int = 64
     #: E-step sweep implementation: "vectorized" (array-native kernel, the
     #: default), "reference" (the literal per-word/per-link loops of
     #: Eqs. 13-14, kept as the executable specification — DESIGN.md §4), or

@@ -704,7 +704,6 @@ class CPDSampler:
         return sample_pg_array(
             dots,
             self.rng,
-            n_terms=self.config.pg_terms,
             compiled=getattr(self.kernel, "uses_compiled_pg", False),
         )
 
@@ -727,7 +726,6 @@ class CPDSampler:
         return sample_pg_array(
             logits,
             self.rng,
-            n_terms=self.config.pg_terms,
             compiled=getattr(self.kernel, "uses_compiled_pg", False),
         )
 

@@ -74,7 +74,7 @@ _VOCABULARY_NAME = "vocabulary.json"
 _SUMMARY_NAME = "graph_summary.json"
 #: CPDConfig fields that older artifacts still carry but the model no longer
 #: reads; dropped on load. Any other unknown field still fails the load.
-_RETIRED_CONFIG_KEYS = frozenset({"nu_learning_rate"})
+_RETIRED_CONFIG_KEYS = frozenset({"nu_learning_rate", "pg_terms"})
 
 
 class ArtifactError(ValueError):

@@ -554,7 +554,7 @@ class CompiledKernel(VectorizedKernel):
     """
 
     name = "compiled"
-    #: gibbs hands the augmentation draws to the compiled PG series
+    #: gibbs hands the augmentation draws to the compiled PG sampler
     uses_compiled_pg = True
 
     _POP_MODES = {"raw": 0, "proportion": 1, "log": 2}

@@ -7,28 +7,46 @@ sigmoid is rewritten as a Gaussian mixture against a Pólya-Gamma density
 (paper Eq. 7), and the augmented variables ``lambda_uv`` / ``delta_ij`` are
 drawn from their PG(1, c) conditionals (paper Eqs. 15-16).
 
-Two samplers are provided:
+Both samplers are exact, Devroye's alternating-series method on the
+exponentially tilted Jacobi density, the method the paper cites:
 
-* :func:`sample_pg1` — the exact Devroye alternating-series sampler on the
-  exponentially tilted Jacobi density, the method the paper cites.
-* :func:`sample_pg_array` — a vectorised truncated sum-of-gammas sampler
-  (the definitional series in Sect. 4.1) with an analytic mean correction
-  for the dropped tail, used on bulk link arrays where a Python-level
-  rejection loop per link would dominate the E-step.
+* :func:`sample_pg1` — the scalar sampler, kept as the executable spec.
+* :func:`sample_pg_array` — the same algorithm over a link array, fed from
+  fixed uniform blocks. Every read is one uniform: exponentials are
+  ``-log1p(-u)`` and the inverse-Gaussian body's chi-square is Box-Muller
+  ``2 e cos^2(2 pi u)``. Each pending link gets :data:`_SLOTS` uniforms per
+  round; links that do not finish go to a refill round of
+  ``len(pending) x _SLOTS`` new uniforms. A link that runs out of slots
+  keeps its branch (tail or body) and redraws that branch's proposal, so
+  the abandoned partial draw never biases the mixture. The compiled C
+  round (``cpd_pg1``, DESIGN.md §10) and the numpy round here read the
+  block in the same order, so matched seeds give equal draws and leave the
+  Generator in the same state on either backend.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import expit, log_ndtr
 
 from .rng import RngLike, ensure_rng
 
 #: Devroye's crossover point between the inverse-Gaussian body and the
 #: exponential tail of the Jacobi proposal.
 _TRUNC = 0.64
+_PI_SQ = math.pi * math.pi
+#: uniforms a pending link may read per round of :func:`sample_pg_array`;
+#: a link with a carried branch needs at most 4 to finish a proposal
+_SLOTS = 8
+
+# per-link phases of the array sampler; every phase reads one uniform
+(
+    _BRANCH, _TAIL, _CHI_E1, _CHI_E2, _CHI_ACCEPT,
+    _IG_E, _IG_Y, _IG_FLIP, _SERIES, _DONE,
+) = range(10)
 
 
 def pg_mean(b: float, z: float) -> float:
@@ -43,14 +61,18 @@ def pg_mean(b: float, z: float) -> float:
 
 
 def pg_variance(b: float, z: float) -> float:
-    """Variance of PG(b, z), with the ``z -> 0`` limit ``b/24``."""
+    """Variance of PG(b, z), with the ``z -> 0`` limit ``b/24``.
+
+    ``(sinh z - z) / (4 z^3 cosh^2(z/2))``, rewritten with
+    ``sinh z / cosh^2(z/2) = 2 tanh(z/2)`` so it stays finite for large z.
+    """
     if b <= 0:
         raise ValueError("shape b must be positive")
     z = abs(z)
     if z < 1e-4:
         return b / 24.0
-    cosh_half = math.cosh(z / 2.0)
-    return b * (math.sinh(z) - z) / (4.0 * z**3 * cosh_half**2)
+    sech_half = 2.0 * math.exp(-z / 2.0) / (1.0 + math.exp(-z))
+    return b * (2.0 * math.tanh(z / 2.0) - z * sech_half**2) / (4.0 * z**3)
 
 
 def _a_coef(n: int, x: float) -> float:
@@ -65,17 +87,19 @@ def _a_coef(n: int, x: float) -> float:
     )
 
 
-def _mass_texpon(z: float) -> float:
-    """Probability mass of the exponential branch of the Jacobi proposal."""
+def _mass_texpon(z):
+    """Probability mass of the exponential branch of the Jacobi proposal.
+
+    Both log terms grow like ``0.32 z^2``, so they are combined with
+    ``logaddexp`` and mapped through ``expit``; exponentiating them
+    overflows for ``z`` above ~48. Works on scalars and arrays.
+    """
     t = _TRUNC
-    fz = math.pi**2 / 8.0 + z * z / 2.0
-    right = math.sqrt(1.0 / t) * (t * z - 1.0)
-    left = -math.sqrt(1.0 / t) * (t * z + 1.0)
-    x0 = math.log(fz) + fz * t
-    log_right = x0 - z + log_ndtr(right)
-    log_left = x0 + z + log_ndtr(left)
-    q_over_p = 4.0 / math.pi * (math.exp(log_right) + math.exp(log_left))
-    return 1.0 / (1.0 + q_over_p)
+    fz = _PI_SQ / 8.0 + 0.5 * z * z
+    x0 = np.log(fz) + fz * t
+    log_right = x0 - z + log_ndtr((t * z - 1.0) / math.sqrt(t))
+    log_left = x0 + z + log_ndtr(-(t * z + 1.0) / math.sqrt(t))
+    return expit(-(math.log(4.0 / math.pi) + np.logaddexp(log_right, log_left)))
 
 
 def _sample_truncated_inverse_gaussian(z: float, rng: np.random.Generator) -> float:
@@ -115,7 +139,7 @@ def sample_pg1(z: float, rng: RngLike = None) -> float:
     generator = ensure_rng(rng)
     half_z = abs(z) * 0.5
     fz = math.pi**2 / 8.0 + half_z * half_z / 2.0
-    prob_exponential = _mass_texpon(half_z)
+    prob_exponential = float(_mass_texpon(half_z))
     while True:
         if generator.random() < prob_exponential:
             x = _TRUNC + generator.exponential() / fz
@@ -137,84 +161,161 @@ def sample_pg1(z: float, rng: RngLike = None) -> float:
 
 
 def sample_pg(b: int, z: float, rng: RngLike = None) -> float:
-    """Draw from PG(b, z) for integer ``b`` via one batched series draw.
+    """Draw from PG(b, z) for integer ``b``: a sum of ``b`` exact PG(1, z) draws.
 
-    A sum of ``b`` independent PG(1, z) variables is PG(b, z), and summing
-    the definitional series over the ``b`` draws turns its ``Gamma(1, 1)``
-    innovations into ``Gamma(b, 1)`` — so one vectorised
-    :func:`sample_pg_array` call with shape ``b`` replaces the former
-    Python-level ``sum(sample_pg1(...) for _ in range(b))`` generator.
-
-    Like every series draw this truncates the tail (mean-corrected, <0.2%
-    of the variance at the default 64 terms); callers needing exact draws
-    should sum :func:`sample_pg1` (Devroye) themselves.
+    Uses the compiled round when the backend loads; the draws equal the
+    numpy round's to rounding either way.
     """
     if b < 1 or int(b) != b:
         raise ValueError("b must be a positive integer")
     generator = ensure_rng(rng)
-    return float(sample_pg_array(np.array([z]), generator, b=int(b))[0])
+    return float(sample_pg_array(np.full(int(b), float(z)), generator, compiled=True).sum())
 
 
-def _series_tail_mean(z: np.ndarray, n_terms: int) -> np.ndarray:
-    """Expected mass of the dropped series tail, computed analytically.
+def _coef_array(n: int, x: np.ndarray) -> np.ndarray:
+    """``a_n(x)`` over an array, the body branch in log space (``cpd_pg1``)."""
+    k = n + 0.5
+    tail = math.pi * k * np.exp(-k * k * _PI_SQ * x / 2.0)
+    body = math.pi * k * np.exp(1.5 * np.log(2.0 / (math.pi * x)) - 2.0 * k * k / x)
+    return np.where(x > _TRUNC, tail, body)
 
-    The definitional series gives ``E[PG(1,z)] = (1/(2 pi^2)) * sum_k
-    1/((k-1/2)^2 + c^2)`` with ``c = z/(2 pi)``; the full sum has the closed
-    form ``(pi/(2c)) tanh(pi c)``, so the expected tail is the difference
-    between the closed form and the retained partial sum.
+
+def _series_accepts(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Devroye's alternating-series squeeze for proposals ``x``, uniforms ``u``."""
+    series = _coef_array(0, x)
+    threshold = u * series
+    accept = np.zeros(x.shape[0], dtype=bool)
+    undecided = np.arange(x.shape[0])
+    n = 0
+    while undecided.size:
+        n += 1
+        coef = _coef_array(n, x[undecided])
+        if n % 2 == 1:
+            series[undecided] -= coef
+            decided = threshold[undecided] <= series[undecided]
+            accept[undecided[decided]] = True
+        else:
+            series[undecided] += coef
+            decided = threshold[undecided] > series[undecided]
+        undecided = undecided[~decided]
+    return accept
+
+
+def _pg1_round(
+    z: np.ndarray,
+    pending: np.ndarray,
+    branch: np.ndarray,
+    out: np.ndarray,
+    uniforms: np.ndarray,
+) -> int:
+    """One refill round of :func:`sample_pg_array` in numpy, in place.
+
+    Link ``pending[i]`` reads ``uniforms[i]`` left to right, one uniform per
+    phase, exactly as ``cpd_pg1`` does; ``uniforms`` has one row for each
+    of the first ``len(uniforms)`` entries of ``pending``. Accepted draws
+    land in ``out``; the links still pending are compacted to the front of
+    ``pending`` with their branch (0 none, 1 tail, 2 body) in ``branch``.
+    Returns their count.
     """
-    c = np.abs(z) / (2.0 * math.pi)
-    k = np.arange(1, n_terms + 1, dtype=np.float64)
-    denom = (k - 0.5) ** 2 + c[..., None] ** 2
-    partial = (1.0 / denom).sum(axis=-1)
-    small = c < 1e-8
-    with np.errstate(divide="ignore", invalid="ignore"):
-        full = np.where(small, math.pi**2 / 2.0, (math.pi / (2.0 * np.maximum(c, 1e-300))) * np.tanh(math.pi * c))
-    return (full - partial) / (2.0 * math.pi**2)
+    pending = pending[: uniforms.shape[0]]
+    h = 0.5 * np.abs(z[pending])
+    fz = _PI_SQ / 8.0 + 0.5 * h * h
+    chi = h < 1.0 / _TRUNC
+    mu = np.divide(1.0, h, out=np.zeros(h.shape), where=~chi)
+    p_tail = _mass_texpon(h)
+    b = branch[pending]
+    body_start = np.where(chi, _CHI_E1, _IG_E)
+    phase = np.select([b == 0, b == 1], [_BRANCH, _TAIL], body_start)
+    x = np.zeros(h.shape)
+    draw = np.zeros(h.shape)  # the pending exponential of a two-read step
+    for column in uniforms.T:
+        current = phase.copy()
+        counts = np.bincount(current, minlength=_DONE + 1)
+        if counts[_DONE] == current.size:
+            break
+        if counts[_BRANCH]:
+            i = np.flatnonzero(current == _BRANCH)
+            tail = column[i] < p_tail[i]
+            b[i] = np.where(tail, 1, 2)
+            phase[i] = np.where(tail, _TAIL, body_start[i])
+        if counts[_TAIL]:
+            i = np.flatnonzero(current == _TAIL)
+            x[i] = _TRUNC + -np.log1p(-column[i]) / fz[i]
+            phase[i] = _SERIES
+        if counts[_CHI_E1] + counts[_IG_E]:
+            i = np.flatnonzero((current == _CHI_E1) | (current == _IG_E))
+            draw[i] = -np.log1p(-column[i])
+            phase[i] = current[i] + 1  # _CHI_E2 / _IG_Y
+        if counts[_CHI_E2]:
+            i = np.flatnonzero(current == _CHI_E2)
+            e1 = draw[i]
+            d = 1.0 + _TRUNC * e1
+            x[i] = _TRUNC / (d * d)
+            ok = e1 * e1 <= 2.0 * -np.log1p(-column[i]) / _TRUNC
+            phase[i] = np.where(ok, _CHI_ACCEPT, _CHI_E1)
+        if counts[_CHI_ACCEPT]:
+            i = np.flatnonzero(current == _CHI_ACCEPT)
+            ok = column[i] <= np.exp(-0.5 * h[i] * h[i] * x[i])
+            phase[i] = np.where(ok, _SERIES, _CHI_E1)
+        if counts[_IG_Y]:
+            i = np.flatnonzero(current == _IG_Y)
+            c = np.cos(2.0 * math.pi * column[i])
+            a = 0.5 * mu[i] * (2.0 * draw[i] * c * c)
+            x[i] = mu[i] / (1.0 + a + np.sqrt(a * a + 2.0 * a))
+            phase[i] = _IG_FLIP
+        if counts[_IG_FLIP]:
+            i = np.flatnonzero(current == _IG_FLIP)
+            m = mu[i]
+            flip = column[i] > m / (m + x[i])
+            x[i] = np.where(flip, m * m / x[i], x[i])
+            phase[i] = np.where(x[i] <= _TRUNC, _SERIES, _IG_E)
+        if counts[_SERIES]:
+            i = np.flatnonzero(current == _SERIES)
+            ok = _series_accepts(x[i], column[i])
+            out[pending[i[ok]]] = 0.25 * x[i[ok]]
+            phase[i] = np.where(ok, _DONE, _BRANCH)
+            b[i[~ok]] = 0
+    left = phase != _DONE
+    kept = int(left.sum())
+    branch[pending[left]] = b[left]
+    pending[:kept] = pending[left]
+    return kept
 
 
 def sample_pg_array(
     z: np.ndarray,
     rng: RngLike = None,
-    n_terms: int = 64,
-    b: int = 1,
     compiled: bool = False,
 ) -> np.ndarray:
-    """Vectorised PG(b, z_i) draws via the truncated definitional series.
+    """Exact PG(1, z_i) draws for every entry of ``z`` (Devroye, vectorised).
 
-    Each draw is ``(1/(2 pi^2)) * sum_{k<=K} g_k / ((k-1/2)^2 + z^2/(4 pi^2))``
-    with ``g_k ~ Gamma(b, 1)`` (``b = 1`` — the augmentation-variable case —
-    by default), plus the analytic expectation of the dropped tail so the
-    sampler stays unbiased in the mean. With ``K = 64`` the tail holds under
-    0.2% of the variance, which is negligible against the Monte-Carlo noise
-    of a Gibbs sweep.
-
-    With ``compiled=True`` the series + tail arithmetic runs in the
-    runtime-compiled C backend (DESIGN.md §10) over the *same* batch of
-    Gamma innovations — the gammas are always drawn by the one
-    ``standard_gamma`` call above, so the Generator's bit-stream consumption
-    is identical either way and matched seeds stay matched. Only the
-    summation association differs (ulp-level). When the backend is
-    unavailable the numpy arithmetic silently finishes the draw.
+    Draws come in rounds: every pending link reads :data:`_SLOTS` uniforms
+    of one ``rng.random((len(pending), _SLOTS))`` block, and the links that
+    do not finish wait for the next block (see the module docstring). With
+    ``compiled=True`` each round runs in the C backend (``cpd_pg1``,
+    DESIGN.md §10) when it loads, else in numpy; both read the blocks in
+    the same order, so the draws agree to rounding and the Generator ends
+    in the same state. Raises ``ValueError`` for non-finite ``z``.
     """
     generator = ensure_rng(rng)
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    if n_terms < 1:
-        raise ValueError("n_terms must be at least 1")
-    if b < 1 or int(b) != b:
-        raise ValueError("b must be a positive integer")
-    k = np.arange(1, n_terms + 1, dtype=np.float64)
-    denom = (k - 0.5) ** 2 + (z[..., None] / (2.0 * math.pi)) ** 2
-    gammas = generator.standard_gamma(float(b), size=denom.shape)
-    if compiled and z.ndim == 1 and len(z):
+    if not np.isfinite(z).all():
+        raise ValueError("Pólya-Gamma tilt z must be finite")
+    flat = np.ascontiguousarray(z).reshape(-1)
+    out = np.empty(flat.shape[0])
+    branch = np.zeros(flat.shape[0], dtype=np.int8)
+    pending = np.arange(flat.shape[0], dtype=np.int64)
+    draw_round = functools.partial(_pg1_round, flat, pending, branch, out)
+    if compiled:
         # deferred import: repro.core pulls this module in at package import
         from ..core import _compiled
 
-        draws = _compiled.pg_series(z, gammas, float(b))
-        if draws is not None:
-            return draws
-    draws = (gammas / denom).sum(axis=-1) / (2.0 * math.pi**2)
-    return draws + b * _series_tail_mean(z, n_terms)
+        if _compiled.backend_status()[0]:
+            draw_round = _compiled.pg1_rounds(flat, pending, branch, out)
+    n_pending = flat.shape[0]
+    while n_pending:
+        n_pending = draw_round(generator.random((n_pending, _SLOTS)))
+    return out.reshape(z.shape)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

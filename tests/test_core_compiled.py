@@ -27,7 +27,7 @@ from repro.sampling.categorical import (
     draw_log_categorical,
     draw_log_categorical_from_uniform,
 )
-from repro.sampling.polya_gamma import sample_pg_array
+from repro.sampling.polya_gamma import _SLOTS, sample_pg_array
 
 BACKEND_AVAILABLE = _compiled.backend_status()[0]
 
@@ -185,21 +185,60 @@ class TestDrawContract:
 
 @needs_backend
 class TestCompiledPolyaGamma:
-    def test_same_bit_stream_and_close_values(self):
-        z = np.linspace(-4.0, 4.0, 37)
-        rng_a = np.random.default_rng(5)
-        rng_b = np.random.default_rng(5)
+    """``cpd_pg1`` reads the uniform blocks exactly as the numpy round does."""
+
+    @staticmethod
+    def _both(z, seed):
+        rng_a = np.random.default_rng(seed)
+        rng_b = np.random.default_rng(seed)
         plain = sample_pg_array(z, rng_a)
         fused = sample_pg_array(z, rng_b, compiled=True)
+        return plain, fused, rng_a, rng_b
+
+    def test_same_bit_stream_and_close_values(self):
+        z = np.linspace(-4.0, 4.0, 37)
+        plain, fused, rng_a, rng_b = self._both(z, 5)
         np.testing.assert_allclose(plain, fused, rtol=1e-12, atol=1e-15)
         # both paths consumed identical Generator state: next draws agree
         np.testing.assert_array_equal(rng_a.random(8), rng_b.random(8))
 
     def test_b_greater_than_one(self):
-        z = np.array([0.0, 0.5, -2.0])
-        plain = sample_pg_array(z, np.random.default_rng(9), b=3)
-        fused = sample_pg_array(z, np.random.default_rng(9), b=3, compiled=True)
+        """PG(b, z) is a sum of b PG(1, z) draws; the sums agree too."""
+        z = np.repeat([0.0, 0.5, -2.0], 3)
+        plain, fused, _, _ = self._both(z, 9)
+        np.testing.assert_allclose(
+            plain.reshape(3, 3).sum(axis=1), fused.reshape(3, 3).sum(axis=1),
+            rtol=1e-12, atol=1e-15,
+        )
+
+    def test_refill_rounds_match(self):
+        """Links that miss their first block finish in refills on both paths."""
+        z = np.full(400, 2.5)  # chi trials: some links need more than 8 reads
+        plain, fused, rng_a, rng_b = self._both(z, 13)
         np.testing.assert_allclose(plain, fused, rtol=1e-12, atol=1e-15)
+        reference = np.random.default_rng(13)
+        reference.random((400, _SLOTS))  # a single round would stop here
+        next_draw = rng_a.random()
+        assert next_draw != reference.random()
+        assert next_draw == rng_b.random()
+
+    def test_tails_and_branch_boundary_match(self):
+        z = np.array([0.0, -3.125, 3.125, 39.99, 40.01, 97.0, -300.0, 1e3, 1e-9])
+        plain, fused, rng_a, rng_b = self._both(np.repeat(z, 50), 17)
+        np.testing.assert_allclose(plain, fused, rtol=1e-12, atol=1e-15)
+        np.testing.assert_array_equal(rng_a.random(8), rng_b.random(8))
+
+    def test_round_rejects_mistyped_buffers(self):
+        z, out = np.zeros(3), np.empty(3)
+        with pytest.raises(ValueError, match="int8"):
+            _compiled.pg1_rounds(z, np.arange(3), np.zeros(3), out)
+        with pytest.raises(ValueError, match="index z"):
+            _compiled.pg1_rounds(z, np.array([0, 1, 3]), np.zeros(3, np.int8), out)
+        draw_round = _compiled.pg1_rounds(z, np.arange(3), np.zeros(3, np.int8), out)
+        with pytest.raises(ValueError, match="row per pending link"):
+            draw_round(np.zeros((4, _SLOTS)))
+        with pytest.raises(ValueError, match="row per pending link"):
+            draw_round(np.zeros((3, _SLOTS), dtype=np.float32))
 
 
 @needs_backend

@@ -184,6 +184,20 @@ class TestFormatVersions:
         assert artifact.result.config == fitted_cpd.config
         assert load_result(legacy).config == fitted_cpd.config
 
+    def test_retired_pg_terms_is_dropped_on_load(self, fitted_cpd, tmp_path):
+        """Artifacts saved while the PG draws were a 64-term series carry
+        ``pg_terms``; the exact sampler has no such knob."""
+        current = tmp_path / "model.cpd.npz"
+        legacy = tmp_path / "series.cpd.npz"
+        save_result(fitted_cpd, current)
+        with zipfile.ZipFile(current) as archive:
+            meta = json.loads(archive.read("cpd_meta.json"))
+        assert "pg_terms" not in meta["config"]
+        meta["config"]["pg_terms"] = 64
+        _tamper_entry(current, legacy, "cpd_meta.json", json.dumps(meta))
+        artifact = load_artifact(legacy, verify=True)
+        assert artifact.result.config == fitted_cpd.config
+
     def test_unknown_config_key_still_fails(self, fitted_cpd, tmp_path):
         current = tmp_path / "model.cpd.npz"
         future = tmp_path / "future.cpd.npz"
