@@ -15,9 +15,11 @@ exists, and a one-time warning on fallback (DESIGN.md §10).
 
 The C code reads and mutates the *same* buffers ``CPDState`` owns — count
 matrices, assignment vectors, the ``pi_hat`` / ``theta_hat`` caches and the
-popularity table — through a pointer struct (:data:`_CTX_FIELDS`) built
-fresh per call, so shared-memory buffer adoption (``adopt_buffers``) and
-the parallel plane keep working unchanged. The struct layout is generated
+popularity table — and reads the kernel's count-log tables
+(``cpd_log_table`` fills them with the sweep's own libm ``log``) through a
+pointer struct (:data:`_CTX_FIELDS`) built fresh per call, so shared-memory
+buffer adoption (``adopt_buffers``) and the parallel plane keep working
+unchanged. The struct layout is generated
 from one field spec for both the C source and the ctypes mirror, so the
 two can never drift.
 
@@ -141,6 +143,12 @@ _CTX_FIELDS: tuple[tuple[str, str], ...] = (
     ("scratch_q", "p_f64"),
     ("scratch_base", "p_f64"),
     ("scratch_cum", "p_f64"),
+    # kernel-owned count-log tables (NULL -> libm, see count_log)
+    ("log_beta_table", "p_f64"),   # [n] = log(n + beta), n < log_beta_size
+    ("log_beta_size", "i64"),
+    ("log_alpha_table", "p_f64"),  # [n] = log(n + alpha), n < log_alpha_size
+    ("log_alpha_size", "i64"),
+    ("lgamma_cache", "p_f64"),     # [z] last lgamma argument, [Z + z] its value
 )
 
 _C_TYPES = {
@@ -254,17 +262,51 @@ static double pop_cell(const CpdCtx *c, int64_t t, int64_t z, double denom) {
     return c->pop_table_weight * log1p(count);
 }
 
+/* Count-log tables: cpd_log_table fills table[i] = log(i + offset), and
+   count_log reads log(count + offset) from it when the count is a
+   non-negative integer inside the table. An entry is the same libm call on
+   the same double, so both paths agree bit for bit; a NULL table, a count
+   past its end or a non-integral count goes to libm. */
+void cpd_log_table(double *out, int64_t n, double offset) {
+    for (int64_t i = 0; i < n; ++i) out[i] = log((double)i + offset);
+}
+
+static inline double count_log(const double *table, int64_t size, double count,
+                               double offset) {
+    if (table && count >= 0.0 && count < (double)size) {
+        const int64_t index = (int64_t)count;
+        if ((double)index == count) return table[index];
+    }
+    return log(count + offset);
+}
+
+/* lgamma(total) for topic z's denominator, memoised per topic on the exact
+   argument: at most two topic totals move per document. */
+static double lgamma_total(CpdCtx *c, int64_t z, double total) {
+    double *cache = c->lgamma_cache;
+    if (!cache) return lgamma(total);
+    if (cache[z] != total) {
+        cache[z] = total;
+        cache[c->n_topics + z] = lgamma(total);
+    }
+    return cache[c->n_topics + z];
+}
+
 /* Eq. 13 log-weights over all Z topics (kernel.py topic_log_weights). */
 void cpd_topic_log_weights(CpdCtx *c, int64_t doc, int64_t community, double *out) {
     const int64_t Z = c->n_topics, C = c->n_communities, W = c->n_words;
     const double beta = c->beta;
+    const double *beta_table = c->log_beta_table;
+    const int64_t beta_size = c->log_beta_size;
 
     const double *ct = c->community_topic + community * Z;
-    for (int64_t z = 0; z < Z; ++z) out[z] = log(ct[z] + c->alpha);
+    for (int64_t z = 0; z < Z; ++z)
+        out[z] = count_log(c->log_alpha_table, c->log_alpha_size, ct[z], c->alpha);
 
     for (int64_t p = c->ws_indptr[doc]; p < c->ws_indptr[doc + 1]; ++p) {
         const double *col = c->topic_word + c->ws_words[p];
-        for (int64_t z = 0; z < Z; ++z) out[z] += log(col[z * W] + beta);
+        for (int64_t z = 0; z < Z; ++z)
+            out[z] += count_log(beta_table, beta_size, col[z * W], beta);
     }
     for (int64_t p = c->wm_indptr[doc]; p < c->wm_indptr[doc + 1]; ++p) {
         const double *col = c->topic_word + c->wm_words[p];
@@ -278,7 +320,7 @@ void cpd_topic_log_weights(CpdCtx *c, int64_t doc, int64_t community, double *ou
     if (length > 0.0) {
         for (int64_t z = 0; z < Z; ++z) {
             const double total = c->topic_totals[z] + c->words_beta;
-            out[z] -= lgamma(total + length) - lgamma(total);
+            out[z] -= lgamma(total + length) - lgamma_total(c, z, total);
         }
     }
 
@@ -799,6 +841,8 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     library.cpd_sweep_docs.restype = ctypes.c_int64
     library.cpd_draw_log_categorical.argtypes = [f64_p, ctypes.c_int64, ctypes.c_double, f64_p]
     library.cpd_draw_log_categorical.restype = ctypes.c_int64
+    library.cpd_log_table.argtypes = [f64_p, ctypes.c_int64, ctypes.c_double]
+    library.cpd_log_table.restype = None
     # raw addresses: pg1_rounds checks dtypes once per draw, not per round
     void_p = ctypes.c_void_p
     library.cpd_pg1.argtypes = [

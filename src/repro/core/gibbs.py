@@ -626,7 +626,18 @@ class CPDSampler:
         timestamps: np.ndarray,
         features: np.ndarray | None = None,
     ) -> dict[str, np.ndarray]:
-        """Raw per-factor values for a batch of pairs (M-step features)."""
+        """Raw per-factor values for a batch of pairs (M-step features).
+
+        The Eq. 5 community term ``sum_{c,d} (pi_uc theta_cz) eta_cdz
+        (pi_vd theta_dz)`` is folded per user instead of per link:
+        ``A = eta * theta_c * theta_d`` once as a ``(C, C, Z)`` array, then
+        ``P = pi @ A`` as ``(U, C, Z)``, and a link scores
+        ``P[u_src, :, z] . pi[u_tgt]``. The same double sum in another
+        order (agrees to ~1e-15 relative). It costs ``U * C^2 * Z`` per
+        call whatever the batch size; every caller passes a whole link set
+        (all of E, its negatives, or a worker's range). A source document
+        without a topic reads as topic 0.
+        """
         source_docs = np.asarray(source_docs, dtype=np.int64)
         target_docs = np.asarray(target_docs, dtype=np.int64)
         timestamps = np.asarray(timestamps, dtype=np.int64)
@@ -650,11 +661,14 @@ class CPDSampler:
                 pi[self._doc_user[target_docs]],
             )
         else:
-            theta_z = theta[:, link_topics].T  # (n, C)
-            weighted_u = pi[self._doc_user[source_docs]] * theta_z
-            weighted_v = pi[self._doc_user[target_docs]] * theta_z
-            eta_z = np.transpose(self.params.eta[:, :, link_topics], (2, 0, 1))  # (n, C, C)
-            community_score = np.einsum("nc,ncd,nd->n", weighted_u, eta_z, weighted_v)
+            folded = self.params.eta * theta[:, None, :] * theta[None, :, :]  # (C, C, Z)
+            per_user = (pi @ folded.reshape(len(folded), -1)).reshape(
+                len(pi), *folded.shape[1:]
+            )  # (U, C, Z)
+            source_rows = per_user[self._doc_user[source_docs], :, link_topics]  # (n, C)
+            community_score = np.einsum(
+                "nd,nd->n", source_rows, pi[self._doc_user[target_docs]]
+            )
 
         if self.config.use_topic_factor:
             matrix = self.popularity.score_matrix()
@@ -754,7 +768,9 @@ class CPDSampler:
 
         The scatter-add half of :meth:`aggregate_eta`, exposed per range so
         parallel workers can each count their own link partition; the
-        coordinator sums the partial tables, smooths, and normalises.
+        coordinator sums the partial tables, smooths, and normalises. A link
+        with an unassigned endpoint (community -1) is skipped, as the sweep
+        skips a mid-resample endpoint.
         """
         cfg = self.config
         if out is None:
@@ -763,13 +779,9 @@ class CPDSampler:
             state = self.state
             src = self.e_src[start:stop]
             tgt = self.e_tgt[start:stop]
-            np.add.at(
-                out,
-                (
-                    state.doc_community[src],
-                    state.doc_community[tgt],
-                    state.doc_topic[src],
-                ),
-                1.0,
-            )
+            c_src = state.doc_community[src]
+            c_tgt = state.doc_community[tgt]
+            cells = (c_src * cfg.n_communities + c_tgt) * cfg.n_topics + state.doc_topic[src]
+            cells = cells[(c_src >= 0) & (c_tgt >= 0)]
+            out += np.bincount(cells, minlength=out.size).reshape(out.shape)
         return out

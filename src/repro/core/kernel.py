@@ -551,6 +551,10 @@ class CompiledKernel(VectorizedKernel):
     the sampler's ``Generator`` (``rng.random(k)`` consumes the same bit
     stream as ``k`` scalar draws), so matched seeds stay aligned with the
     Python kernels draw for draw.
+
+    The kernel also owns the count-log tables and the per-topic ``lgamma``
+    memo the C topic conditional reads (:meth:`_build_count_tables`); they
+    return the same bits as the libm calls they replace.
     """
 
     name = "compiled"
@@ -575,6 +579,10 @@ class CompiledKernel(VectorizedKernel):
             "scratch_base": np.empty(n_communities),
             "scratch_cum": np.empty(max(n_topics, n_communities)),
         }
+        # lgamma(topic_totals[z] + W beta) memo, keyed by its exact argument
+        # (so it never goes stale); NaN keys match nothing
+        self._lgamma_cache = np.full(2 * n_topics, np.nan)
+        self._build_count_tables()
 
     # ---------------------------------------------------------------- layout
 
@@ -593,6 +601,29 @@ class CompiledKernel(VectorizedKernel):
         self._doc_lengths_f64 = np.ascontiguousarray(
             self.sampler._doc_lengths, dtype=np.float64
         )
+        self._build_count_tables()
+
+    def _build_count_tables(self) -> None:
+        """``log(n + beta)`` / ``log(n + alpha)`` tables for the Eq. 13 counts.
+
+        A ``topic_word`` cell never exceeds the corpus token count and a
+        ``community_topic`` cell never exceeds ``n_docs``, so the tables
+        cover every count the sweep reads; C fills them with the sweep's own
+        libm ``log`` and falls back to it for anything outside (DESIGN.md
+        §10, "Count-log tables"). Rebuilt when documents are appended.
+        """
+        n_tokens = int(self._doc_lengths_f64.sum())
+        self._log_beta_table = self._log_table(n_tokens + 1, self._beta)
+        self._log_alpha_table = self._log_table(self.state.n_docs + 1, self._alpha)
+
+    def _log_table(self, size: int, offset: float) -> np.ndarray:
+        table = np.empty(size)
+        self._lib.cpd_log_table(
+            table.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+            ctypes.c_int64(size),
+            ctypes.c_double(offset),
+        )
+        return table
 
     # ------------------------------------------------------------------- ctx
 
@@ -671,6 +702,11 @@ class CompiledKernel(VectorizedKernel):
             "dout_deltas": self._dout_deltas,
             "dout_feature": self._dout_feature,
             "eta_oriented": self._eta_oriented_flat,
+            "log_beta_table": self._log_beta_table,
+            "log_beta_size": 0 if self._log_beta_table is None else len(self._log_beta_table),
+            "log_alpha_table": self._log_alpha_table,
+            "log_alpha_size": 0 if self._log_alpha_table is None else len(self._log_alpha_table),
+            "lgamma_cache": self._lgamma_cache,
         }
         values.update(self._scratch)
         return values

@@ -300,3 +300,111 @@ class TestCompiledSweepMachinery:
         np.testing.assert_array_equal(
             samplers[0].state.doc_community, samplers[1].state.doc_community
         )
+
+
+def _tables_off(kernel):
+    """Route every count log back through libm (the NULL-pointer path)."""
+    kernel._log_beta_table = kernel._log_alpha_table = kernel._lgamma_cache = None
+
+
+@needs_backend
+class TestCountLogTables:
+    """The count-log tables change no bit of the Eq. 13 weights (DESIGN.md §10)."""
+
+    @staticmethod
+    def _weights_without_tables(kernel, doc, community):
+        saved = (kernel._log_beta_table, kernel._log_alpha_table, kernel._lgamma_cache)
+        _tables_off(kernel)
+        try:
+            return kernel.topic_log_weights(doc, community)
+        finally:
+            kernel._log_beta_table, kernel._log_alpha_table, kernel._lgamma_cache = saved
+
+    def _assert_table_path_exact(self, sampler, docs):
+        kernel = sampler.kernel
+        for doc in docs:
+            community = int(sampler.state.doc_community[doc])
+            first = kernel.topic_log_weights(doc, community)  # fills the lgamma cache
+            second = kernel.topic_log_weights(doc, community)  # reads it
+            expected = self._weights_without_tables(kernel, doc, community)
+            np.testing.assert_array_equal(first, expected)
+            np.testing.assert_array_equal(second, expected)
+
+    def test_tables_match_libm_bitwise(self, twitter_tiny):
+        graph, _ = twitter_tiny
+        sampler = _tiny_sampler(graph, rng=4)
+        sampler.sweep_documents()
+        kernel = sampler.kernel
+        assert kernel._log_beta_table is not None
+        assert kernel._log_alpha_table.shape == (graph.n_documents + 1,)
+        self._assert_table_path_exact(sampler, range(0, graph.n_documents, 5))
+        # with the document unassigned, as the sweep evaluates it
+        for doc in range(0, graph.n_documents, 11):
+            community = int(sampler.state.doc_community[doc])
+            topic = int(sampler.state.doc_topic[doc])
+            sampler.state.unassign(doc)
+            np.testing.assert_array_equal(
+                kernel.topic_log_weights(doc, community),
+                self._weights_without_tables(kernel, doc, community),
+            )
+            sampler.state.assign(doc, community, topic)
+
+    def test_matched_seed_sweeps_identical(self, twitter_tiny):
+        graph, _ = twitter_tiny
+        samplers = [_tiny_sampler(graph, rng=17) for _ in range(2)]
+        _tables_off(samplers[1].kernel)
+        for _ in range(5):
+            for sampler in samplers:
+                sampler.sweep_documents()
+            np.testing.assert_array_equal(
+                samplers[0].state.doc_topic, samplers[1].state.doc_topic
+            )
+            np.testing.assert_array_equal(
+                samplers[0].state.doc_community, samplers[1].state.doc_community
+            )
+        assert (
+            samplers[0].rng.bit_generator.state == samplers[1].rng.bit_generator.state
+        )
+
+    def test_count_past_the_table_falls_back_exactly(self, twitter_tiny):
+        graph, _ = twitter_tiny
+        sampler = _tiny_sampler(graph, rng=8)
+        kernel = sampler.kernel
+        stale_table = kernel._log_beta_table
+        doc = next(
+            d for d in range(graph.n_documents)
+            if kernel.ws_indptr[d + 1] > kernel.ws_indptr[d]
+        )
+        word = int(kernel.ws_words[kernel.ws_indptr[doc]])
+        # one appended document repeating the word more often than the
+        # whole corpus held tokens at construction
+        sampler.append_documents(
+            [np.full(len(stale_table) + 5, word)],
+            users=np.array([0]),
+            timestamps=np.array([0]),
+            communities=np.array([0]),
+            topics=np.array([0]),
+        )
+        cell = sampler.state.topic_word[0, word]
+        assert cell >= len(stale_table)
+        assert cell < len(kernel._log_beta_table)  # the append hook rebuilt it
+        self._assert_table_path_exact(sampler, [doc])
+        kernel._log_beta_table = stale_table
+        self._assert_table_path_exact(sampler, [doc])
+
+    def test_non_integral_counts_fall_back_exactly(self, twitter_tiny):
+        graph, _ = twitter_tiny
+        sampler = _tiny_sampler(graph, rng=9)
+        kernel = sampler.kernel
+        doc = next(
+            d for d in range(graph.n_documents)
+            if kernel.ws_indptr[d + 1] > kernel.ws_indptr[d]
+        )
+        word = int(kernel.ws_words[kernel.ws_indptr[doc]])
+        community = int(sampler.state.doc_community[doc])
+        self._assert_table_path_exact(sampler, [doc])  # warm the lgamma cache
+        state = sampler.state
+        state.topic_word[2, word] += 0.5
+        state.community_topic[community, 3] += 0.25
+        state.topic_totals[1] += 0.5  # moves one lgamma cache key
+        self._assert_table_path_exact(sampler, [doc])

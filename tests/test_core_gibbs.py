@@ -112,6 +112,46 @@ class TestDiffusionScoring:
         np.testing.assert_array_equal(components["popularity"], 0.0)
         np.testing.assert_array_equal(components["features"], 0.0)
 
+    @staticmethod
+    def _literal_community_term(sampler):
+        """Eq. 5 community term, one link at a time: (pi_u theta_z) eta_z (pi_v theta_z)."""
+        state = sampler.state
+        pi, theta = state.pi_hat_view(), state.theta_hat_view()
+        eta = sampler.params.eta
+        expected = np.empty(sampler.n_diff_links)
+        for link in range(sampler.n_diff_links):
+            source, target = int(sampler.e_src[link]), int(sampler.e_tgt[link])
+            pi_u = pi[sampler._doc_user[source]]
+            pi_v = pi[sampler._doc_user[target]]
+            if sampler.uses_similarity_diffusion:
+                expected[link] = pi_u @ pi_v
+                continue
+            topic = max(int(state.doc_topic[source]), 0)  # unassigned reads as topic 0
+            expected[link] = (pi_u * theta[:, topic]) @ eta[:, :, topic] @ (
+                pi_v * theta[:, topic]
+            )
+        return expected
+
+    @pytest.mark.parametrize("heterogeneity", [True, False])
+    def test_community_term_matches_literal_formula(self, twitter_tiny, heterogeneity):
+        graph, _ = twitter_tiny
+        config = CPDConfig(
+            n_communities=4, n_topics=8, rho=0.5, alpha=0.5, heterogeneity=heterogeneity
+        )
+        params = DiffusionParameters.initial(4, 8)
+        params.eta = np.random.default_rng(3).dirichlet(np.ones(4 * 4 * 8)).reshape(4, 4, 8)
+        sampler = CPDSampler(graph, config, params, rng=0)
+        sampler.sweep_documents()
+        if heterogeneity:
+            sampler.state.unassign(int(sampler.e_src[0]))
+            assert sampler.state.doc_topic[sampler.e_src[0]] == -1
+        components = sampler.diffusion_components(
+            sampler.e_src, sampler.e_tgt, sampler.e_time
+        )
+        np.testing.assert_allclose(
+            components["community"], self._literal_community_term(sampler), rtol=1e-12
+        )
+
     def test_empty_batch(self, sampler):
         components = sampler.diffusion_components(
             np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
@@ -176,6 +216,24 @@ class TestEtaAggregation:
             z_source = int(state.doc_topic[sampler.e_src[index]])
             counts[c_source, c_target, z_source] += 1.0
         np.testing.assert_allclose(eta, counts / counts.sum())
+
+    @pytest.mark.parametrize("orientation", ["source", "target"])
+    def test_links_with_unassigned_endpoint_are_skipped(self, twitter_tiny, orientation):
+        graph, _ = twitter_tiny
+        config = CPDConfig(n_communities=4, n_topics=5, rho=0.5, alpha=0.5)
+        sampler = CPDSampler(graph, config, DiffusionParameters.initial(4, 5), rng=0)
+        before = sampler.eta_counts_range(0, sampler.n_diff_links)
+        (new_doc,) = sampler.append_documents(
+            [np.array([0, 1])], users=np.array([0]), timestamps=np.array([0])
+        )
+        assert sampler.state.doc_community[new_doc] == -1
+        assigned_doc = 0
+        pair = (new_doc, assigned_doc) if orientation == "source" else (assigned_doc, new_doc)
+        sampler.append_diffusion_links(
+            np.array([pair[0]]), np.array([pair[1]]), np.array([0])
+        )
+        after = sampler.eta_counts_range(0, sampler.n_diff_links)
+        np.testing.assert_array_equal(after, before)
 
     def test_eta_is_distribution(self, sampler):
         eta = sampler.aggregate_eta()
