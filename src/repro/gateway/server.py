@@ -6,13 +6,16 @@ Request lifecycle (DESIGN.md §12–13)::
       -> trace context (X-Repro-Trace accepted or minted, echoed back)
       -> deadline parse (400 on garbage; 504 if already expired)
       -> admission (429 + Retry-After when saturated)
-      -> batcher (deadline-less store rank) | executor call
+      -> batcher (deadline-less store rank)
+         | router-LRU hit on the loop | executor call
       -> response (+ coverage envelope headers on router answers)
       -> access log + SLO record + tail-sampled span tree
 
 Backend calls run on a thread pool sized to the in-flight limit — the
 store and router are thread-safe as of this layer (locked memo builds,
 internally-locked LRUs), and the event loop never blocks on a matmul.
+The one exception is a router-LRU hit: a cached merge is a dict read,
+so it is answered on the loop and only a miss hops (DESIGN.md §12).
 
 Each request times its own phases (parse, admission wait, batch wait
 for a batched store request, backend) and emits them as one connected
@@ -106,7 +109,8 @@ class GatewayServer:
 
     ``backend`` is duck-typed: anything with ``rank`` works for the query
     routes; ``gather`` marks it router-like (coverage envelopes, budget
-    propagation); ``rank_many`` + ``query_word_ids`` on a store enable
+    propagation), and its ``cached_gather`` answers LRU hits on the event
+    loop; ``rank_many`` + ``query_word_ids`` on a store enable
     micro-batching.
     """
 
@@ -616,6 +620,29 @@ class GatewayServer:
                     status=status, tags=tags,
                 )
 
+    def _cached_gather(self, query: str, ctx) -> Optional[GatherResult]:
+        """The router-LRU answer, read on the event loop; None on a miss.
+
+        A hit is a tokenise and a locked dict read, cheaper than the
+        executor hop it replaces. It is timed as ``gateway.backend``
+        (``path: cached``), and its ``router.gather`` span is captured into
+        the request's buffer exactly as :meth:`_backend_call` captures the
+        executor's. A miss records nothing: the caller's ``gather`` does.
+        """
+        header = ctx.backend_header() if ctx is not None else None
+        wall = time.time()
+        started = time.perf_counter()
+        if header is not None:
+            with obs.capture_spans(ctx.buffer):
+                envelope = self.backend.cached_gather(query, trace=header)
+        else:
+            envelope = self.backend.cached_gather(query)
+        if envelope is not None and ctx is not None:
+            ctx.observe_backend(
+                time.perf_counter() - started, wall, tags={"path": "cached"}
+            )
+        return envelope
+
     def _check_exact(self, envelope: GatherResult) -> None:
         """Strict routers refuse to serve a partial merge."""
         if not envelope.exact and not getattr(
@@ -633,9 +660,10 @@ class GatewayServer:
 
         Deadline-less store requests coalesce in the batcher (one fused
         ``rank_many`` per loop turn). A store request carrying a deadline
-        bypasses it. A router request is always one ``gather`` whose
-        budget is the deadline's remainder (``None`` without a
-        deadline). Router answers that are not exact raise
+        bypasses it. A router request is answered from the router LRU on
+        the event loop when it can be; a miss is one ``gather`` on the
+        executor whose budget is the deadline's remainder (``None``
+        without a deadline). Router answers that are not exact raise
         :class:`DegradedError` unless the router is best-effort (the
         envelope then rides the response instead).
         """
@@ -643,6 +671,9 @@ class GatewayServer:
             ranking = await self.batcher.rank(query, trace=ctx)
             return list(ranking), _exact_coverage()
         if self.is_router:
+            envelope = self._cached_gather(query, ctx)
+            if envelope is not None:
+                return list(envelope.ranking), _coverage_payload(envelope)
             budget = deadline.remaining()
             envelope = await self._backend_call(
                 ctx,

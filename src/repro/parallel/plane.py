@@ -7,7 +7,8 @@ The plane owns two POSIX shared-memory blocks:
   pair features, kernel word layout), written once at construction;
 * **state** — the mutable sampling state: assignment vectors, count
   matrices, the popularity table, augmentation variables, diffusion
-  parameters, plus the per-worker result slots and partial-eta slabs.
+  parameters, plus the per-worker result slots, the fused PG-draw output
+  slabs and the partial-eta slabs.
 
 The coordinator *adopts* its sampler's count arrays into the state block
 (mutations then land in shared memory for free) and workers attach both
@@ -149,6 +150,11 @@ class SharedStatePlane:
             "scalars": ((3,), np.dtype(np.float64)),
             "result_community": ((n_d,), np.dtype(np.int64)),
             "result_topic": ((n_d,), np.dtype(np.int64)),
+            # the workers' fused PG draws land here, never in ``lambdas`` /
+            # ``deltas``: those are the published input a late-starting
+            # sibling may still be reading
+            "fused_lambdas": ((n_f,), np.dtype(np.float64)),
+            "fused_deltas": ((n_e,), np.dtype(np.float64)),
             "eta_partial": ((n_workers, n_c, n_c, n_z), np.dtype(np.float64)),
         }
         state_bytes, state_specs = _pack_specs(state_shapes)

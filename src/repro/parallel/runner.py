@@ -29,7 +29,9 @@ per worker on every sweep — all bulk data now lives in a
 * the per-link Pólya-Gamma draws (``sample_lambdas`` / ``sample_deltas``)
   and the eta scatter-adds are **fused into the workers** over disjoint
   contiguous link ranges, shrinking the coordinator's serial section to
-  the M-step logistic fit. ``CPDModel.fit`` and
+  the M-step logistic fit. The draws land in output slabs of their own:
+  the published ``lambdas``/``deltas`` are the sweep's input, which a
+  sibling that starts late is still reading. ``CPDModel.fit`` and
   ``IncrementalRefresher.refresh`` detect this through the
   ``fused_augmentation`` attribute and skip their serial draws.
 
@@ -181,12 +183,12 @@ def _worker_main(
                 if header["fused"]:
                     pg_started = time.perf_counter()
                     if f_stop > f_start and config.model_friendship:
-                        state_arrays["lambdas"][f_start:f_stop] = sampler.draw_lambda_range(
-                            f_start, f_stop
+                        state_arrays["fused_lambdas"][f_start:f_stop] = (
+                            sampler.draw_lambda_range(f_start, f_stop)
                         )
                     if e_stop > e_start and config.model_diffusion:
-                        state_arrays["deltas"][e_start:e_stop] = sampler.draw_delta_range(
-                            e_start, e_stop
+                        state_arrays["fused_deltas"][e_start:e_stop] = (
+                            sampler.draw_delta_range(e_start, e_stop)
                         )
                     if sampler.uses_profile_diffusion:
                         slab = state_arrays["eta_partial"][worker]
@@ -730,21 +732,21 @@ class ParallelEStepRunner:
         """Recompute a lost worker's fused plane slots on the coordinator.
 
         The dead worker never wrote this sweep's PG draws or partial eta
-        counts — its ``lambdas``/``deltas`` ranges and ``eta_partial``
-        slab hold last sweep's values — so before :meth:`_merge_fused`
-        sums them, the coordinator redraws the ranges serially from its
-        (already healed) sampler state.
+        counts — its ``fused_lambdas``/``fused_deltas`` ranges and
+        ``eta_partial`` slab hold last sweep's values — so before
+        :meth:`_merge_fused` sums them, the coordinator redraws the ranges
+        serially from its (already healed) sampler state.
         """
         state_arrays = self.plane.state
         config = self.config
         f_start, f_stop = self._f_ranges[worker]
         e_start, e_stop = self._e_ranges[worker]
         if f_stop > f_start and config.model_friendship:
-            state_arrays["lambdas"][f_start:f_stop] = sampler.draw_lambda_range(
+            state_arrays["fused_lambdas"][f_start:f_stop] = sampler.draw_lambda_range(
                 f_start, f_stop
             )
         if e_stop > e_start and config.model_diffusion:
-            state_arrays["deltas"][e_start:e_stop] = sampler.draw_delta_range(
+            state_arrays["fused_deltas"][e_start:e_stop] = sampler.draw_delta_range(
                 e_start, e_stop
             )
         if sampler.uses_profile_diffusion:
@@ -759,9 +761,9 @@ class ParallelEStepRunner:
         state_arrays = plane.state
         config = self.config
         if config.model_friendship and sampler.n_friend_links:
-            sampler.lambdas = state_arrays["lambdas"].copy()
+            sampler.lambdas = state_arrays["fused_lambdas"].copy()
         if config.model_diffusion and sampler.n_diff_links:
-            deltas = state_arrays["deltas"].copy()
+            deltas = state_arrays["fused_deltas"].copy()
             if sampler.n_diff_links > plane.n_diff_links:  # appended links
                 deltas = np.concatenate(
                     [

@@ -500,6 +500,48 @@ class ShardRouter:
             raise KeyError(f"no query term of {query!r} is in the vocabulary")
         return key
 
+    @staticmethod
+    def _gather_span(trace: Optional[dict]):
+        """The ``router.gather`` span: remote under ``trace``, else local."""
+        if trace is not None:
+            return obs.remote_span("router.gather", trace)
+        return obs.span("router.gather")
+
+    def _take_cached(self, key: tuple[int, ...], gather_span) -> Optional[GatherResult]:
+        """The router-LRU answer for ``key`` as an exact envelope, else None.
+
+        ``get`` counts the hit (or the miss) and refreshes recency.
+        """
+        cached = self._rank_cache.get(key)
+        if cached is None:
+            return None
+        gather_span.set_tag("outcome", "cached")
+        return GatherResult(
+            ranking=list(cached),
+            n_shards=self.n_shards,
+            answered=list(range(self.n_shards)),
+        )
+
+    def cached_gather(
+        self, query: QueryLike, trace: Optional[dict] = None
+    ) -> Optional[GatherResult]:
+        """The router-LRU answer :meth:`gather` would give, or None.
+
+        Touches no shard, so it is cheap enough to run on the gateway's
+        event loop. The probe is a :meth:`LRUCache.peek`: an absent key
+        counts nothing here, because the :meth:`gather` the caller makes
+        next counts the miss — each query counts one hit or one miss (a
+        key evicted between the peek and the take counts its miss twice).
+        Unknown query terms raise ``KeyError`` exactly as in :meth:`gather`,
+        and a hit opens the same ``router.gather`` span (``outcome:
+        cached``).
+        """
+        key = self._query_key(query)
+        if self._rank_cache.peek(key) is None:
+            return None
+        with self._gather_span(trace) as gather_span:
+            return self._take_cached(key, gather_span)
+
     def gather(
         self,
         query: QueryLike,
@@ -531,20 +573,10 @@ class ShardRouter:
         """
         key = self._query_key(query)
         cutoff = None if budget is None else self.clock() + max(budget, 0.0)
-        span_ctx = (
-            obs.remote_span("router.gather", trace)
-            if trace is not None
-            else obs.span("router.gather")
-        )
-        with span_ctx as gather_span:
-            cached = self._rank_cache.get(key)
+        with self._gather_span(trace) as gather_span:
+            cached = self._take_cached(key, gather_span)
             if cached is not None:
-                gather_span.set_tag("outcome", "cached")
-                return GatherResult(
-                    ranking=list(cached),
-                    n_shards=self.n_shards,
-                    answered=list(range(self.n_shards)),
-                )
+                return cached
             generation = self._generation
             entries, envelope = self._scatter(query, key, cutoff)
             envelope.ranking = list(self._merged_rank(entries))

@@ -12,6 +12,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.gateway import GatewayServer, GatewayThread
@@ -446,6 +447,83 @@ class TestRouterBackend:
             healed, headers, _b = handle.get(f"/rank?q={term}")
         assert healed == 200
         assert headers["X-Repro-Exact"] == "1"
+
+
+class TestRouterLruOnTheLoop:
+    """Router-LRU hits are answered without a ``gather`` (or an executor
+    hop); each request still counts exactly one router hit or miss."""
+
+    @staticmethod
+    def _counted(router):
+        calls = []
+        gather = router.gather
+
+        def counted_gather(query, **options):
+            calls.append(query)
+            return gather(query, **options)
+
+        router.gather = counted_gather
+        return calls
+
+    @staticmethod
+    def _counters(router):
+        info = router.cache_info()["router"]
+        return info["hits"], info["misses"]
+
+    def test_a_miss_then_a_hit_counts_one_of_each(self, sharded_parity):
+        router = _router(sharded_parity)
+        calls = self._counted(router)
+        term = router.indexed_terms()[0]
+        gateway = GatewayServer(router, port=0)
+        hits, misses = self._counters(router)
+        with GatewayThread(gateway) as handle:
+            first = handle.get(f"/rank?q={term}")
+            assert self._counters(router) == (hits, misses + 1)
+            second = handle.get(f"/rank?q={term}")
+        assert self._counters(router) == (hits + 1, misses + 1)
+        assert calls == [term]  # the hit made no gather call
+        assert first[0] == second[0] == 200
+        assert second[1]["X-Repro-Exact"] == "1"
+        assert first[2] == second[2]
+
+    def test_unknown_term_is_still_a_404(self, sharded_parity):
+        router = _router(sharded_parity)
+        calls = self._counted(router)
+        gateway = GatewayServer(router, port=0)
+        counters = self._counters(router)
+        with GatewayThread(gateway) as handle:
+            status, _h, body = handle.get("/rank?q=zzzznotaword")
+        assert status == 404
+        assert body == {
+            "error": "no query term of 'zzzznotaword' is in the vocabulary"
+        }
+        assert calls == []
+        assert self._counters(router) == counters
+
+    def test_hot_swap_drops_the_cached_merge(self, sharded_parity):
+        from test_shard_align import permuted_result
+
+        router = _router(sharded_parity)
+        calls = self._counted(router)
+        term = router.indexed_terms()[0]
+        swapped = sharded_parity.results[1]
+        swapped = permuted_result(
+            swapped, np.roll(np.arange(swapped.n_communities), 1)
+        )
+        reference = _router(sharded_parity)
+        reference.hot_swap_shard(1, swapped)
+        gateway = GatewayServer(router, port=0)
+        with GatewayThread(gateway) as handle:
+            handle.get(f"/rank?q={term}")
+            _s, _h, before = handle.get(f"/rank?q={term}")  # a cached hit
+            router.hot_swap_shard(1, swapped)
+            status, _h, after = handle.get(f"/rank?q={term}")
+        assert status == 200
+        assert calls == [term, term]  # the swap forced a fresh gather
+        assert after["ranking"] != before["ranking"]
+        assert after["ranking"] == [
+            [c, pytest.approx(s)] for c, s in reference.rank(term)
+        ]
 
 
 class TestBatching:

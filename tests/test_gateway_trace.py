@@ -208,6 +208,42 @@ class TestDegradedGatewayTraceTree:
         assert trees[0]["span"]["name"] == "gateway.request"
 
 
+class TestCachedRouterTraceTree:
+    def test_a_router_lru_hit_is_one_tree_without_a_shard_call(
+        self, sharded_parity
+    ):
+        """A hit is answered on the event loop, yet still traces as
+        request -> backend -> gather, and no shard is called."""
+        router = _router(sharded_parity)
+        term = router.indexed_terms()[0]
+        router.rank(term)  # fill the router LRU
+        obs.enable_telemetry()
+        gateway = GatewayServer(router, port=0)
+        trace_id = "cafebabecafebabe"
+        with GatewayThread(gateway) as handle:
+            status, headers, _body = handle.get(
+                f"/rank?q={term}", headers={TRACE_HEADER: trace_id}
+            )
+            _s, _h, payload = handle.get(f"/trace?trace_id={trace_id}")
+        assert status == 200
+        assert headers["X-Repro-Exact"] == "1"
+        spans = payload["spans"]
+        assert "shard.call" not in {s["name"] for s in spans}
+        trees = span_trees(spans, trace_id=trace_id)
+        assert len(trees) == 1
+        root = trees[0]
+        assert root["span"]["name"] == "gateway.request"
+        (backend,) = [
+            c for c in root["children"]
+            if c["span"]["name"] == "gateway.backend"
+        ]
+        assert backend["span"]["tags"]["path"] == "cached"
+        (gather,) = backend["children"]
+        assert gather["span"]["name"] == "router.gather"
+        assert gather["span"]["tags"]["outcome"] == "cached"
+        assert gather["children"] == []
+
+
 class TestGatewayTracePlumbing:
     def test_tracing_disabled_echoes_but_records_nothing(self, store, term):
         gateway = GatewayServer(store, port=0)

@@ -1,5 +1,7 @@
 """Tests for the zero-copy process-parallel E-step runner."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from repro.core.gibbs import CPDSampler
 from repro.datasets import twitter_scenario
 from repro.evaluation import normalized_mutual_information
 from repro.parallel import ParallelEStepRunner, SerialSweeper
+from repro.parallel import runner as runner_module
+from repro.parallel.scheduler import WorkloadModel
 
 
 @pytest.fixture(scope="module")
@@ -189,6 +193,60 @@ class TestParallelRunner:
         )
         np.testing.assert_array_equal(sampler.state.doc_topic[others], before_t[others])
         sampler.state.check_consistency()
+
+
+class TestFusedDrawIsolation:
+    """A worker that starts its sweep late must read the published PG draws.
+
+    Workers refresh ``lambdas``/``deltas`` from the plane at the start of a
+    sweep, and the fused draws of a sibling that finished first must not
+    have landed there yet. At tiny scale the race resolves the same way
+    every run, so only a forced delay shows it: delaying either worker must
+    give the same sweep.
+    """
+
+    @staticmethod
+    def _sweep_with_late_worker(monkeypatch, runner_setup, late: int):
+        graph, config = runner_setup
+        worker_main = runner_module._worker_main
+        refresh = runner_module._refresh_from_plane
+
+        def late_refresh(*args):
+            time.sleep(0.3)
+            refresh(*args)
+
+        def patched_main(conn, spec, config, worker, *rest):
+            if worker == late:
+                # the worker is a fork: this rebinding stays in its process
+                runner_module._refresh_from_plane = late_refresh
+            worker_main(conn, spec, config, worker, *rest)
+
+        # a timed workload model would let the document split vary run to run
+        fixed = WorkloadModel(1e-4, 1e-6, 1e-6)
+        sampler = CPDSampler(graph, config, DiffusionParameters.initial(4, 8), rng=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                runner_module, "measure_workload_model", lambda _sampler: fixed
+            )
+            patch.setattr(runner_module, "_worker_main", patched_main)
+            with ParallelEStepRunner(graph, config, n_workers=2, rng=0) as runner:
+                for _ in range(2):
+                    runner(sampler)
+        state = sampler.state
+        return (
+            state.doc_community.copy(),
+            state.doc_topic.copy(),
+            sampler.lambdas.copy(),
+            sampler.deltas.copy(),
+        )
+
+    def test_sweep_does_not_depend_on_which_worker_starts_late(
+        self, monkeypatch, runner_setup
+    ):
+        first_late = self._sweep_with_late_worker(monkeypatch, runner_setup, 0)
+        second_late = self._sweep_with_late_worker(monkeypatch, runner_setup, 1)
+        for one, other in zip(first_late, second_late):
+            np.testing.assert_array_equal(one, other)
 
 
 class TestSerialParallelParity:
