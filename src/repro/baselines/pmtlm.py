@@ -91,9 +91,9 @@ class PMTLM(BaselineModel):
         negatives = sample_negative_diffusion_pairs(
             graph, n_links, rng, allow_fewer=True
         )
-        background_mass = np.zeros(self.n_communities)
-        for i, j, _t in negatives:
-            background_mass += mixtures[i] * mixtures[j]
+        background_mass = (
+            mixtures[negatives[:, 0]] * mixtures[negatives[:, 1]]
+        ).sum(axis=0)
         background_mass /= max(len(negatives), 1)
         positive_mass /= n_links
         self._eta_z = positive_mass / np.maximum(background_mass, 1e-12)

@@ -94,13 +94,13 @@ class WTM(BaselineModel):
         negatives = sample_negative_diffusion_pairs(
             graph, n_negative, generator, allow_fewer=True
         )
-        neg_src = np.asarray([n[0] for n in negatives])
-        neg_tgt = np.asarray([n[1] for n in negatives])
-
         design = np.vstack(
-            [self._pair_features(pos_src, pos_tgt), self._pair_features(neg_src, neg_tgt)]
+            [
+                self._pair_features(pos_src, pos_tgt),
+                self._pair_features(negatives[:, 0], negatives[:, 1]),
+            ]
         )
-        labels = np.concatenate([np.ones(len(pos_src)), np.zeros(len(neg_src))])
+        labels = np.concatenate([np.ones(len(pos_src)), np.zeros(len(negatives))])
         trainer = LogisticTrainer(
             LogisticTrainerConfig(n_iterations=self.lr_iterations, standardize=True)
         )

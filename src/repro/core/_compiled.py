@@ -27,7 +27,9 @@ The same translation unit carries ``cpd_pg1``, one round of exact
 Pólya-Gamma draws for the augmentation variables (:func:`pg1_rounds`, behind
 ``sampling/polya_gamma.py:sample_pg_array``), and ``cpd_lda_sweep``, one
 collapsed-Gibbs LDA sweep for the topic segmentation of the parallel
-scheduler and the sharder (:func:`lda_sweep`, behind ``topics/lda.py``).
+scheduler and the sharder (:func:`lda_sweep`, behind ``topics/lda.py``),
+and ``cpd_logistic_newton``, the projected-Newton solve of the ``nu``
+M-step (:func:`logistic_newton`, behind ``diffusion/logistic.py``).
 
 Set ``REPRO_COMPILED_DISABLE=1`` to force the fallback path (used by CI to
 assert the no-toolchain story); ``REPRO_CC_CACHE_DIR`` overrides the
@@ -221,6 +223,7 @@ _STRUCT_BODY = "\n".join(
 # contract.
 _C_SOURCE = """
 #include <stdint.h>
+#include <stdlib.h>
 #include <math.h>
 
 #define CPD_PI 3.14159265358979323846
@@ -753,6 +756,251 @@ void cpd_lda_sweep(int64_t n_docs, int64_t n_topics, int64_t n_words, double alp
         }
     }
 }
+
+/* Offset logistic regression by projected Newton: the C twin of
+   diffusion/logistic.py LogisticTrainer.fit, step for step (standardise,
+   active set with its re-solve, Newton step on the free block, Armijo
+   backtracking along the projected arc, the same tolerance and step cap).
+   The numpy loop solves the free block with lstsq, which cuts singular
+   values below eps * size relative to the largest; here a Cholesky solve
+   stands in for it, so a non-positive pivot, or one tiny next to the
+   largest, returns -1 and the caller runs the numpy loop instead. Sums
+   over examples run in four interleaved partial sums (the numpy loop's
+   BLAS calls fix no order either), so steps agree to rounding. */
+#define LR_ARMIJO 1e-4
+#define LR_MIN_STEP 1e-10
+#define LR_PIVOT_RTOL 1e-10
+
+/* sum_i a[i] * b[i] (* c[i] when c is not NULL) */
+static double lr_dot(const double *a, const double *b, const double *c, int64_t n) {
+    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+    int64_t i = 0;
+    if (c) {
+        for (; i + 4 <= n; i += 4) {
+            s0 += a[i] * c[i] * b[i];
+            s1 += a[i + 1] * c[i + 1] * b[i + 1];
+            s2 += a[i + 2] * c[i + 2] * b[i + 2];
+            s3 += a[i + 3] * c[i + 3] * b[i + 3];
+        }
+        for (; i < n; ++i) s0 += a[i] * c[i] * b[i];
+    } else {
+        for (; i + 4 <= n; i += 4) {
+            s0 += a[i] * b[i];
+            s1 += a[i + 1] * b[i + 1];
+            s2 += a[i + 2] * b[i + 2];
+            s3 += a[i + 3] * b[i + 3];
+        }
+        for (; i < n; ++i) s0 += a[i] * b[i];
+    }
+    return (s0 + s1) + (s2 + s3);
+}
+
+/* logits = design @ params + offsets, design column-major (P columns of n) */
+static void lr_logits(const double *design, int64_t n, int64_t P, const double *params,
+                      const double *offsets, double *out) {
+    for (int64_t i = 0; i < n; ++i) out[i] = offsets ? offsets[i] : 0.0;
+    for (int64_t j = 0; j < P; ++j) {
+        const double *column = design + j * n;
+        for (int64_t i = 0; i < n; ++i) out[i] += column[i] * params[j];
+    }
+}
+
+/* Mean softplus NLL plus the L2 penalty. With e = exp(-|x|), numpy's
+   logaddexp(0, x) is x + log1p(e) above 0 and log1p(e) otherwise; each e
+   is kept in exps for the next gradient pass. */
+static double lr_loss(const double *logits, const double *labels, int64_t n,
+                      const double *params, const double *penalty, int64_t P,
+                      double *exps) {
+    double nll = 0.0, reg = 0.0;
+    for (int64_t i = 0; i < n; ++i) {
+        const double x = logits[i], e = exp(-fabs(x));
+        exps[i] = e;
+        nll += (x > 0.0 ? x : 0.0) + log1p(e) - labels[i] * x;
+    }
+    for (int64_t j = 0; j < P; ++j) reg += penalty[j] * (params[j] * params[j]);
+    return nll / (double)n + 0.5 * reg;
+}
+
+/* step[idx] = solve(hessian[idx, idx] + diag(penalty[idx]), -gradient[idx])
+   by Cholesky in `factor`; 0, or -1 where lstsq could differ */
+static int lr_solve_free(const double *hessian, const double *penalty,
+                         const double *gradient, const int64_t *idx, int64_t m,
+                         int64_t P, double *factor, double *step) {
+    double largest = 0.0, smallest = 0.0;
+    for (int64_t a = 0; a < m; ++a) {
+        for (int64_t b = 0; b <= a; ++b) {
+            double s = hessian[idx[a] * P + idx[b]] + (a == b ? penalty[idx[a]] : 0.0);
+            for (int64_t k = 0; k < b; ++k) s -= factor[a * m + k] * factor[b * m + k];
+            if (a == b) {
+                if (!(s > 0.0)) return -1;
+                if (s > largest) largest = s;
+                if (a == 0 || s < smallest) smallest = s;
+                factor[a * m + a] = sqrt(s);
+            } else {
+                factor[a * m + b] = s / factor[b * m + b];
+            }
+        }
+    }
+    if (smallest < LR_PIVOT_RTOL * largest) return -1;
+    for (int64_t a = 0; a < m; ++a) {
+        double s = -gradient[idx[a]];
+        for (int64_t k = 0; k < a; ++k) s -= factor[a * m + k] * step[idx[k]];
+        step[idx[a]] = s / factor[a * m + a];
+    }
+    for (int64_t a = m - 1; a >= 0; --a) {
+        double s = step[idx[a]];
+        for (int64_t k = a + 1; k < m; ++k) s -= factor[k * m + a] * step[idx[k]];
+        step[idx[a]] = s / factor[a * m + a];
+    }
+    return 0;
+}
+
+/* features (n, p) row-major, labels (n,), offsets (n,) or NULL, clamped
+   (p + 1,) flags over the weights then the bias, initial_weights (p,) or
+   NULL. Writes the raw weights then the raw bias to out (p + 1,) and the
+   loss to *final_loss; returns the Newton steps taken, or -1. */
+int64_t cpd_logistic_newton(const double *features, const double *labels,
+                            const double *offsets, int64_t n, int64_t p,
+                            const int8_t *clamped, int64_t fit_bias, int64_t standardize,
+                            double l2_penalty, double tolerance, int64_t max_steps,
+                            const double *initial_weights, double initial_bias,
+                            double *out, double *final_loss) {
+    const int64_t P = p + 1;
+    double *work = malloc(sizeof(double) * (size_t)(n * P + 6 * n + 2 * P * P + 8 * P));
+    int64_t *idx = malloc(sizeof(int64_t) * (size_t)P);
+    char *fixed = malloc((size_t)P);
+    int64_t result = -1;
+    if (!work || !idx || !fixed) goto cleanup;
+    double *design = work, *logits = design + n * P, *cand_logits = logits + n;
+    double *exps = cand_logits + n, *cand_exps = exps + n;
+    double *residual = cand_exps + n, *curvature = residual + n, *hessian = curvature + n;
+    double *factor = hessian + P * P, *params = factor + P * P, *cand = params + P;
+    double *gradient = cand + P, *step = gradient + P, *penalty = step + P;
+    double *means = penalty + P, *stds = means + P, *spread = stds + P;
+
+    /* z-score columns as numpy's mean/std do (row-sequential sums over axis
+       0), then the constant bias column; the design is column-major */
+    for (int64_t j = 0; j < p; ++j) { means[j] = 0.0; stds[j] = 1.0; }
+    if (standardize) {
+        for (int64_t j = 0; j < p; ++j) spread[j] = 0.0;
+        for (int64_t i = 0; i < n; ++i)
+            for (int64_t j = 0; j < p; ++j) means[j] += features[i * p + j];
+        for (int64_t j = 0; j < p; ++j) means[j] /= (double)n;
+        for (int64_t i = 0; i < n; ++i)
+            for (int64_t j = 0; j < p; ++j) {
+                const double d = features[i * p + j] - means[j];
+                spread[j] += d * d;
+            }
+        for (int64_t j = 0; j < p; ++j) {
+            const double sd = sqrt(spread[j] / (double)n);
+            stds[j] = sd > 1e-8 ? sd : 1.0;
+        }
+    }
+    for (int64_t j = 0; j < p; ++j)
+        for (int64_t i = 0; i < n; ++i)
+            design[j * n + i] = (features[i * p + j] - means[j]) / stds[j];
+    for (int64_t i = 0; i < n; ++i) design[p * n + i] = 1.0;
+    for (int64_t j = 0; j < P; ++j) {
+        penalty[j] = j < p ? l2_penalty : 0.0;
+        params[j] = 0.0;
+    }
+    params[p] = initial_bias;
+    if (initial_weights) {
+        double shift = 0.0;
+        for (int64_t j = 0; j < p; ++j) {
+            params[j] = initial_weights[j] * stds[j];
+            shift += initial_weights[j] * means[j];
+        }
+        params[p] += shift;
+    }
+    for (int64_t j = 0; j < P; ++j)
+        if (clamped[j] && params[j] < 0.0) params[j] = 0.0;
+
+    lr_logits(design, n, P, params, offsets, logits);
+    double loss = lr_loss(logits, labels, n, params, penalty, P, exps);
+    int64_t steps = 0;
+    while (steps < max_steps) {
+        ++steps;
+        /* scipy's expit from the kept e = exp(-|x|) */
+        for (int64_t i = 0; i < n; ++i) {
+            const double e = exps[i];
+            const double prob = (logits[i] >= 0.0 ? 1.0 : e) / (1.0 + e);
+            residual[i] = prob - labels[i];
+            curvature[i] = prob * (1.0 - prob) / (double)n;
+        }
+        for (int64_t a = 0; a < P; ++a) {
+            const double *column = design + a * n;
+            gradient[a] = lr_dot(column, residual, NULL, n) / (double)n
+                          + penalty[a] * params[a];
+            for (int64_t b = 0; b <= a; ++b)
+                hessian[a * P + b] = lr_dot(column, design + b * n, curvature, n);
+            /* active set: a clamped weight at 0 the gradient pushes further
+               down stays put this step */
+            fixed[a] = (a == p && !fit_bias)
+                       || (clamped[a] && params[a] <= 0.0 && gradient[a] > 0.0);
+        }
+        for (;;) {
+            int64_t m = 0;
+            for (int64_t j = 0; j < P; ++j) {
+                step[j] = 0.0;
+                if (!fixed[j]) idx[m++] = j;
+            }
+            if (lr_solve_free(hessian, penalty, gradient, idx, m, P, factor, step) < 0)
+                goto cleanup;
+            /* a clamped weight at 0 the step would push below 0 is held
+               too; re-solve without it */
+            int blocked = 0;
+            for (int64_t j = 0; j < P; ++j)
+                if (!fixed[j] && clamped[j] && params[j] <= 0.0 && step[j] < 0.0) {
+                    fixed[j] = 1;
+                    blocked = 1;
+                }
+            if (!blocked) break;
+        }
+        double fraction = 1.0, cand_loss;
+        for (;;) {
+            double decrease = 0.0;
+            for (int64_t j = 0; j < P; ++j) {
+                cand[j] = params[j] + fraction * step[j];
+                if (clamped[j] && cand[j] < 0.0) cand[j] = 0.0;
+            }
+            lr_logits(design, n, P, cand, offsets, cand_logits);
+            cand_loss = lr_loss(cand_logits, labels, n, cand, penalty, P, cand_exps);
+            for (int64_t j = 0; j < P; ++j) decrease += gradient[j] * (cand[j] - params[j]);
+            if (cand_loss <= loss + LR_ARMIJO * decrease) break;
+            fraction *= 0.5;
+            if (fraction < LR_MIN_STEP) {
+                for (int64_t j = 0; j < P; ++j) cand[j] = params[j];
+                for (int64_t i = 0; i < n; ++i) {
+                    cand_logits[i] = logits[i];
+                    cand_exps[i] = exps[i];
+                }
+                cand_loss = loss;
+                break;
+            }
+        }
+        const double change = loss - cand_loss;
+        double *swap = params; params = cand; cand = swap;
+        swap = logits; logits = cand_logits; cand_logits = swap;
+        swap = exps; exps = cand_exps; cand_exps = swap;
+        loss = cand_loss;
+        if (change < tolerance) break;
+    }
+    /* fold the standardisation back into raw weights and bias */
+    double shift = 0.0;
+    for (int64_t j = 0; j < p; ++j) {
+        out[j] = params[j] / stds[j];
+        shift += out[j] * means[j];
+    }
+    out[p] = params[p] - shift;
+    *final_loss = loss;
+    result = steps;
+cleanup:
+    free(work);
+    free(idx);
+    free(fixed);
+    return result;
+}
 """.replace("__STRUCT_BODY__", _STRUCT_BODY)
 
 
@@ -854,6 +1102,12 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
         i64_p, i64_p, i64_p, f64_p, f64_p, f64_p, f64_p, f64_p,
     ]
     library.cpd_lda_sweep.restype = None
+    library.cpd_logistic_newton.argtypes = [
+        void_p, void_p, void_p, ctypes.c_int64, ctypes.c_int64, void_p, ctypes.c_int64,
+        ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_int64, void_p,
+        ctypes.c_double, void_p, ctypes.POINTER(ctypes.c_double),
+    ]
+    library.cpd_logistic_newton.restype = ctypes.c_int64
     return library
 
 
@@ -993,3 +1247,56 @@ def lda_sweep(
             )
         pointers.append(array.ctypes.data_as(_CTYPES_TYPES[kind]))
     library.cpd_lda_sweep(n_docs, n_topics, n_words, float(alpha), float(beta), *pointers)
+
+
+def logistic_newton(
+    features: np.ndarray,
+    labels: np.ndarray,
+    offsets: np.ndarray | None,
+    clamped: np.ndarray,
+    initial_weights: np.ndarray | None,
+    initial_bias: float,
+    *,
+    l2_penalty: float,
+    fit_bias: bool,
+    standardize: bool,
+    tolerance: float,
+    max_steps: int,
+) -> tuple[np.ndarray, float, int, float] | None:
+    """One compiled projected-Newton logistic fit (``cpd_logistic_newton``).
+
+    The C twin of ``LogisticTrainer.fit``'s numpy loop over already
+    validated float64 arrays; ``clamped`` flags the non-negative entries
+    of the weights-then-bias vector. Returns ``(weights, bias, steps,
+    final_loss)``, or ``None`` when a Cholesky pivot shows a Hessian block
+    the numpy loop's lstsq may treat as singular (the caller then runs
+    that loop). Raises :class:`CompiledBackendUnavailable` without a
+    backend.
+    """
+    library = load_library()
+    features = np.ascontiguousarray(features, dtype=np.float64)
+    n, p = features.shape
+
+    def address(array: np.ndarray | None, shape: tuple, dtype=np.float64):
+        if array is None:
+            return None, None
+        array = np.ascontiguousarray(array, dtype=dtype)
+        if array.shape != shape:
+            raise ValueError("inconsistent logistic fit shapes")
+        return array, array.ctypes.data
+
+    # the arrays are bound to names so they outlive the call
+    labels, labels_p = address(labels, (n,))
+    offsets, offsets_p = address(offsets, (n,))
+    clamped, clamped_p = address(clamped, (p + 1,), np.int8)
+    initial_weights, initial_p = address(initial_weights, (p,))
+    out = np.empty(p + 1)
+    loss = ctypes.c_double()
+    steps = library.cpd_logistic_newton(
+        features.ctypes.data, labels_p, offsets_p, n, p, clamped_p, int(fit_bias),
+        int(standardize), float(l2_penalty), float(tolerance), int(max_steps),
+        initial_p, float(initial_bias), out.ctypes.data, ctypes.byref(loss),
+    )
+    if steps < 0:
+        return None
+    return out[:p], float(out[p]), int(steps), loss.value

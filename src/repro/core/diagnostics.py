@@ -9,7 +9,8 @@ three cheap proxies together tell whether a fit has stabilised:
 * **diffusion log-likelihood** — mean ``log sigma(logit)`` over E.
 
 :func:`assess_convergence` applies a relative-change window test to the
-recorded trace, which is what the benchmarks use to pick iteration budgets.
+recorded trace. Only the tests call it today; no benchmark or fit picks
+its iteration budget from it.
 """
 
 from __future__ import annotations

@@ -597,7 +597,9 @@ class CPDSampler:
         pi = self.state.pi_hat_view()
         if self.n_friend_links == 0:
             return np.zeros(0)
-        return np.einsum("ij,ij->i", pi[self.f_src], pi[self.f_tgt])
+        return np.einsum(
+            "ij,ij->i", np.take(pi, self.f_src, axis=0), np.take(pi, self.f_tgt, axis=0)
+        )
 
     def diffusion_logits(
         self,
@@ -610,13 +612,8 @@ class CPDSampler:
         if source_docs is None:
             source_docs, target_docs, timestamps = self.e_src, self.e_tgt, self.e_time
             features = self.e_features
-        components = self.diffusion_components(source_docs, target_docs, timestamps, features)
-        params = self.params
-        return (
-            params.comm_weight * components["community"]
-            + params.pop_weight * components["popularity"]
-            + components["features"] @ params.nu
-            + params.bias
+        return self.params.logits(
+            self.diffusion_components(source_docs, target_docs, timestamps, features)
         )
 
     def diffusion_components(
@@ -662,12 +659,20 @@ class CPDSampler:
             )
         else:
             folded = self.params.eta * theta[:, None, :] * theta[None, :, :]  # (C, C, Z)
-            per_user = (pi @ folded.reshape(len(folded), -1)).reshape(
-                len(pi), *folded.shape[1:]
-            )  # (U, C, Z)
-            source_rows = per_user[self._doc_user[source_docs], :, link_topics]  # (n, C)
+            n_communities, _, n_topics = folded.shape
+            per_user = (pi @ folded.reshape(n_communities, -1)).reshape(
+                len(pi), n_communities, n_topics
+            )
+            # rows (u, :, z) of a (U * Z, C) copy: np.take of whole rows is
+            # far cheaper than mixed fancy indexing, and copies the same values
+            by_topic = per_user.transpose(0, 2, 1).reshape(-1, n_communities)
+            source_rows = np.take(
+                by_topic, self._doc_user[source_docs] * n_topics + link_topics, axis=0
+            )  # (n, C)
             community_score = np.einsum(
-                "nd,nd->n", source_rows, pi[self._doc_user[target_docs]]
+                "nd,nd->n",
+                source_rows,
+                np.take(pi, self._doc_user[target_docs], axis=0),
             )
 
         if self.config.use_topic_factor:
@@ -692,11 +697,19 @@ class CPDSampler:
             "features": features,
         }
 
-    def sample_lambdas(self) -> None:
-        """Eq. 15: ``lambda_uv ~ PG(1, pi_hat_u . pi_hat_v)`` for every F link."""
+    def sample_lambdas(self) -> np.ndarray | None:
+        """Eq. 15: ``lambda_uv ~ PG(1, pi_hat_u . pi_hat_v)`` for every F link.
+
+        Returns the tilts, :meth:`friendship_dots` of the current state,
+        or ``None`` when nothing is drawn.
+        """
         if self.n_friend_links == 0 or not self.config.model_friendship:
-            return
-        self.lambdas = self.draw_lambda_range(0, self.n_friend_links)
+            return None
+        dots = self.friendship_dots()
+        self.lambdas = sample_pg_array(
+            dots, self.rng, compiled=getattr(self.kernel, "uses_compiled_pg", False)
+        )
+        return dots
 
     def sample_deltas(self) -> None:
         """Eq. 16: ``delta_ij ~ PG(1, logit_ij)`` for every E link."""
@@ -708,8 +721,9 @@ class CPDSampler:
         """Fresh Eq. 15 draws for friendship links ``[start, stop)``.
 
         The parallel runner fuses the per-link draws into the workers by
-        handing each a contiguous link range; the serial path is the full
-        range. Always one batched :func:`sample_pg_array` call.
+        handing each a contiguous link range; the serial
+        :meth:`sample_lambdas` draws the full range from the same dots.
+        Always one batched :func:`sample_pg_array` call.
         """
         pi = self.state.pi_hat_view()
         dots = np.einsum(

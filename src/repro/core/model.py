@@ -67,6 +67,7 @@ class CPDModel:
         word_index = None
         if self._fits_factor_weights(graph, sampler):
             word_index = negative_sampling.build_word_document_index(graph)
+        previous = None
         with obs.span("fit", tags={"graph": graph.name}):
             for iteration in range(config.n_iterations):
                 started = time.perf_counter()
@@ -77,30 +78,32 @@ class CPDModel:
                     else:
                         sampler.sweep_documents()
                     e_step_done = time.perf_counter()
+                    friendship_dots = None
                     if not getattr(sweeper, "fused_augmentation", False):
                         # a fused sweeper (the shared-memory parallel runner)
                         # already drew the per-link augmentation variables
                         # inside its workers
-                        sampler.sample_lambdas()
+                        friendship_dots = sampler.sample_lambdas()
                         sampler.sample_deltas()
                     augmentation_done = time.perf_counter()
                     # M-step (Alg. 1 steps 11-14)
-                    self._m_step(graph, sampler, sweeper, word_index)
+                    positive_rows = self._m_step(graph, sampler, sweeper, word_index)
                     m_step_done = time.perf_counter()
-                entry = None
                 if options.record_trace or obs.get_registry().enabled:
                     entry = self._trace_entry(
                         iteration,
                         started,
                         sampler,
+                        friendship_dots=friendship_dots,
+                        positive_rows=positive_rows,
                         e_step_seconds=e_step_done - started,
                         augmentation_seconds=augmentation_done - e_step_done,
                         m_step_seconds=m_step_done - augmentation_done,
                     )
-                if options.record_trace:
-                    trace.append(entry)
-                if entry is not None:
-                    self._record_telemetry(entry, trace)
+                    if options.record_trace:
+                        trace.append(entry)
+                    self._record_telemetry(entry, previous)
+                    previous = entry
         return self._build_result(graph, sampler, trace)
 
     # ----------------------------------------------------------------- M-step
@@ -115,53 +118,50 @@ class CPDModel:
         sampler: CPDSampler,
         sweeper: object | None = None,
         word_index: negative_sampling.WordDocumentIndex | None = None,
-    ) -> None:
+    ) -> dict[str, np.ndarray] | None:
+        """Re-aggregate eta and refit the factor weights; returns the
+        positive rows of :meth:`_fit_factor_weights`, if it fitted."""
         if not self._fits_factor_weights(graph, sampler):
-            return
+            return None
         eta = None
         if getattr(sweeper, "fused_augmentation", False):
             # workers counted their link partitions during the sweep; the
             # coordinator only summed the partial tables
             eta = sweeper.aggregated_eta()
         sampler.params.eta = eta if eta is not None else sampler.aggregate_eta()
-        self._fit_factor_weights(graph, sampler, word_index)
+        return self._fit_factor_weights(graph, sampler, word_index)
 
     def _fit_factor_weights(
         self,
         graph: SocialGraph,
         sampler: CPDSampler,
         word_index: negative_sampling.WordDocumentIndex | None = None,
-    ) -> None:
+    ) -> dict[str, np.ndarray] | None:
         """Fit (comm_weight, pop_weight, nu, bias) by offset-free logistic
-        regression on observed links vs. sampled non-links (Sect. 4.2)."""
+        regression on observed links vs. sampled non-links (Sect. 4.2).
+
+        One :meth:`CPDSampler.diffusion_components` call covers the links
+        of E and then the negatives; returns its rows for E (the state the
+        fitted weights score), or ``None`` when no negative was drawn.
+        """
         config = self.config
-        n_positive = graph.n_diffusion_links
-        n_negative = int(round(config.negative_ratio * n_positive))
+        n_negative = int(round(config.negative_ratio * graph.n_diffusion_links))
         negatives = sample_negative_diffusion_pairs(
             graph, n_negative, self.rng, allow_fewer=True, word_index=word_index
         )
-        if not negatives:
-            return
-        neg_src, neg_tgt, neg_time = np.asarray(negatives, dtype=np.int64).T
-
-        positive = sampler.diffusion_components(
-            sampler.e_src, sampler.e_tgt, sampler.e_time, sampler.e_features
+        if not len(negatives):
+            return None
+        n_links = sampler.n_diff_links
+        components = sampler.diffusion_components(
+            np.concatenate([sampler.e_src, negatives[:, 0]]),
+            np.concatenate([sampler.e_tgt, negatives[:, 1]]),
+            np.concatenate([sampler.e_time, negatives[:, 2]]),
         )
-        negative = sampler.diffusion_components(neg_src, neg_tgt, neg_time)
-
-        design = np.vstack(
-            [
-                np.column_stack(
-                    [positive["community"], positive["popularity"], positive["features"]]
-                ),
-                np.column_stack(
-                    [negative["community"], negative["popularity"], negative["features"]]
-                ),
-            ]
+        design = np.column_stack(
+            [components["community"], components["popularity"], components["features"]]
         )
-        labels = np.concatenate(
-            [np.ones(n_positive), np.zeros(len(negatives))]
-        )
+        labels = np.zeros(len(design))
+        labels[:n_links] = 1.0
         params = sampler.params
         initial = np.concatenate([[params.comm_weight, params.pop_weight], params.nu])
         trainer = LogisticTrainer(
@@ -172,11 +172,18 @@ class CPDModel:
                 nonnegative=(0, 1),  # community and popularity are strengths
             )
         )
-        fit = trainer.fit(design, labels, initial_weights=initial, initial_bias=params.bias)
+        fit = trainer.fit(
+            design,
+            labels,
+            initial_weights=initial,
+            initial_bias=params.bias,
+            compiled=getattr(sampler.kernel, "uses_compiled_pg", False),
+        )
         params.comm_weight = float(fit.weights[0])
         params.pop_weight = float(fit.weights[1])
         params.nu = fit.weights[2:].copy()
         params.bias = fit.bias
+        return {name: values[:n_links] for name, values in components.items()}
 
     # ------------------------------------------------------------ diagnostics
 
@@ -185,17 +192,29 @@ class CPDModel:
         iteration: int,
         started: float,
         sampler: CPDSampler,
+        friendship_dots: np.ndarray | None = None,
+        positive_rows: dict[str, np.ndarray] | None = None,
         e_step_seconds: float = 0.0,
         augmentation_seconds: float = 0.0,
         m_step_seconds: float = 0.0,
     ) -> IterationTrace:
+        """Mean link probabilities of the current state. ``friendship_dots``
+        (from ``sample_lambdas``) and ``positive_rows`` (from the M-step)
+        are reused when given; otherwise they are recomputed."""
         friendship_prob = float("nan")
         diffusion_prob = float("nan")
         if sampler.n_friend_links and self.config.model_friendship:
-            friendship_prob = float(sigmoid(sampler.friendship_dots()).mean())
+            if friendship_dots is None:
+                friendship_dots = sampler.friendship_dots()
+            friendship_prob = float(sigmoid(friendship_dots).mean())
         if sampler.n_diff_links and self.config.model_diffusion:
             if sampler.uses_profile_diffusion:
-                diffusion_prob = float(sigmoid(sampler.diffusion_logits()).mean())
+                logits = (
+                    sampler.diffusion_logits()
+                    if positive_rows is None
+                    else sampler.params.logits(positive_rows)
+                )
+                diffusion_prob = float(sigmoid(logits).mean())
             else:
                 pi = sampler.state.pi_hat()
                 dots = np.einsum(
@@ -215,9 +234,10 @@ class CPDModel:
         )
 
     def _record_telemetry(
-        self, entry: IterationTrace, trace: list[IterationTrace]
+        self, entry: IterationTrace, previous: IterationTrace | None
     ) -> None:
-        """Phase histograms + convergence gauges for one EM iteration."""
+        """Phase histograms + convergence gauges for one EM iteration;
+        ``previous`` is the iteration before it, if any."""
         registry = obs.get_registry()
         if not registry.enabled:
             return
@@ -239,14 +259,12 @@ class CPDModel:
             registry.gauge("repro_fit_diffusion_probability").set(
                 entry.mean_diffusion_probability
             )
-        # Convergence proxies from the recorded trace: the slope of the mean
-        # link-probability series (a log-likelihood stand-in — when it flattens
-        # the window test in core/diagnostics.py starts passing) and the drift
-        # of the latest step relative to the previous level ("acceptance
-        # drift": how far the sampler still moves the chain per iteration).
-        previous = trace[-1] if trace and trace[-1] is not entry else (
-            trace[-2] if len(trace) >= 2 else None
-        )
+        # Convergence proxies from consecutive iterations: the slope of the
+        # mean link-probability series (a log-likelihood stand-in — when it
+        # flattens the window test in core/diagnostics.py starts passing) and
+        # the drift of the latest step relative to the previous level
+        # ("acceptance drift": how far the sampler still moves the chain per
+        # iteration).
         if previous is not None:
             for attribute, name in (
                 ("mean_diffusion_probability", "repro_fit_diffusion_slope"),

@@ -49,6 +49,16 @@ class DiffusionParameters:
             bias=self.bias,
         )
 
+    def logits(self, components: dict[str, np.ndarray]) -> np.ndarray:
+        """The logit above for rows of per-factor values, as
+        ``CPDSampler.diffusion_components`` returns them."""
+        return (
+            self.comm_weight * components["community"]
+            + self.pop_weight * components["popularity"]
+            + components["features"] @ self.nu
+            + self.bias
+        )
+
     def factor_contributions(self) -> dict[str, float]:
         """Absolute factor weights — the "how much each factor contributes" readout."""
         return {

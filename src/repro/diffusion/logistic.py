@@ -85,11 +85,18 @@ class LogisticTrainer:
         offsets: np.ndarray | None = None,
         initial_weights: np.ndarray | None = None,
         initial_bias: float = 0.0,
+        compiled: bool = False,
     ) -> LogisticFit:
         """Maximise the penalised Bernoulli log-likelihood.
 
         ``labels`` must be 0/1; ``offsets`` (if given) are added to every
         logit but carry no trainable parameter. The bias is unpenalised.
+
+        With ``compiled=True`` the Newton loop runs in the C backend
+        (``cpd_logistic_newton``, DESIGN.md §10) when it loads: the same
+        steps, weights to rounding. A Hessian block its Cholesky solve
+        finds (near) singular sends the fit to the numpy loop below, the
+        executable spec, which also runs whenever the backend is missing.
         """
         features = np.asarray(features, dtype=np.float64)
         labels = np.asarray(labels, dtype=np.float64)
@@ -100,14 +107,32 @@ class LogisticTrainer:
             raise ValueError("labels must align with feature rows")
         if not np.all((labels == 0) | (labels == 1)):
             raise ValueError("labels must be binary")
-        if offsets is None:
-            offsets = np.zeros(n_examples)
-        else:
+        if offsets is not None:
             offsets = np.asarray(offsets, dtype=np.float64)
             if offsets.shape != (n_examples,):
                 raise ValueError("offsets must align with feature rows")
 
         cfg = self.config
+        clamped = np.zeros(n_features + 1, dtype=bool)
+        clamped[list(cfg.nonnegative)] = True
+        if compiled and n_examples:
+            # deferred import: repro.core pulls this module in at package import
+            from ..core import _compiled
+
+            if _compiled.backend_status()[0]:
+                solved = _compiled.logistic_newton(
+                    features, labels, offsets, clamped, initial_weights, initial_bias,
+                    l2_penalty=cfg.l2_penalty, fit_bias=cfg.fit_bias,
+                    standardize=cfg.standardize, tolerance=cfg.tolerance,
+                    max_steps=cfg.n_iterations,
+                )
+                if solved is not None:
+                    weights, bias, steps, loss = solved
+                    return LogisticFit(
+                        weights=weights, bias=bias, n_iterations=steps, final_loss=loss
+                    )
+        if offsets is None:
+            offsets = np.zeros(n_examples)
         if cfg.standardize:
             means = features.mean(axis=0)
             stds = features.std(axis=0)
@@ -122,8 +147,6 @@ class LogisticTrainer:
         design = np.column_stack([features, np.ones(n_examples)])
         penalty = np.full(n_features + 1, cfg.l2_penalty)
         penalty[-1] = 0.0
-        clamped = np.zeros(n_features + 1, dtype=bool)
-        clamped[list(cfg.nonnegative)] = True
         held = np.zeros(n_features + 1, dtype=bool)
         held[-1] = not cfg.fit_bias
 

@@ -61,7 +61,10 @@ class WordDocumentIndex:
         start, end = self.doc_ptr[docs], self.doc_ptr[docs + 1]
         before = np.where(start > 0, self.word_cum[start - 1], 0.0)
         target = before + rng.random(len(docs)) * (self.word_cum[end - 1] - before)
-        chosen = np.searchsorted(self.word_cum, target, side="right")
+        # binary search is much faster on ascending targets
+        order = np.argsort(target)
+        chosen = np.empty(len(docs), dtype=np.int64)
+        chosen[order] = np.searchsorted(self.word_cum, target[order], side="right")
         return self.doc_words[np.clip(chosen, start, end - 1)]
 
 
@@ -106,8 +109,9 @@ def sample_negative_diffusion_pairs(
     hard_fraction: float = 0.5,
     word_index: WordDocumentIndex | None = None,
     timestamp_mode: str = "uniform",
-) -> list[tuple[int, int, int]]:
-    """Sample ``(source_doc, target_doc, timestamp)`` triples absent from E.
+) -> np.ndarray:
+    """Sample ``(source_doc, target_doc, timestamp)`` triples absent from E,
+    as the rows of an ``(n, 3)`` int64 array.
 
     Pairs between documents of the same user are rejected (they cannot carry
     a diffusion decision), as are observed pairs and anything in ``exclude``.
@@ -170,7 +174,7 @@ def sample_negative_diffusion_pairs(
         timestamps = generator.integers(0, table.max_time + 1, len(keys))
     else:
         timestamps = table.doc_time[source]
-    return list(zip(source.tolist(), target.tolist(), timestamps.tolist()))
+    return np.column_stack([source, target, timestamps])
 
 
 def sample_negative_friendship_pairs(
@@ -237,10 +241,30 @@ def _rejection_sample(
         attempts += size
         keys = keys[passed]
         # each distinct key's first passing occurrence, kept when allowed
-        distinct, first = np.unique(keys, return_index=True)
-        first = first[~np.isin(distinct, forbidden, assume_unique=True)]
+        distinct, first = _first_occurrences(keys)
+        first = first[~_sorted_member(distinct, forbidden)]
         fresh = keys[np.sort(first)][:needed]
         accepted = np.concatenate([accepted, fresh])
-        forbidden = np.sort(np.concatenate([forbidden, fresh]))
+        if len(accepted) < n_samples and attempts < budget:  # not the last round
+            forbidden = np.sort(np.concatenate([forbidden, fresh]))
     return accepted
 
+
+def _first_occurrences(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_index=True)``: the distinct keys ascending and
+    the index of each one's first occurrence, from an unstable sort."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    if not len(keys):
+        return ordered, order
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    return ordered[starts], np.minimum.reduceat(order, starts)
+
+
+def _sorted_member(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """``np.isin(keys, sorted_keys)`` by binary search into the ascending
+    ``sorted_keys``."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    at = np.searchsorted(sorted_keys, keys)
+    return sorted_keys[np.minimum(at, len(sorted_keys) - 1)] == keys

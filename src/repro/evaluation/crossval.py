@@ -70,15 +70,12 @@ def diffusion_auc_folds(
     scores = []
     for fold in _fold_slices(len(links), n_folds, generator):
         positives = score_fn(src[fold], tgt[fold], times[fold])
-        negatives_raw = sample_negative_diffusion_pairs(
+        negatives = sample_negative_diffusion_pairs(
             graph, len(fold), generator, allow_fewer=True
         )
-        if not negatives_raw:
+        if not len(negatives):
             continue
-        neg_src = np.asarray([n[0] for n in negatives_raw])
-        neg_tgt = np.asarray([n[1] for n in negatives_raw])
-        neg_time = np.asarray([n[2] for n in negatives_raw])
-        negatives = score_fn(neg_src, neg_tgt, neg_time)
+        negatives = score_fn(negatives[:, 0], negatives[:, 1], negatives[:, 2])
         scores.append(auc_score(positives, negatives))
     if not scores:
         raise RuntimeError("no folds could be scored")

@@ -28,6 +28,19 @@ class TestUserFeatures:
         np.testing.assert_allclose(batch[0], features.pair_features(0, 1))
         np.testing.assert_allclose(batch[1], features.pair_features(2, 3))
 
+    def test_batch_is_the_row_concatenation(self, twitter_tiny, rng):
+        graph, _ = twitter_tiny
+        features = UserFeatures(graph)
+        source = rng.integers(0, graph.n_users, 50)
+        target = rng.integers(0, graph.n_users, 50)
+        rows = np.concatenate(
+            [features._per_user[source], features._per_user[target]], axis=1
+        )
+        np.testing.assert_array_equal(features.pair_features_batch(source, target), rows)
+        empty = np.zeros(0, dtype=np.int64)
+        batch = features.pair_features_batch(empty, empty)
+        assert batch.shape == (0, UserFeatures.N_FEATURES)
+
     def test_batch_rejects_mismatched(self, twitter_tiny):
         graph, _ = twitter_tiny
         features = UserFeatures(graph)

@@ -1,10 +1,22 @@
-"""Tests for the offset logistic-regression trainer."""
+"""Tests for the offset logistic-regression trainer.
+
+The behaviour tests run on the numpy loop (the spec) and, through the
+``*Compiled`` subclasses at the bottom, on ``fit(..., compiled=True)``:
+the C solver when the backend loads, else the same numpy loop.
+"""
+
+import functools
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from repro.core import _compiled
 from repro.diffusion import LogisticTrainer, LogisticTrainerConfig
+
+needs_backend = pytest.mark.skipif(
+    not _compiled.backend_status()[0], reason="compiled backend unavailable"
+)
 
 
 def separable_data(rng, n=400):
@@ -238,3 +250,152 @@ class TestValidation:
         # a negative L2 penalty makes the objective non-convex
         with pytest.raises(ValueError, match="l2_penalty"):
             LogisticTrainer(LogisticTrainerConfig(l2_penalty=-1e-3))
+
+
+# ----------------------------------------------------------- compiled path
+
+
+class CompiledPath:
+    """Mixin: rerun a test class with every fit on ``compiled=True``. Passes
+    without a backend too, where the compiled path is the numpy loop."""
+
+    @pytest.fixture(autouse=True)
+    def _compiled_fits(self, monkeypatch):
+        fit = functools.partialmethod(LogisticTrainer.fit, compiled=True)
+        monkeypatch.setattr(LogisticTrainer, "fit", fit)
+
+
+class TestFitCompiled(CompiledPath, TestFit):
+    pass
+
+
+class TestStandardizeCompiled(CompiledPath, TestStandardize):
+    pass
+
+
+class TestFinalLossCompiled(CompiledPath, TestFinalLoss):
+    pass
+
+
+class TestDegenerateCompiled(CompiledPath, TestDegenerate):
+    pass
+
+
+class TestOptimalityCompiled(CompiledPath, TestOptimality):
+    pass
+
+
+class TestNonnegativeCompiled(CompiledPath, TestNonnegative):
+    pass
+
+
+class TestValidationCompiled(CompiledPath, TestValidation):
+    pass
+
+
+def correlated_problem(rng, n=500):
+    """Feature 1 is feature 0 plus noise with a negative truth, so a Newton
+    step from a non-negative start pushes it below 0 (an active-set
+    re-solve)."""
+    x0 = rng.normal(size=n)
+    x = np.column_stack([x0, x0 + 0.3 * rng.normal(size=n), rng.normal(size=n)])
+    logits = 2.0 * x0 - 0.5 * x[:, 1] + 0.3 * x[:, 2]
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logits))).astype(float)
+    return x, y
+
+
+@needs_backend
+class TestCompiledParity:
+    """The C solver takes the numpy loop's steps: the same step count,
+    weights and bias to 1e-10 relative, the loss to 1e-12."""
+
+    def assert_same(self, config, x, y, **kwargs):
+        trainer = LogisticTrainer(config)
+        spec = trainer.fit(x, y, **kwargs)
+        compiled = trainer.fit(x, y, compiled=True, **kwargs)
+        assert compiled.n_iterations == spec.n_iterations
+        np.testing.assert_allclose(compiled.weights, spec.weights, rtol=1e-10, atol=0)
+        assert compiled.bias == pytest.approx(spec.bias, rel=1e-10, abs=0)
+        assert compiled.final_loss == pytest.approx(spec.final_loss, rel=0, abs=1e-12)
+        return spec
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_problems(self, seed):
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(60, 700)), int(rng.integers(1, 7))
+        x = rng.normal(size=(n, p)) * rng.uniform(0.1, 5.0, p) + rng.normal(size=p)
+        offsets = rng.normal(size=n)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(x @ rng.normal(size=p) + offsets))))
+        config = LogisticTrainerConfig(
+            l2_penalty=float(rng.choice([0.0, 1e-3, 1e-2])),
+            fit_bias=bool(seed % 3),
+            standardize=bool(seed % 2),
+            nonnegative=tuple(range(0, p, 2)),
+        )
+        initial = rng.normal(size=p) if seed % 4 == 0 else None
+        self.assert_same(
+            config, x, y.astype(float), offsets=offsets,
+            initial_weights=initial, initial_bias=float(rng.normal()),
+        )
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_active_set_resolve(self, rng, monkeypatch, standardize):
+        x, y = correlated_problem(rng)
+        solves = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(
+            np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k)
+        )
+        config = LogisticTrainerConfig(
+            l2_penalty=1e-3, standardize=standardize, nonnegative=(1,)
+        )
+        spec = self.assert_same(config, x, y, initial_weights=np.zeros(3))
+        # only the spec calls lstsq: more solves than steps is a re-solve
+        assert len(solves) > spec.n_iterations
+        assert spec.weights[1] == 0.0
+
+    def test_bias_held_and_warm_start(self, rng):
+        x, y, offsets = constrained_problem(rng)
+        config = LogisticTrainerConfig(fit_bias=False, standardize=True, nonnegative=(0, 1))
+        initial = np.array([1.0, -2.0, 0.1])
+        spec = self.assert_same(
+            config, x, y, offsets=offsets, initial_weights=initial, initial_bias=0.7
+        )
+        # the held bias keeps its start in the standardised parameters
+        means = x.mean(axis=0)
+        assert spec.bias + spec.weights @ means == pytest.approx(0.7 + initial @ means)
+
+    @pytest.mark.parametrize("standardize", [True, False])
+    def test_singular_hessian_runs_the_numpy_loop(self, rng, monkeypatch, standardize):
+        """test_unpenalised_constant_column's setup: the C solve declines
+        and the numpy loop (the only caller of ``_loss``) produces the fit."""
+        x, y = separable_data(rng)
+        x_const = np.column_stack([x, np.full(len(x), 2.0)])
+        declined, losses = [], []
+        solve, loss = _compiled.logistic_newton, LogisticTrainer._loss
+
+        def spy_solve(*args, **kwargs):
+            declined.append(solve(*args, **kwargs) is None)
+            return None if declined[-1] else solve(*args, **kwargs)
+
+        def spy_loss(*args):
+            losses.append(1)
+            return loss(*args)
+
+        monkeypatch.setattr(_compiled, "logistic_newton", spy_solve)
+        monkeypatch.setattr(LogisticTrainer, "_loss", staticmethod(spy_loss))
+        config = LogisticTrainerConfig(l2_penalty=0.0, standardize=standardize)
+        fit = LogisticTrainer(config).fit(x_const, y, compiled=True)
+        assert declined == [True]
+        assert losses
+        assert np.all(np.isfinite(fit.weights)) and fit.final_loss <= np.log(2.0)
+
+    def test_regular_problem_skips_the_numpy_loop(self, rng, monkeypatch):
+        x, y = separable_data(rng)
+        losses = []
+        loss = LogisticTrainer._loss
+        monkeypatch.setattr(
+            LogisticTrainer, "_loss", staticmethod(lambda *a: losses.append(1) or loss(*a))
+        )
+        LogisticTrainer().fit(x, y, compiled=True)
+        assert not losses

@@ -205,7 +205,8 @@ def one_user_graph(n_docs=5):
 class TestEdgeCases:
     def test_single_user_graph_has_no_negatives(self):
         graph = one_user_graph()
-        assert sample_negative_diffusion_pairs(graph, 10, 0, allow_fewer=True) == []
+        negatives = sample_negative_diffusion_pairs(graph, 10, 0, allow_fewer=True)
+        assert negatives.shape == (0, 3) and negatives.dtype == np.int64
         with pytest.raises(RuntimeError):
             sample_negative_diffusion_pairs(graph, 10, 0)
 

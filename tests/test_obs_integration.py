@@ -98,6 +98,24 @@ class TestParallelFitTrace:
         assert tree["children"], "fit iterations must nest under the fit span"
 
 
+class TestFitGaugesWithoutTrace:
+    def test_slope_and_drift_gauges_need_no_recorded_trace(self, twitter_tiny):
+        """The convergence gauges compare consecutive iterations, whether
+        or not the fit keeps its trace."""
+        graph, _truth = twitter_tiny
+        config = CPDConfig(n_communities=4, n_topics=8, n_iterations=3)
+        registry, _sink = obs.enable_telemetry()
+        result = CPDModel(config, rng=5).fit(graph, FitOptions(record_trace=False))
+        assert result.trace == []
+        gauges = {g["name"] for g in registry.snapshot()["gauges"]}
+        assert {
+            "repro_fit_diffusion_slope",
+            "repro_fit_friendship_slope",
+            "repro_fit_diffusion_drift",
+            "repro_fit_friendship_drift",
+        } <= gauges
+
+
 class TestDegradedShardQueryTrace:
     def test_degraded_gather_yields_one_connected_tree(self, sharded_parity):
         fit = sharded_parity
