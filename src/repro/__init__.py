@@ -18,87 +18,48 @@ Quickstart::
     print(result.summary(graph.vocabulary))
 """
 
-from .core import (
-    CPDConfig,
-    CPDModel,
-    CPDResult,
-    CommunityProfile,
-    ContentProfile,
-    DiffusionParameters,
-    DiffusionProfile,
-    FitOptions,
-    all_profiles,
-    fit_cpd,
-    profile_of,
-)
-from .apps import CommunityRanker, DiffusionPredictor
-from .serving import FoldInResult, GraphSummary, ProfileStore, fold_in_documents
-from .stream import (
-    DocumentArrival,
-    IncrementalRefresher,
-    LinkArrival,
-    MicroBatchIngestor,
-    Snapshotter,
-    split_for_replay,
-)
-from .datasets import (
-    GroundTruth,
-    SyntheticConfig,
-    dblp_scenario,
-    generate_synthetic,
-    separated_scenario,
-    twitter_scenario,
-)
-from .graph import SocialGraph, SocialGraphBuilder, Vocabulary, load_graph, save_graph
-from .shard import (
-    CommunityAligner,
-    GraphPartitioner,
-    ShardRouter,
-    ShardedIngestor,
-    fit_shards,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CPDConfig",
-    "CPDModel",
-    "CPDResult",
-    "CommunityAligner",
-    "CommunityProfile",
-    "CommunityRanker",
-    "ContentProfile",
-    "DiffusionParameters",
-    "DiffusionPredictor",
-    "DiffusionProfile",
-    "DocumentArrival",
-    "FitOptions",
-    "FoldInResult",
-    "GraphPartitioner",
-    "GraphSummary",
-    "GroundTruth",
-    "IncrementalRefresher",
-    "LinkArrival",
-    "MicroBatchIngestor",
-    "ProfileStore",
-    "ShardRouter",
-    "ShardedIngestor",
-    "Snapshotter",
-    "fold_in_documents",
-    "SocialGraph",
-    "SocialGraphBuilder",
-    "SyntheticConfig",
-    "Vocabulary",
-    "all_profiles",
-    "dblp_scenario",
-    "fit_cpd",
-    "fit_shards",
-    "generate_synthetic",
-    "load_graph",
-    "profile_of",
-    "save_graph",
-    "separated_scenario",
-    "split_for_replay",
-    "twitter_scenario",
-    "__version__",
-]
+#: public names by the subpackage that defines them; each subpackage is
+#: imported on the first access to one of its names (PEP 562), so
+#: ``import repro`` loads no subpackage and ``import repro.core`` loads
+#: none of the serving, shard and gateway layers (DESIGN.md §14)
+_EXPORTS = {
+    "core": (
+        "CPDConfig", "CPDModel", "CPDResult", "CommunityProfile", "ContentProfile",
+        "DiffusionParameters", "DiffusionProfile", "FitOptions", "all_profiles",
+        "fit_cpd", "profile_of",
+    ),
+    "apps": ("CommunityRanker", "DiffusionPredictor"),
+    "serving": ("FoldInResult", "GraphSummary", "ProfileStore", "fold_in_documents"),
+    "stream": (
+        "DocumentArrival", "IncrementalRefresher", "LinkArrival", "MicroBatchIngestor",
+        "Snapshotter", "split_for_replay",
+    ),
+    "datasets": (
+        "GroundTruth", "SyntheticConfig", "dblp_scenario", "generate_synthetic",
+        "separated_scenario", "twitter_scenario",
+    ),
+    "graph": ("SocialGraph", "SocialGraphBuilder", "Vocabulary", "load_graph", "save_graph"),
+    "shard": (
+        "CommunityAligner", "GraphPartitioner", "ShardRouter", "ShardedIngestor", "fit_shards",
+    ),
+}
+_HOME = {name: package for package, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME) + ["__version__"]
+
+
+def __getattr__(name: str):
+    package = _HOME.get(name)
+    if package is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{package}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

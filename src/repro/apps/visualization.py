@@ -15,14 +15,17 @@ tensor slices come from the store's memoised indexes.
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-import networkx as nx
 import numpy as np
 
 from ..core.result import CPDResult
 from ..graph.vocabulary import Vocabulary
 from ..serving import ProfileStore
 from ..serving.store import compute_community_labels
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def community_labels(
@@ -64,6 +67,8 @@ def build_diffusion_graph(
             if not 0 <= topic < result.n_topics:
                 raise ValueError(f"topic {topic} out of range")
             strengths = result.eta[:, :, topic]
+
+    import networkx as nx  # heavy to import; no fit or request path calls this
 
     graph = nx.DiGraph(topic=topic if topic is not None else "aggregated")
     for community in range(result.n_communities):

@@ -9,7 +9,6 @@ with the standard half-credit for ties.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 def auc_score(positive_scores: np.ndarray, negative_scores: np.ndarray) -> float:
@@ -20,6 +19,8 @@ def auc_score(positive_scores: np.ndarray, negative_scores: np.ndarray) -> float
         raise ValueError("need at least one positive and one negative score")
     if not (np.all(np.isfinite(positive_scores)) and np.all(np.isfinite(negative_scores))):
         raise ValueError("scores must be finite")
+    from scipy.stats import rankdata  # heavy to import; no fit or request path calls this
+
     combined = np.concatenate([positive_scores, negative_scores])
     ranks = rankdata(combined)
     n_pos = positive_scores.size

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 
 @dataclass(frozen=True)
@@ -33,7 +32,9 @@ def paired_one_tailed_ttest(ours: np.ndarray, baseline: np.ndarray) -> TTestResu
         raise ValueError("paired samples must align")
     if ours.size < 2:
         raise ValueError("need at least two paired scores")
-    statistic, two_tailed = stats.ttest_rel(ours, baseline)
+    from scipy.stats import ttest_rel
+
+    statistic, two_tailed = ttest_rel(ours, baseline)
     one_tailed = two_tailed / 2.0 if statistic > 0 else 1.0 - two_tailed / 2.0
     return TTestResult(
         statistic=float(statistic),
@@ -48,7 +49,9 @@ def independent_one_tailed_ttest(ours: np.ndarray, baseline: np.ndarray) -> TTes
     baseline = np.asarray(baseline, dtype=np.float64)
     if ours.size < 2 or baseline.size < 2:
         raise ValueError("need at least two scores per sample")
-    statistic, two_tailed = stats.ttest_ind(ours, baseline, equal_var=False)
+    from scipy.stats import ttest_ind
+
+    statistic, two_tailed = ttest_ind(ours, baseline, equal_var=False)
     one_tailed = two_tailed / 2.0 if statistic > 0 else 1.0 - two_tailed / 2.0
     return TTestResult(
         statistic=float(statistic),

@@ -3,9 +3,10 @@
 The gateway cannot assume aiohttp or any other server framework, so this
 module hand-rolls the 10% of HTTP the serving endpoints need: GET request
 lines with query strings, a header block, keep-alive connections and
-``Content-Length``-framed JSON responses. Everything unusual (bodies on
-GET, chunked encoding, upgrades) is answered with an error status rather
-than implemented.
+``Content-Length``-framed JSON responses. Everything unusual (request
+bodies, chunked encoding, upgrades) is answered with an error status rather
+than implemented. HTTP/1.0 connections close after one response unless
+the client asked for keep-alive.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ class Request:
     path: str
     params: dict[str, str]
     headers: dict[str, str]
+    version: str = "HTTP/1.1"
     #: per-request gateway context, attached by the server after parsing
     #: (not part of the wire format)
     trace: object | None = None
@@ -52,7 +54,10 @@ class Request:
 
     @property
     def wants_close(self) -> bool:
-        return self.headers.get("connection", "").lower() == "close"
+        connection = self.headers.get("connection", "").lower()
+        if self.version == "HTTP/1.0":
+            return "keep-alive" not in connection
+        return "close" in connection
 
 
 @dataclass
@@ -75,7 +80,7 @@ def parse_request(raw: bytes) -> Request:
     parts = lines[0].split(" ")
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise BadRequest(f"malformed request line: {lines[0]!r}")
-    method, target, _version = parts
+    method, target, version = parts
     split = urlsplit(target)
     params = dict(parse_qsl(split.query, keep_blank_values=True))
     headers: dict[str, str] = {}
@@ -86,11 +91,15 @@ def parse_request(raw: bytes) -> Request:
         if not sep:
             raise BadRequest(f"malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
+    # the body would be left on the wire and read as the next request head
+    if "transfer-encoding" in headers or headers.get("content-length", "0") != "0":
+        raise BadRequest("request bodies are not accepted")
     return Request(
         method=method.upper(),
         path=split.path or "/",
         params=params,
         headers=headers,
+        version=version,
     )
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .social_graph import SocialGraph
@@ -77,6 +76,8 @@ class GraphStatistics:
 
 def compute_statistics(graph: SocialGraph) -> GraphStatistics:
     """Compute the full structural profile of ``graph``."""
+    import networkx as nx  # heavy to import; no fit or request path calls this
+
     n_users = graph.n_users
     followers = np.asarray([graph.follower_count(u) for u in range(n_users)])
     followees = np.asarray([graph.followee_count(u) for u in range(n_users)])

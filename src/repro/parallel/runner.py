@@ -58,6 +58,7 @@ from ..core.layout import CorpusLayout
 from ..core.parameters import DiffusionParameters
 from ..core.state import CPDState
 from ..graph.social_graph import SocialGraph
+from ..resilience.faults import firing as _fault_firing
 from ..sampling.rng import RngLike, ensure_rng
 from .plane import PlaneSpec, SharedStatePlane
 from .scheduler import Schedule, build_schedule, measure_workload_model, partition_ranges
@@ -65,13 +66,6 @@ from .segmentation import segment_users_by_topic
 
 #: worker-construction handshake timeout (seconds)
 _READY_TIMEOUT = 120.0
-
-
-def _fault_firing(point: str, **context):
-    """Consult the active fault plan, if any (lazy import: no cycle)."""
-    from ..resilience import faults
-
-    return faults.firing(point, **context)
 
 
 @dataclass

@@ -201,6 +201,101 @@ class TestRoutes:
         assert b"400 Bad Request" in reply
 
 
+def _read_response(sock) -> tuple[bytes, bytes]:
+    """One ``Content-Length``-framed response off a raw socket: head, body."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(4096)
+        assert chunk, f"connection closed mid-head: {data!r}"
+        data += chunk
+    head, _sep, body = data.partition(b"\r\n\r\n")
+    length = next(
+        int(line.split(b":", 1)[1])
+        for line in head.split(b"\r\n")
+        if line.lower().startswith(b"content-length:")
+    )
+    while len(body) < length:
+        chunk = sock.recv(4096)
+        assert chunk, "connection closed mid-body"
+        body += chunk
+    assert len(body) == length, f"bytes past the response: {body[length:]!r}"
+    return head, body
+
+
+def _read_to_eof(sock) -> bytes:
+    data = b""
+    while chunk := sock.recv(4096):
+        data += chunk
+    return data
+
+
+class TestFraming:
+    """Raw-socket framing: versions, keep-alive and request bodies."""
+
+    READY_1_0 = b"GET /ready HTTP/1.0\r\n\r\n"
+
+    @pytest.fixture
+    def gateway(self, store):
+        # a read timeout far past the socket timeout: a connection left
+        # open would fail the test rather than end in a late 408
+        gateway = GatewayServer(store, port=0, read_timeout=60.0)
+        with GatewayThread(gateway):
+            yield gateway
+
+    def _connect(self, gateway):
+        return socket.create_connection((gateway.host, gateway.port), timeout=5)
+
+    def test_http_1_0_closes_after_one_response(self, gateway):
+        with self._connect(gateway) as sock:
+            sock.sendall(self.READY_1_0)
+            head, _body = _read_response(sock)
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert b"Connection: close" in head
+            assert _read_to_eof(sock) == b""
+        assert gateway.stats()["read_timeouts"] == 0
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /ready HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+            b"GET /ready HTTP/1.1\r\nHost: x\r\n\r\n",
+        ],
+        ids=["1.0-keep-alive", "1.1"],
+    )
+    def test_keep_alive_connections_stay_open(self, gateway, request_bytes):
+        with self._connect(gateway) as sock:
+            for _ in range(2):
+                sock.sendall(request_bytes)
+                head, _body = _read_response(sock)
+                assert head.startswith(b"HTTP/1.1 200 ")
+                assert b"Connection: keep-alive" in head
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"GET /ready HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
+            b"GET /ready HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"5\r\nhello\r\n0\r\n\r\n",
+        ],
+        ids=["content-length", "chunked"],
+    )
+    def test_a_request_body_is_one_400_and_a_close(self, gateway, request_bytes):
+        with self._connect(gateway) as sock:
+            sock.sendall(request_bytes)
+            reply = _read_to_eof(sock)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in reply
+        assert b"request bodies" in reply
+        assert gateway.stats()["read_timeouts"] == 0
+
+    def test_an_empty_body_is_still_served(self, gateway):
+        with self._connect(gateway) as sock:
+            sock.sendall(b"GET /ready HTTP/1.1\r\nContent-Length: 0\r\n\r\n")
+            head, _body = _read_response(sock)
+        assert head.startswith(b"HTTP/1.1 200 ")
+
+
 class TestOverload:
     def test_flood_sheds_excess_and_never_exceeds_the_limit(self, store, term):
         """The pinned acceptance test: in-flight limit N, flood 10N
