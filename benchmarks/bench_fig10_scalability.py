@@ -58,7 +58,7 @@ def _fig10b():
         with ParallelEStepRunner(graph, config, n_workers=workers, rng=0) as runner:
             params = DiffusionParameters.initial(config.n_communities, config.n_topics)
             sampler = CPDSampler(graph, config, params, rng=0)
-            runner(sampler)  # warm-up (also primes worker processes)
+            runner(sampler)  # warm-up (also primes the helper samplers)
             started = time.perf_counter()
             for _ in range(MEASURE_SWEEPS):
                 runner(sampler)

@@ -1,25 +1,13 @@
-"""Zero-copy parallel engine: bytes shipped per sweep and worker scaling.
+"""Thread-parallel E-step: wall clock vs workers (Fig. 10(b) harness).
 
-Two series on the Fig. 10(b) twitter scenario:
-
-1. **Per-sweep coordinator→worker payload.** The PR-3 runner re-pickled the
-   full sampler snapshot (assignments + augmentation variables) plus the
-   diffusion parameters once per worker on every sweep; the shared-memory
-   engine ships only a tiny pickled delta header per worker (state version,
-   RNG seed, optional dirty-doc subset). The legacy volume is reconstructed
-   exactly (pickling the same snapshot payloads the old runner built) and
-   compared against the live runner's measured header bytes. Contract:
-   >10x reduction.
-
-2. **E-step wall clock vs workers** — the Fig. 10(b) harness: one full
-   E-step (document sweep + augmentation draws, which the engine fuses
-   into the workers) serially and at 1/2/4 workers. Both serial and
-   workers run the fastest available sweep kernel (``compiled`` when a C
-   toolchain exists, else ``vectorized``) so the speedup_vs_serial ratio
-   compares like against like; the vectorized serial time is recorded
-   alongside for cross-kernel context. Speedup contracts are gated on the
-   machine's core count; a single-core container reports honest numbers
-   (the paper's 4.5-5.7x needs 8 real cores).
+One full E-step (document sweep + augmentation draws, which the runner
+fuses into the workers) serially and at 1/2/4 workers on the twitter
+scenario. Both serial and workers run the fastest available sweep kernel
+(``compiled`` when a C toolchain exists, else ``vectorized``) so the
+speedup_vs_serial ratio compares like against like; the vectorized serial
+time is recorded alongside for cross-kernel context. Speedup contracts are
+gated on the machine's core count; a single-core container reports honest
+numbers (the paper's 4.5-5.7x needs 8 real cores).
 
 Results go to ``benchmarks/results/`` and — as the cross-PR perf
 trajectory record — to ``BENCH_parallel.json`` at the repository root.
@@ -27,7 +15,6 @@ trajectory record — to ``BENCH_parallel.json`` at the repository root.
 
 import json
 import os
-import pickle
 import time
 from pathlib import Path
 
@@ -49,34 +36,6 @@ def _fresh_sampler(graph, config) -> CPDSampler:
     return CPDSampler(graph, config, params, rng=0)
 
 
-def _legacy_payload_bytes(sampler: CPDSampler, runner: ParallelEStepRunner) -> int:
-    """Per-sweep bytes the PR-3 snapshot-pickle runner would ship.
-
-    Reconstructs the exact payload dicts the old ``pool.map`` path built:
-    one full snapshot + parameter set per worker, plus that worker's doc
-    ids and seed.
-    """
-    snapshot = sampler.export_snapshot()
-    params = sampler.params
-    total = 0
-    for worker in range(runner.n_workers):
-        payload = {
-            "snapshot": snapshot,
-            "params": {
-                "eta": params.eta,
-                "comm_weight": params.comm_weight,
-                "pop_weight": params.pop_weight,
-                "nu": params.nu,
-                "bias": params.bias,
-            },
-            "doc_ids": runner.schedule.worker_doc_ids(worker),
-            "seed": 1,
-            "worker": worker,
-        }
-        total += len(pickle.dumps(payload))
-    return total
-
-
 def _serial_estep_seconds(graph, config, sweep_kernel) -> float:
     """One full E-step (sweep + PG draws), best of MEASURE_SWEEPS rounds."""
     sampler = _fresh_sampler(graph, config.with_overrides(sweep_kernel=sweep_kernel))
@@ -91,10 +50,8 @@ def _serial_estep_seconds(graph, config, sweep_kernel) -> float:
     return best
 
 
-def _parallel_estep_seconds(
-    graph, config, n_workers, sweep_kernel
-) -> tuple[float, float, str]:
-    """Best E-step seconds at ``n_workers``, header bytes/sweep, worker kernel.
+def _parallel_estep_seconds(graph, config, n_workers, sweep_kernel) -> tuple[float, str]:
+    """Best E-step seconds at ``n_workers`` and the kernel the workers run.
 
     The fused runner's ``__call__`` *is* the full E-step: workers draw the
     augmentation variables and partial eta counts inside the sweep.
@@ -102,18 +59,15 @@ def _parallel_estep_seconds(
     with ParallelEStepRunner(
         graph, config, n_workers=n_workers, rng=0, sweep_kernel=sweep_kernel
     ) as runner:
-        sampler = _fresh_sampler(graph, config)
-        runner(sampler)  # warm-up (adopts state, primes workers)
+        # worker 0 sweeps on this sampler, so it runs the runner's kernel too
+        sampler = _fresh_sampler(graph, runner.config)
+        runner(sampler)  # warm-up: caches, helper samplers, threads
         best = float("inf")
         for _ in range(MEASURE_SWEEPS):
             started = time.perf_counter()
             runner(sampler)
             best = min(best, time.perf_counter() - started)
-        return (
-            best,
-            runner.stats.payload_bytes_per_sweep(),
-            runner.worker_sweep_kernel,
-        )
+        return best, runner.worker_sweep_kernel
 
 
 def _measure(graph, config) -> dict:
@@ -126,31 +80,18 @@ def _measure(graph, config) -> dict:
         else serial_vectorized
     )
     scaling = []
-    header_bytes = {}
     worker_kernel = sweep_kernel
     for n_workers in WORKER_COUNTS:
-        seconds, bytes_per_sweep, worker_kernel = _parallel_estep_seconds(
+        seconds, worker_kernel = _parallel_estep_seconds(
             graph, config, n_workers, sweep_kernel
         )
-        header_bytes[n_workers] = bytes_per_sweep
         scaling.append([n_workers, seconds, serial_seconds / seconds])
-
-    # payload comparison at the widest measured worker count
-    reference_workers = WORKER_COUNTS[-1]
-    with ParallelEStepRunner(
-        graph, config, n_workers=reference_workers, rng=0
-    ) as runner:
-        sampler = _fresh_sampler(graph, config)
-        legacy = _legacy_payload_bytes(sampler, runner)
     return {
         "serial_seconds": serial_seconds,
         "serial_vectorized_seconds": serial_vectorized,
         "sweep_kernel": sweep_kernel,
         "worker_sweep_kernel": worker_kernel,
         "scaling": scaling,
-        "legacy_bytes": legacy,
-        "plane_bytes": header_bytes[reference_workers],
-        "reference_workers": reference_workers,
     }
 
 
@@ -160,21 +101,6 @@ def test_parallel_engine(benchmark):
     measured = benchmark.pedantic(_measure, args=(graph, config), rounds=1, iterations=1)
     cores = os.cpu_count() or 1
 
-    reduction = measured["legacy_bytes"] / max(measured["plane_bytes"], 1.0)
-    payload_rows = [
-        ["snapshot-pickle (PR-3)", measured["legacy_bytes"]],
-        ["shared-memory delta headers", measured["plane_bytes"]],
-        ["reduction factor", reduction],
-    ]
-    report(
-        "parallel_payload",
-        format_table(
-            f"Coordinator->worker bytes per sweep "
-            f"({measured['reference_workers']} workers, twitter)",
-            ["path", "bytes/sweep"],
-            payload_rows,
-        ),
-    )
     report(
         "parallel_scaling",
         format_table(
@@ -192,9 +118,6 @@ def test_parallel_engine(benchmark):
         "n_documents": graph.n_documents,
         "n_friendship_links": graph.n_friendship_links,
         "n_diffusion_links": graph.n_diffusion_links,
-        "legacy_payload_bytes_per_sweep": measured["legacy_bytes"],
-        "plane_payload_bytes_per_sweep": measured["plane_bytes"],
-        "payload_reduction_factor": reduction,
         "sweep_kernel": measured["sweep_kernel"],
         "worker_sweep_kernel": measured["worker_sweep_kernel"],
         "serial_estep_seconds": measured["serial_seconds"],
@@ -206,7 +129,6 @@ def test_parallel_engine(benchmark):
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
-    contract(reduction > 10.0, f"payload reduction {reduction:.0f}x must exceed 10x")
     if cores >= 2:
         contract(
             max(speedups.values()) > 1.0,

@@ -150,8 +150,7 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument(
         "--workers", type=int, default=0,
-        help="parallel E-step worker processes over a shared-memory state "
-        "plane (0 = serial sweep)",
+        help="parallel E-step worker threads (0 = serial sweep)",
     )
     fit.add_argument(
         "--sweep-kernel", choices=SWEEP_KERNELS, default=None,
@@ -564,10 +563,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _parallel_options(graph, config, workers: int, seed: int):
     """``(runner, FitOptions)`` for one fit; runner is ``None`` when serial.
 
-    The single place the CLI builds the shared-memory runner, so every
-    command shares one lifecycle convention: callers must ``close()`` the
-    returned runner (it stays open across the fit because the streaming
-    commands reuse its warm workers for incremental refreshes).
+    The single place the CLI builds the thread runner, so every command
+    shares one lifecycle convention: callers must ``close()`` the returned
+    runner (it stays open across the fit because the streaming commands
+    reuse its helper threads and samplers for incremental refreshes).
     """
     if not workers:
         return None, FitOptions()
@@ -1143,9 +1142,9 @@ def run_info(args, out=None) -> int:
 def _replay_setup(args):
     """Split the graph, fit the base model, build the streaming pipeline.
 
-    With ``--workers`` the base fit runs over a shared-memory parallel
-    runner, which is returned (still open) so the incremental refreshes can
-    reuse its warm workers; callers must ``close()`` it.
+    With ``--workers`` the base fit runs over a thread-parallel runner,
+    which is returned (still open) so the incremental refreshes can reuse
+    its helpers; callers must ``close()`` it.
     """
     graph = load_graph(args.graph)
     plan = split_for_replay(graph, warm_fraction=args.warm_fraction)

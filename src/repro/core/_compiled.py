@@ -17,11 +17,10 @@ The C code reads and mutates the *same* buffers ``CPDState`` owns — count
 matrices, assignment vectors, the ``pi_hat`` / ``theta_hat`` caches and the
 popularity table — and reads the kernel's count-log tables
 (``cpd_log_table`` fills them with the sweep's own libm ``log``) through a
-pointer struct (:data:`_CTX_FIELDS`) built fresh per call, so shared-memory
-buffer adoption (``adopt_buffers``) and the parallel plane keep working
-unchanged. The struct layout is generated
-from one field spec for both the C source and the ctypes mirror, so the
-two can never drift.
+pointer struct (:data:`_CTX_FIELDS`) built fresh per call, so arrays the
+sampler swaps between calls are always the ones read. The struct layout
+is generated from one field spec for both the C source and the ctypes
+mirror, so the two can never drift.
 
 The same translation unit carries ``cpd_pg1``, one round of exact
 Pólya-Gamma draws for the augmentation variables (:func:`pg1_rounds`, behind

@@ -38,11 +38,21 @@ from ..graph.social_graph import SocialGraph
 from ..sampling.polya_gamma import log_psi, sample_pg_array
 from ..sampling.rng import RngLike, ensure_rng
 from .config import CPDConfig
-from .kernel import make_kernel
-from .layout import CorpusLayout
+from .kernel import SweepStats, make_kernel
 from .parameters import DiffusionParameters
 from .result import CPDResult
 from .state import CPDState, counts_to_indptr
+
+
+def record_sweep(stats: SweepStats | None) -> None:
+    """Fold one kernel sweep into the process metrics registry, if enabled."""
+    registry = obs.get_registry()
+    if registry.enabled and stats is not None:
+        labels = {"kernel": stats.kernel}
+        registry.histogram("repro_sweep_seconds", labels).observe(stats.seconds)
+        registry.counter("repro_sweep_docs_total", labels).inc(stats.n_docs)
+        registry.counter("repro_sweep_draws_total", labels).inc(stats.draws)
+        registry.counter("repro_sweeps_total", labels).inc()
 
 
 class CPDSampler:
@@ -50,37 +60,24 @@ class CPDSampler:
 
     def __init__(
         self,
-        graph: SocialGraph | None,
+        graph: SocialGraph,
         config: CPDConfig,
         params: DiffusionParameters,
         rng: RngLike = None,
         fixed_communities: np.ndarray | None = None,
         initialize_assignments: bool = True,
-        layout: CorpusLayout | None = None,
     ) -> None:
-        if graph is None and layout is None:
-            raise ValueError("need a graph or a corpus layout")
         self.graph = graph
         self.config = config
         self.params = params
         self.rng = ensure_rng(rng)
-        self.corpus_layout = layout
         self.fixed_communities = (
             None if fixed_communities is None else np.asarray(fixed_communities, dtype=np.int64)
         )
 
-        if layout is not None:
-            # zero-copy path: every immutable array is a view over the
-            # (possibly shared-memory) layout — no graph traversal at all
-            self.state = CPDState.from_layout(layout, config)
-            self._doc_user = layout.doc_user
-            self._doc_time = layout.doc_time
-        else:
-            self.state = CPDState(graph, config)
-            self._doc_user = np.asarray(graph.document_user_array(), dtype=np.int64)
-            self._doc_time = np.asarray(
-                [doc.timestamp for doc in graph.documents], dtype=np.int64
-            )
+        self.state = CPDState(graph, config)
+        self._doc_user = np.asarray(graph.document_user_array(), dtype=np.int64)
+        self._doc_time = np.asarray([doc.timestamp for doc in graph.documents], dtype=np.int64)
         if initialize_assignments:
             self.state.random_init(self.rng, fixed_communities=self.fixed_communities)
         self._doc_time_ints = self._doc_time.tolist()
@@ -108,34 +105,8 @@ class CPDSampler:
         ``f_csr_*``: for each user, the friendship links they touch (both
         endpoints). ``d_csr_*``: for each document, the diffusion links it
         touches (both endpoints, with the direction flag). ``dout_csr_*``:
-        outgoing diffusion links only, for the topic conditional. When a
-        :class:`CorpusLayout` was supplied all of these attach as views.
+        outgoing diffusion links only, for the topic conditional.
         """
-        layout = self.corpus_layout
-        if layout is not None:
-            self.n_friend_links = layout.n_friend_links
-            self.f_src = layout.f_src
-            self.f_tgt = layout.f_tgt
-            self.f_csr_indptr = layout.f_csr_indptr
-            self.f_csr_neighbor = layout.f_csr_neighbor
-            self.f_csr_link = layout.f_csr_link
-            self.n_diff_links = layout.n_diff_links
-            self.e_src = layout.e_src
-            self.e_tgt = layout.e_tgt
-            self.e_time = layout.e_time
-            self.d_csr_indptr = layout.d_csr_indptr
-            self.d_csr_link = layout.d_csr_link
-            self.d_csr_other = layout.d_csr_other
-            self.d_csr_is_source = layout.d_csr_is_source
-            self.dout_csr_indptr = layout.dout_csr_indptr
-            self.dout_csr_link = layout.dout_csr_link
-            self.dout_csr_target = layout.dout_csr_target
-            self.user_features = (
-                UserFeatures(self.graph) if self.graph is not None else None
-            )
-            self.e_features = layout.e_features
-            return
-
         graph = self.graph
         self.n_friend_links = graph.n_friendship_links
         self.f_src = np.asarray([l.source for l in graph.friendship_links], dtype=np.int64)
@@ -290,8 +261,6 @@ class CPDSampler:
         popularity table are extended in place — no cold rebuild. Returns
         the new document ids.
         """
-        if self.corpus_layout is not None:
-            raise RuntimeError("cannot append to a sampler attached to a shared corpus layout")
         users = np.asarray(users, dtype=np.int64)
         timestamps = np.asarray(timestamps, dtype=np.int64)
         if timestamps.shape != users.shape:
@@ -368,8 +337,6 @@ class CPDSampler:
         edge lists; augmentation variables for the new links start at the
         PG(1, 0) mean, matching cold initialisation.
         """
-        if self.corpus_layout is not None:
-            raise RuntimeError("cannot append to a sampler attached to a shared corpus layout")
         source_docs = np.asarray(source_docs, dtype=np.int64)
         target_docs = np.asarray(target_docs, dtype=np.int64)
         timestamps = np.asarray(timestamps, dtype=np.int64)
@@ -428,13 +395,7 @@ class CPDSampler:
         telemetry is on — folded into the process registry.
         """
         stats = self.kernel.sweep(doc_ids)
-        registry = obs.get_registry()
-        if registry.enabled and stats is not None:
-            labels = {"kernel": stats.kernel}
-            registry.histogram("repro_sweep_seconds", labels).observe(stats.seconds)
-            registry.counter("repro_sweep_docs_total", labels).inc(stats.n_docs)
-            registry.counter("repro_sweep_draws_total", labels).inc(stats.draws)
-            registry.counter("repro_sweeps_total", labels).inc()
+        record_sweep(stats)
         return stats
 
     def _resample_document(self, doc_id: int) -> None:

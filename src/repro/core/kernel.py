@@ -209,22 +209,9 @@ class VectorizedKernel:
 
         Words occurring once in a document (the dominant case in short
         social-media posts) go through a plain log-gather; repeated words
-        go through the two-``gammaln`` ascending-factorial form. When the
-        sampler was constructed from a shared :class:`~repro.core.layout.
-        CorpusLayout` the pre-split arrays are attached as views instead of
-        being recomputed (the zero-copy worker path).
+        go through the two-``gammaln`` ascending-factorial form.
         """
-        layout = sampler.corpus_layout
-        if layout is not None:
-            split = {
-                "ws_words": layout.ws_words,
-                "ws_indptr": layout.ws_indptr,
-                "wm_words": layout.wm_words,
-                "wm_indptr": layout.wm_indptr,
-                "wm_counts": layout.wm_counts,
-            }
-        else:
-            split = split_word_multiplicity(sampler._doc_unique)
+        split = split_word_multiplicity(sampler._doc_unique)
         self.ws_words = split["ws_words"]
         self.wm_words = split["wm_words"]
         self.wm_counts = split["wm_counts"]
@@ -544,8 +531,8 @@ class CompiledKernel(VectorizedKernel):
     through :meth:`sweep`, the entire per-document resample loop including
     count updates and categorical draws — in the runtime-compiled C library.
     The C code mutates the *same* arrays ``CPDState`` owns through a pointer
-    struct rebuilt on every entry, so buffer adoption, M-step array swaps,
-    and streaming appends all keep working unchanged.
+    struct rebuilt on every entry, so M-step array swaps and streaming
+    appends keep working unchanged.
 
     RNG contract: the sweep pre-draws one uniform per categorical draw from
     the sampler's ``Generator`` (``rng.random(k)`` consumes the same bit
@@ -588,13 +575,7 @@ class CompiledKernel(VectorizedKernel):
 
     def _build_word_layout(self, sampler: "CPDSampler") -> None:
         super()._build_word_layout(sampler)
-        layout = sampler.corpus_layout
-        if layout is not None and getattr(layout, "doc_lengths", None) is not None:
-            self._doc_lengths_f64 = layout.doc_lengths
-        else:
-            self._doc_lengths_f64 = np.ascontiguousarray(
-                sampler._doc_lengths, dtype=np.float64
-            )
+        self._doc_lengths_f64 = np.ascontiguousarray(sampler._doc_lengths, dtype=np.float64)
 
     def append_documents(self, first_new_doc: int) -> None:
         super().append_documents(first_new_doc)

@@ -80,7 +80,7 @@ class CPDModel:
                     e_step_done = time.perf_counter()
                     friendship_dots = None
                     if not getattr(sweeper, "fused_augmentation", False):
-                        # a fused sweeper (the shared-memory parallel runner)
+                        # a fused sweeper (the thread-parallel runner)
                         # already drew the per-link augmentation variables
                         # inside its workers
                         friendship_dots = sampler.sample_lambdas()

@@ -34,8 +34,8 @@ def counts_to_indptr(counts: np.ndarray) -> np.ndarray:
 class CPDState:
     """Mutable assignments + counts; add/remove keep every counter in sync."""
 
-    #: the mutable arrays a shared-memory plane may adopt (see
-    #: :meth:`adopt_buffers`); everything else is immutable corpus layout
+    #: the mutable arrays (the parallel runner copies them into its helper
+    #: samplers); everything else is immutable corpus layout
     SHARED_FIELDS = (
         "doc_community",
         "doc_topic",
@@ -48,7 +48,27 @@ class CPDState:
     )
 
     def __init__(self, graph: SocialGraph, config: CPDConfig) -> None:
-        self._init_dimensions(graph.n_users, graph.n_documents, graph.n_words, config)
+        self.n_users = graph.n_users
+        self.n_docs = graph.n_documents
+        self.n_words = graph.n_words
+        self.n_communities = config.n_communities
+        self.n_topics = config.n_topics
+        self.alpha = config.resolved_alpha
+        self.rho = config.resolved_rho
+        self.beta = config.beta
+
+        self.doc_topic = np.full(self.n_docs, -1, dtype=np.int64)
+        self.doc_community = np.full(self.n_docs, -1, dtype=np.int64)
+        #: number of currently unassigned documents; lets the sweep kernel
+        #: prove cheaply that no link endpoint can be mid-resample
+        self.n_unassigned = self.n_docs
+
+        self.user_community = np.zeros((self.n_users, self.n_communities), dtype=np.float64)
+        self.community_topic = np.zeros((self.n_communities, self.n_topics), dtype=np.float64)
+        self.topic_word = np.zeros((self.n_topics, self.n_words), dtype=np.float64)
+        self.user_totals = np.zeros(self.n_users, dtype=np.float64)
+        self.community_totals = np.zeros(self.n_communities, dtype=np.float64)
+        self.topic_totals = np.zeros(self.n_topics, dtype=np.float64)
 
         self._doc_user = np.asarray(graph.document_user_array(), dtype=np.int64)
 
@@ -81,90 +101,6 @@ class CPDState:
         self._theta_cache: np.ndarray | None = None
         self._pi_dirty: set[int] = set()
         self._theta_dirty: set[int] = set()
-
-    def _init_dimensions(self, n_users: int, n_docs: int, n_words: int, config: CPDConfig) -> None:
-        """Dimensions, priors, and zeroed assignment/count arrays."""
-        self.n_users = n_users
-        self.n_docs = n_docs
-        self.n_words = n_words
-        self.n_communities = config.n_communities
-        self.n_topics = config.n_topics
-        self.alpha = config.resolved_alpha
-        self.rho = config.resolved_rho
-        self.beta = config.beta
-
-        self.doc_topic = np.full(self.n_docs, -1, dtype=np.int64)
-        self.doc_community = np.full(self.n_docs, -1, dtype=np.int64)
-        #: number of currently unassigned documents; lets the sweep kernel
-        #: prove cheaply that no link endpoint can be mid-resample
-        self.n_unassigned = self.n_docs
-
-        self.user_community = np.zeros((self.n_users, self.n_communities), dtype=np.float64)
-        self.community_topic = np.zeros((self.n_communities, self.n_topics), dtype=np.float64)
-        self.topic_word = np.zeros((self.n_topics, self.n_words), dtype=np.float64)
-        self.user_totals = np.zeros(self.n_users, dtype=np.float64)
-        self.community_totals = np.zeros(self.n_communities, dtype=np.float64)
-        self.topic_totals = np.zeros(self.n_topics, dtype=np.float64)
-
-    @classmethod
-    def from_layout(cls, layout, config: CPDConfig) -> "CPDState":
-        """Construct without a graph, sharing a :class:`CorpusLayout`'s arrays.
-
-        The zero-copy parallel path: workers attach to the coordinator's
-        shared-memory layout and build their state as *views* over it — no
-        per-document ``np.unique``, no word-array concatenation, no graph
-        object at all. The count matrices are freshly allocated (each
-        worker mutates its own copy during a sweep).
-        """
-        state = cls.__new__(cls)
-        state._init_dimensions(layout.n_users, layout.n_docs, layout.n_words, config)
-
-        state._doc_user = layout.doc_user
-        state._doc_word_lengths = np.diff(layout.word_indptr)
-        state._word_indptr = layout.word_indptr
-        state._all_words = layout.all_words
-        state._doc_words = [
-            layout.all_words[layout.word_indptr[doc_id] : layout.word_indptr[doc_id + 1]]
-            for doc_id in range(state.n_docs)
-        ]
-        state._doc_unique_words = [
-            layout.u_words[layout.u_indptr[doc_id] : layout.u_indptr[doc_id + 1]]
-            for doc_id in range(state.n_docs)
-        ]
-        state._doc_unique_counts = [
-            layout.u_counts[layout.u_indptr[doc_id] : layout.u_indptr[doc_id + 1]]
-            for doc_id in range(state.n_docs)
-        ]
-
-        state._pi_cache = None
-        state._theta_cache = None
-        state._pi_dirty = set()
-        state._theta_dirty = set()
-        return state
-
-    def adopt_buffers(self, buffers: dict[str, np.ndarray]) -> None:
-        """Re-point mutable arrays at caller-provided (shared) buffers.
-
-        Current contents are copied into each buffer first, so adoption is
-        invisible to every reader; subsequent in-place mutations then land
-        directly in the buffers (the shared-memory publish step of the
-        parallel runner becomes a no-op). Keys must be from
-        ``SHARED_FIELDS`` with matching shape/dtype.
-        """
-        for name, buffer in buffers.items():
-            if name not in self.SHARED_FIELDS:
-                raise KeyError(f"{name} is not an adoptable state array")
-            current = getattr(self, name)
-            if buffer is current:
-                continue
-            if buffer.shape != current.shape or buffer.dtype != current.dtype:
-                raise ValueError(
-                    f"buffer for {name} has shape {buffer.shape}/{buffer.dtype}, "
-                    f"state has {current.shape}/{current.dtype}"
-                )
-            np.copyto(buffer, current)
-            setattr(self, name, buffer)
-        self._drop_caches()
 
     # -------------------------------------------------------------- mutation
 

@@ -110,25 +110,8 @@ class TopicPopularity:
         self.decrement_many(timestamps, old_topics)
         self.increment_many(timestamps, new_topics)
 
-    def adopt_buffer(self, buffer: np.ndarray) -> None:
-        """Re-point the count table at a caller-provided (shared) buffer.
-
-        Current counts are copied in first, so adoption is invisible to
-        readers; incremental maintenance then mutates the buffer directly
-        (the shared-memory publish step of the parallel runner).
-        """
-        if buffer.shape != self._counts.shape or buffer.dtype != self._counts.dtype:
-            raise ValueError(
-                f"buffer has shape {buffer.shape}/{buffer.dtype}, "
-                f"table has {self._counts.shape}/{self._counts.dtype}"
-            )
-        np.copyto(buffer, self._counts)
-        self._counts = buffer
-        self._score_cache = None
-        self._dirty_rows.clear()
-
     def load_counts(self, counts: np.ndarray) -> None:
-        """Overwrite the full count table in place (parallel-worker refresh).
+        """Overwrite the full count table in place (parallel-helper refresh).
 
         One memcpy instead of replaying increments; the transformed-score
         cache is dropped wholesale because every row may have changed.

@@ -13,19 +13,15 @@ Instrumented call sites follow one idiom::
     if registry.enabled:              # no-op path: one attribute check
         registry.histogram("repro_rank_seconds").observe(elapsed)
 
-and spans nest lexically, propagating across processes via tiny headers::
+and spans nest lexically per thread, propagating to other threads (or
+across a request) via tiny headers::
 
-    with obs.span("router.gather", tags={"query": term}):
-        header = obs.current_header()   # -> rides a pickled delta header
+    with obs.span("parallel.sweep"):
+        header = obs.current_header()   # -> handed to a helper thread
         ...
-    # far side:
+    # helper thread:
     with obs.remote_span("parallel.worker_sweep", header):
         ...
-
-Forked workers call :func:`worker_reset` once at startup so counts inherited
-from the coordinator's pre-fork registry are not double-reported; they ship
-``get_registry().drain()`` + ``get_sink().drain()`` back in their acks and
-the coordinator folds both in with ``merge``/``ingest``.
 """
 
 from __future__ import annotations
@@ -98,7 +94,6 @@ __all__ = [
     "telemetry_payload", "write_telemetry", "load_telemetry",
     # combined switch
     "enable_telemetry", "disable_telemetry", "telemetry_enabled",
-    "worker_reset",
 ]
 
 
@@ -116,16 +111,3 @@ def disable_telemetry() -> None:
 def telemetry_enabled() -> bool:
     return enabled() or tracing_enabled()
 
-
-def worker_reset() -> None:
-    """Start a forked worker's telemetry from zero.
-
-    A fork inherits the coordinator's live registry and sink *with their
-    accumulated contents*; draining those back in an ack would double-count
-    everything recorded before the fork. If telemetry is enabled, replace
-    both with fresh instances; if disabled, stay disabled.
-    """
-    if enabled():
-        set_registry(MetricsRegistry())
-    if tracing_enabled():
-        set_sink(SpanSink())

@@ -11,16 +11,14 @@ it honest at this codebase's scale:
    path is a global read plus an attribute check — no allocation, no lock.
    ``benchmarks/bench_obs_overhead.py`` pins the overhead both ways.
 
-2. **Fixed buckets, mergeable everywhere.** Histograms use a fixed boundary
-   vector chosen at creation (default: log-spaced latency buckets from 1µs to
-   60s), so snapshots from forked workers and remote shards merge into the
-   coordinator's registry by plain bucket-count addition — the same property
-   Prometheus exploits. Percentiles (p50/p95/p99) are estimated by linear
-   interpolation inside the owning bucket, with the recorded min/max pinning
-   the open-ended ends.
+2. **Fixed buckets.** Histograms use a fixed boundary vector chosen at
+   creation (default: log-spaced latency buckets from 1µs to 60s), the same
+   layout Prometheus exposes. Percentiles (p50/p95/p99) are estimated by
+   linear interpolation inside the owning bucket, with the recorded min/max
+   pinning the open-ended ends.
 
 3. **No new dependencies.** Plain ``threading.Lock`` + dicts; snapshots are
-   JSON-able nested dicts that also ride pickled worker acks.
+   JSON-able nested dicts.
 """
 
 from __future__ import annotations
@@ -260,35 +258,6 @@ class MetricsRegistry:
             out[kind + "s"].append(metric.snapshot())
         return out
 
-    def drain(self) -> dict:
-        """Snapshot, then reset — the worker-ack protocol's delta payload."""
-        snap = self.snapshot()
-        with self._lock:
-            self._metrics.clear()
-        return snap
-
-    def merge(self, snapshot: Mapping) -> None:
-        """Fold another registry's snapshot into this one."""
-        for entry in snapshot.get("counters", ()):
-            self.counter(entry["name"], entry["labels"]).inc(entry["value"])
-        for entry in snapshot.get("gauges", ()):
-            self.gauge(entry["name"], entry["labels"]).set(entry["value"])
-        for entry in snapshot.get("histograms", ()):
-            hist = self.histogram(
-                entry["name"], entry["labels"], bounds=entry["bounds"]
-            )
-            if tuple(entry["bounds"]) != hist.bounds:
-                raise ValueError(
-                    f"histogram {entry['name']}: bucket bounds mismatch on merge"
-                )
-            with hist._lock:
-                for i, c in enumerate(entry["counts"]):
-                    hist.counts[i] += c
-                hist.count += entry["count"]
-                hist.sum += entry["sum"]
-                if entry["count"]:
-                    hist.min = min(hist.min, entry["min"])
-                    hist.max = max(hist.max, entry["max"])
 
 
 class _NullMetric:
@@ -345,12 +314,6 @@ class NullRegistry:
 
     def snapshot(self) -> dict:
         return {"counters": [], "gauges": [], "histograms": []}
-
-    def drain(self) -> dict:
-        return self.snapshot()
-
-    def merge(self, snapshot) -> None:
-        pass
 
 
 _NULL_REGISTRY = NullRegistry()

@@ -1,17 +1,17 @@
-"""Trace spans with cross-process context propagation.
+"""Trace spans with context propagation across threads and requests.
 
 A *span* is one timed operation (a sweep, a shard call, a WAL append burst);
 a *trace* is the tree of spans that served one logical request. The context
 (trace id + current span id) lives on a thread-local stack, so nested
 ``with span(...)`` blocks parent automatically — and the same context can be
-serialized into a tiny header dict, shipped across a process boundary (the
-``ParallelEStepRunner`` delta header), and re-activated on the far side with
-:func:`remote_span`, so worker spans chain into the coordinator's tree.
+serialized into a tiny header dict, handed to another thread (the
+``ParallelEStepRunner`` helpers, the shard router's executor calls), and
+re-activated there with :func:`remote_span`, so those spans chain into the
+originating tree.
 
 Finished spans land in a ring-buffer :class:`SpanSink` (bounded, newest
-wins); workers drain their sink into the sweep ack and the coordinator
-ingests those records, so one parallel sweep yields a single reconstructable
-tree (:meth:`SpanSink.trees`) even though the work spanned processes.
+wins), so one parallel sweep yields a single reconstructable tree
+(:meth:`SpanSink.trees`) even though its work spanned threads.
 
 Like metrics, tracing is off by default: the module-level sink starts as a
 :class:`NullSpanSink` and ``span()`` returns a shared no-op context manager,
@@ -197,19 +197,13 @@ class SpanSink:
             self._spans.append(record)
 
     def ingest(self, records) -> None:
-        """Fold spans shipped from another process (worker acks) in."""
+        """Fold finished span records in (the gateway's tail-sampled buffers)."""
         with self._lock:
             self._spans.extend(records)
 
     def export(self) -> list[dict]:
         with self._lock:
             return list(self._spans)
-
-    def drain(self) -> list[dict]:
-        with self._lock:
-            out = list(self._spans)
-            self._spans.clear()
-        return out
 
     def clear(self) -> None:
         with self._lock:
@@ -234,9 +228,6 @@ class NullSpanSink:
         pass
 
     def export(self) -> list[dict]:
-        return []
-
-    def drain(self) -> list[dict]:
         return []
 
     def clear(self) -> None:
@@ -349,7 +340,7 @@ def span(name: str, tags: Mapping[str, object] | None = None):
 
 
 def remote_span(name: str, header: Mapping | None, tags=None):
-    """Open a span parented to a context shipped from another process.
+    """Open a span parented to a context from another thread or request.
 
     ``header`` is the dict :func:`current_header` produced on the far side;
     ``None`` (or tracing disabled locally) degrades to a no-op.
@@ -403,8 +394,8 @@ def record_span(
 def current_header() -> dict | None:
     """The propagatable context of the innermost open span, or ``None``.
 
-    This is what rides the ``ParallelEStepRunner`` delta header: two short
-    hex strings, so the disabled / no-open-span case adds nothing.
+    This is what the ``ParallelEStepRunner`` hands its helper threads: two
+    short hex strings, so the disabled / no-open-span case adds nothing.
     """
     stack = getattr(_STACK, "spans", None)
     if not stack:

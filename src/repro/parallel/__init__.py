@@ -1,9 +1,7 @@
 """Parallel inference runtime (paper Sect. 4.3): segmentation, knapsack
-workload balancing, and the zero-copy process-parallel E-step over a
-shared-memory state plane."""
+workload balancing, and the thread-parallel E-step."""
 
 from .knapsack import Allocation, allocate_segments, solve_knapsack
-from .plane import PlaneSpec, SharedStatePlane
 from .runner import ParallelEStepRunner, ParallelStats, SerialSweeper
 from .scheduler import (
     Schedule,
@@ -19,10 +17,8 @@ __all__ = [
     "DataSegment",
     "ParallelEStepRunner",
     "ParallelStats",
-    "PlaneSpec",
     "Schedule",
     "SerialSweeper",
-    "SharedStatePlane",
     "WorkloadModel",
     "allocate_segments",
     "build_schedule",

@@ -12,39 +12,33 @@ Three concerns live here, consumed across every other layer:
   consult at named points, so chaos tests replay exactly.
 """
 
-from .faults import (
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    active_plan,
-    inject,
-)
-from .recovery import RecoveryError, RecoveryReport, SnapshotCatalog, recover
-from .wal import (
-    WalCorruptError,
-    WalStatus,
-    WriteAheadLog,
-    decode_event,
-    encode_event,
-    replay_wal,
-    scan_wal,
-)
+import importlib
 
-__all__ = [
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "RecoveryError",
-    "RecoveryReport",
-    "SnapshotCatalog",
-    "WalCorruptError",
-    "WalStatus",
-    "WriteAheadLog",
-    "active_plan",
-    "decode_event",
-    "encode_event",
-    "inject",
-    "recover",
-    "replay_wal",
-    "scan_wal",
-]
+#: public names by the submodule that defines them; each submodule is
+#: imported on the first access to one of its names (PEP 562), so the
+#: fault hook of an artifact save or load (``from ..resilience import
+#: faults``) loads neither the WAL nor the recovery layer (DESIGN.md §14)
+_EXPORTS = {
+    "faults": ("FaultPlan", "FaultSpec", "InjectedFault", "active_plan", "inject"),
+    "recovery": ("RecoveryError", "RecoveryReport", "SnapshotCatalog", "recover"),
+    "wal": (
+        "WalCorruptError", "WalStatus", "WriteAheadLog", "decode_event", "encode_event",
+        "replay_wal", "scan_wal",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

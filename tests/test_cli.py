@@ -53,7 +53,7 @@ class TestFit:
         assert result.n_communities == 4
 
     def test_parallel_workers(self, workspace, tmp_path, capsys):
-        """--workers drives the fit through the shared-memory runner."""
+        """--workers drives the fit through the thread runner."""
         _root, graph_path, _model = workspace
         out = tmp_path / "parallel.cpd.npz"
         assert main([

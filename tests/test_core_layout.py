@@ -1,11 +1,11 @@
-"""Tests for the immutable corpus layout and graph-free sampler construction."""
+"""Tests for the multiplicity-split word layout the sweep kernels share."""
 
 import numpy as np
 import pytest
 
 from repro.core import CPDConfig, DiffusionParameters
 from repro.core.gibbs import CPDSampler
-from repro.core.layout import CorpusLayout, split_word_multiplicity
+from repro.core.layout import split_word_multiplicity
 
 
 @pytest.fixture(scope="module")
@@ -13,8 +13,7 @@ def layout_setup(twitter_tiny):
     graph, _ = twitter_tiny
     config = CPDConfig(n_communities=4, n_topics=8, n_iterations=5, rho=0.5, alpha=0.5)
     params = DiffusionParameters.initial(4, 8)
-    sampler = CPDSampler(graph, config, params, rng=3)
-    return graph, config, sampler, CorpusLayout.from_sampler(sampler)
+    return CPDSampler(graph, config, params, rng=3)
 
 
 class TestSplitWordMultiplicity:
@@ -32,94 +31,8 @@ class TestSplitWordMultiplicity:
         np.testing.assert_array_equal(split["wm_indptr"], [0, 1, 2, 2])
 
     def test_matches_kernel_layout(self, layout_setup):
-        _, _, sampler, layout = layout_setup
+        sampler = layout_setup
+        split = split_word_multiplicity(sampler._doc_unique)
         kernel = sampler.kernel
-        np.testing.assert_array_equal(layout.ws_words, kernel.ws_words)
-        np.testing.assert_array_equal(layout.wm_counts, kernel.wm_counts)
-
-
-class TestLayoutSampler:
-    def test_requires_graph_or_layout(self):
-        config = CPDConfig(n_communities=2, n_topics=2)
-        with pytest.raises(ValueError):
-            CPDSampler(None, config, DiffusionParameters.initial(2, 2))
-
-    def test_matched_seed_sweep_identical(self, layout_setup):
-        """A layout-built sampler is the same machine as a graph-built one."""
-        graph, config, _, layout = layout_setup
-        reference = CPDSampler(
-            graph, config, DiffusionParameters.initial(4, 8), rng=11
-        )
-        attached = CPDSampler(
-            None, config, DiffusionParameters.initial(4, 8), rng=11, layout=layout
-        )
-        assert attached.graph is None
-        reference.sweep_documents()
-        attached.sweep_documents()
-        np.testing.assert_array_equal(
-            attached.state.doc_community, reference.state.doc_community
-        )
-        np.testing.assert_array_equal(attached.state.doc_topic, reference.state.doc_topic)
-        attached.state.check_consistency()
-
-    def test_conditionals_match(self, layout_setup):
-        graph, config, _, layout = layout_setup
-        reference = CPDSampler(graph, config, DiffusionParameters.initial(4, 8), rng=5)
-        attached = CPDSampler(
-            None, config, DiffusionParameters.initial(4, 8), rng=7, layout=layout
-        )
-        attached.load_snapshot(reference.export_snapshot())
-        for doc_id in (0, 1, graph.n_documents // 2, graph.n_documents - 1):
-            previous = reference.state.unassign(doc_id)
-            attached.state.unassign(doc_id)
-            np.testing.assert_allclose(
-                attached.kernel.topic_log_weights(doc_id, 1),
-                reference.kernel.topic_log_weights(doc_id, 1),
-                rtol=1e-10,
-            )
-            np.testing.assert_allclose(
-                attached.kernel.community_log_weights(doc_id, 2),
-                reference.kernel.community_log_weights(doc_id, 2),
-                rtol=1e-10,
-            )
-            reference.state.assign(doc_id, *previous)
-            attached.state.assign(doc_id, *previous)
-
-    def test_reference_kernel_layout_construction(self, layout_setup):
-        """from_sampler works when the source runs the reference kernel."""
-        graph, config, _, _ = layout_setup
-        reference_config = config.with_overrides(sweep_kernel="reference")
-        sampler = CPDSampler(
-            graph, reference_config, DiffusionParameters.initial(4, 8), rng=3
-        )
-        layout = CorpusLayout.from_sampler(sampler)
-        assert len(layout.ws_words) + len(layout.wm_words) == sum(
-            len(words) for words, _ in sampler._doc_unique
-        )
-
-    def test_appends_rejected(self, layout_setup):
-        _, config, _, layout = layout_setup
-        attached = CPDSampler(
-            None, config, DiffusionParameters.initial(4, 8), rng=0, layout=layout
-        )
-        with pytest.raises(RuntimeError):
-            attached.append_documents(
-                [np.array([0, 1])], np.array([0]), np.array([0])
-            )
-        with pytest.raises(RuntimeError):
-            attached.append_diffusion_links(
-                np.array([0]), np.array([1]), np.array([0])
-            )
-
-    def test_arrays_round_trip_names(self, layout_setup):
-        _, _, _, layout = layout_setup
-        arrays = layout.arrays()
-        assert set(arrays) == set(CorpusLayout.array_fields())
-        rebuilt = CorpusLayout(
-            n_users=layout.n_users,
-            n_docs=layout.n_docs,
-            n_words=layout.n_words,
-            **arrays,
-        )
-        assert rebuilt.n_friend_links == layout.n_friend_links
-        assert rebuilt.n_diff_links == layout.n_diff_links
+        np.testing.assert_array_equal(split["ws_words"], kernel.ws_words)
+        np.testing.assert_array_equal(split["wm_counts"], kernel.wm_counts)

@@ -97,3 +97,21 @@ def test_an_unknown_name_raises_attribute_error():
         "    print(json.dumps(None))"
     )
     assert outcome is not None and "no_such_name" in outcome
+
+
+def test_artifact_save_and_load_load_only_the_fault_hook(tmp_path):
+    # the io fault points need repro.resilience.faults alone, not the WAL,
+    # recovery, streaming or serving layers the package also exports
+    loaded = _loaded_after(
+        "from repro.core import CPDConfig, CPDModel\n"
+        "from repro.core.io import load_result, save_result\n"
+        "from repro.datasets import twitter_scenario\n"
+        "graph, _ = twitter_scenario('tiny', rng=0)\n"
+        "config = CPDConfig(n_communities=2, n_topics=3, n_iterations=1)\n"
+        "result = CPDModel(config, rng=0).fit(graph)\n"
+        f"save_result(result, {str(tmp_path / 'model.cpd.npz')!r})\n"
+        f"load_result({str(tmp_path / 'model.cpd.npz')!r})"
+    )
+    assert "repro.resilience.faults" in loaded
+    unwanted = {"repro.resilience.wal", "repro.resilience.recovery", "repro.stream", "repro.serving"}
+    assert sorted(loaded & unwanted) == []

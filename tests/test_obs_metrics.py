@@ -1,7 +1,7 @@
-"""Tests for the metrics registry: counters, gauges, histograms, merging.
+"""Tests for the metrics registry: counters, gauges, histograms.
 
-The registry is ISSUE 8's substrate; these tests pin its three contracts —
-get-or-create identity, mergeable snapshots, and a disabled path that is
+The registry is the telemetry substrate; these tests pin its contracts —
+get-or-create identity, sorted snapshots, and a disabled path that is
 allocation-free on the hot-loop guard idiom.
 """
 
@@ -144,44 +144,6 @@ class TestRegistry:
         assert snap["gauges"][0]["value"] == 1.5
         assert snap["histograms"][0]["count"] == 1
 
-    def test_drain_resets(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(3)
-        drained = registry.drain()
-        assert drained["counters"][0]["value"] == 3.0
-        assert registry.snapshot() == {
-            "counters": [], "gauges": [], "histograms": [],
-        }
-
-    def test_merge_adds_counters_and_buckets(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for registry in (a, b):
-            registry.counter("c", {"k": "v"}).inc(2)
-            registry.gauge("g").set(7.0)
-            registry.histogram("h").observe(0.003)
-        a.merge(b.snapshot())
-        assert a.counter("c", {"k": "v"}).value == 4.0
-        assert a.gauge("g").value == 7.0
-        hist = a.histogram("h")
-        assert hist.count == 2
-        assert hist.sum == pytest.approx(0.006)
-
-    def test_merge_rejects_bound_mismatch(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        b.histogram("h", bounds=(1.0, 2.0)).observe(0.5)
-        a.histogram("h")  # default bounds already exist under this key
-        with pytest.raises(ValueError, match="bounds mismatch"):
-            a.merge(b.snapshot())
-
-    def test_merge_preserves_min_max(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("h").observe(0.5)
-        b.histogram("h").observe(0.001)
-        a.merge(b.snapshot())
-        hist = a.histogram("h")
-        assert hist.min == pytest.approx(0.001)
-        assert hist.max == pytest.approx(0.5)
-
 
 class TestModuleSwitch:
     def test_disabled_by_default(self):
@@ -212,8 +174,6 @@ class TestModuleSwitch:
         assert registry.snapshot() == {
             "counters": [], "gauges": [], "histograms": [],
         }
-        registry.merge({"counters": [{"name": "x", "labels": {}, "value": 1}]})
-        assert registry.drain() == registry.snapshot()
 
 
 class TestDisabledHotPathCost:

@@ -109,13 +109,6 @@ class TestSink:
         with pytest.raises(ValueError, match="capacity"):
             SpanSink(capacity=0)
 
-    def test_drain_empties(self):
-        sink = SpanSink()
-        sink.record({"span_id": "a", "trace_id": "t", "parent_id": None,
-                     "start": 0.0, "name": "s"})
-        assert len(sink.drain()) == 1
-        assert sink.export() == []
-
     def test_ingest_folds_remote_records_in(self):
         sink = SpanSink()
         sink.ingest([{"span_id": "w", "trace_id": "t", "parent_id": None,
@@ -127,7 +120,6 @@ class TestSink:
         sink.record({"span_id": "x"})
         sink.ingest([{"span_id": "y"}])
         assert sink.export() == []
-        assert sink.drain() == []
         assert sink.trees() == []
         assert len(sink) == 0
 
@@ -181,8 +173,8 @@ class TestTrees:
 
 
 class TestSinkEdgeCases:
-    """Ring-buffer behaviour at the margins: evicted parents, interleaved
-    writers, drain racing record."""
+    """Ring-buffer behaviour at the margins: evicted parents, arrival-order
+    eviction, ingest under the same bound."""
 
     def test_evicted_parent_orphans_its_children_into_roots(self):
         sink = SpanSink(capacity=2)
@@ -209,34 +201,3 @@ class TestSinkEdgeCases:
         sink.record(_record("own", None, 0.0))
         sink.ingest([_record(f"r{i}", None, float(i)) for i in range(5)])
         assert [r["span_id"] for r in sink.export()] == ["r2", "r3", "r4"]
-
-    def test_drain_racing_record_loses_no_spans(self):
-        import threading
-
-        sink = SpanSink(capacity=100_000)
-        n_per_writer, n_writers = 200, 4
-        start = threading.Barrier(n_writers + 1)
-        drained: list[dict] = []
-
-        def write(writer: int) -> None:
-            start.wait()
-            for i in range(n_per_writer):
-                sink.record(_record(f"w{writer}-{i}", None, float(i)))
-
-        writers = [
-            threading.Thread(target=write, args=(w,))
-            for w in range(n_writers)
-        ]
-        for thread in writers:
-            thread.start()
-        start.wait()
-        for _ in range(50):  # drain while the writers are mid-flight
-            drained.extend(sink.drain())
-        for thread in writers:
-            thread.join()
-        drained.extend(sink.drain())
-        # every span lands exactly once: in some drain, never duplicated
-        ids = [r["span_id"] for r in drained]
-        assert len(ids) == n_per_writer * n_writers
-        assert len(set(ids)) == len(ids)
-        assert sink.export() == []

@@ -250,9 +250,9 @@ class TestRefresher:
         assert report.n_reassigned == 0
 
     def test_parallel_sweeper_refresh(self, twitter_tiny, fitted_cpd, rng):
-        """Dirty-set refresh through the shared-memory runner.
+        """Dirty-set refresh through the thread runner.
 
-        Appended documents overflow the fixed-size plane and must be swept
+        Appended documents overflow the runner's corpus and must be swept
         serially by the coordinator; base documents go through the workers.
         """
         from repro.parallel import ParallelEStepRunner
