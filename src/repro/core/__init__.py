@@ -1,5 +1,9 @@
 """CPD core: joint community profiling and detection (paper Sects. 3-4)."""
 
+# numpy's np.unique imports numpy.ma on its first call; load it here so
+# that import never lands inside a timed fit or set-up (DESIGN.md §14)
+import numpy.ma  # noqa: F401
+
 from .config import CPDConfig
 from .diagnostics import (
     ConvergenceAssessment,

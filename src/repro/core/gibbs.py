@@ -81,11 +81,7 @@ class CPDSampler:
         if initialize_assignments:
             self.state.random_init(self.rng, fixed_communities=self.fixed_communities)
         self._doc_time_ints = self._doc_time.tolist()
-        # per-doc (unique words, multiplicities) and lengths — computed once
-        # by CPDState
-        self._doc_unique = list(
-            zip(self.state._doc_unique_words, self.state._doc_unique_counts)
-        )
+        # per-doc lengths — computed once by CPDState
         self._doc_lengths = self.state._doc_word_lengths
 
         self._build_link_structures()
@@ -289,10 +285,6 @@ class CPDSampler:
         self._doc_user = np.concatenate([self._doc_user, users])
         self._doc_time = np.concatenate([self._doc_time, timestamps])
         self._doc_time_ints.extend(timestamps.tolist())
-        for doc_id in new_ids.tolist():
-            self._doc_unique.append(
-                (self.state._doc_unique_words[doc_id], self.state._doc_unique_counts[doc_id])
-            )
         self._doc_lengths = self.state._doc_word_lengths
         # the new documents touch no links yet: extend the doc-indexed CSR
         # pointers with empty ranges
@@ -429,7 +421,8 @@ class CPDSampler:
         log_weights = np.log(state.community_topic[community] + state.alpha)
 
         # block word-likelihood term of Eq. 13
-        words, counts = self._doc_unique[doc_id]
+        words = state._doc_unique_words[doc_id]
+        counts = state._doc_unique_counts[doc_id]
         for word, count in zip(words, counts):
             steps = np.arange(count)
             log_weights += np.log(

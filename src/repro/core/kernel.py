@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.special import gammaln
 
 from ..sampling.categorical import draw_log_categorical, sample_log_categorical
 from . import _compiled
@@ -211,7 +210,10 @@ class VectorizedKernel:
         social-media posts) go through a plain log-gather; repeated words
         go through the two-``gammaln`` ascending-factorial form.
         """
-        split = split_word_multiplicity(sampler._doc_unique)
+        state = sampler.state
+        split = split_word_multiplicity(
+            state._unique_words, state._unique_counts, state._unique_indptr
+        )
         self.ws_words = split["ws_words"]
         self.wm_words = split["wm_words"]
         self.wm_counts = split["wm_counts"]
@@ -263,24 +265,19 @@ class VectorizedKernel:
         incident links yet).
         """
         sampler = self.sampler
-        single_rows: list[np.ndarray] = []
-        multi_rows: list[np.ndarray] = []
-        multi_count_rows: list[np.ndarray] = []
-        for words, counts in sampler._doc_unique[first_new_doc:]:
-            words = np.asarray(words, dtype=np.int64)
-            counts = np.asarray(counts, dtype=np.int64)
-            once = counts == 1
-            single_rows.append(words[once])
-            multi_rows.append(words[~once])
-            multi_count_rows.append(counts[~once])
-            self._ws_indptr.append(self._ws_indptr[-1] + int(once.sum()))
-            self._wm_indptr.append(self._wm_indptr[-1] + len(words) - int(once.sum()))
-            self._doc_self_link.append(False)
-        self.ws_words = np.concatenate([self.ws_words, *single_rows])
-        self.wm_words = np.concatenate([self.wm_words, *multi_rows])
-        self.wm_counts = np.concatenate(
-            [self.wm_counts, *(row.astype(np.float64) for row in multi_count_rows)]
+        state = sampler.state
+        first = int(state._unique_indptr[first_new_doc])
+        split = split_word_multiplicity(
+            state._unique_words[first:],
+            state._unique_counts[first:],
+            state._unique_indptr[first_new_doc:] - first,
         )
+        self.ws_words = np.concatenate([self.ws_words, split["ws_words"]])
+        self.wm_words = np.concatenate([self.wm_words, split["wm_words"]])
+        self.wm_counts = np.concatenate([self.wm_counts, split["wm_counts"]])
+        self._ws_indptr.extend((split["ws_indptr"][1:] + self._ws_indptr[-1]).tolist())
+        self._wm_indptr.extend((split["wm_indptr"][1:] + self._wm_indptr[-1]).tolist())
+        self._doc_self_link.extend([False] * (state.n_docs - first_new_doc))
         self.ws_indptr = np.asarray(self._ws_indptr, dtype=np.int64)
         self.wm_indptr = np.asarray(self._wm_indptr, dtype=np.int64)
         self._doc_lengths = sampler._doc_lengths.astype(np.float64).tolist()
@@ -356,6 +353,9 @@ class VectorizedKernel:
 
     def topic_log_weights(self, doc_id: int, community: int) -> np.ndarray:
         """Eq. 13 log-weights over all Z topics, no per-word Python work."""
+        # deferred (DESIGN.md §14): the compiled kernel overrides this method
+        from scipy.special import gammaln
+
         self._refresh_caches()
         state = self.state
         beta = self._beta

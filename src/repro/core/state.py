@@ -31,6 +31,28 @@ def counts_to_indptr(counts: np.ndarray) -> np.ndarray:
     return indptr
 
 
+def unique_word_csr(
+    words: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-document sorted unique words and their multiplicities, as one CSR.
+
+    ``words`` holds the documents' occurrences back to back, ``lengths[d]``
+    of them for document ``d``. One stable sort by ``(document, word)``
+    replaces a ``np.unique`` call per document. Returns ``(unique_words,
+    counts, indptr)``: document ``d``'s unique words, ascending, are
+    ``unique_words[indptr[d]:indptr[d + 1]]`` and their float64
+    multiplicities sit at the same positions of ``counts``.
+    """
+    docs = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    ordered = words[np.lexsort((words, docs))]
+    first = np.ones(ordered.shape[0], dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]) | (docs[1:] != docs[:-1])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=ordered.shape[0]).astype(np.float64)
+    indptr = counts_to_indptr(np.bincount(docs[starts], minlength=len(lengths)))
+    return ordered[starts], counts, indptr
+
+
 class CPDState:
     """Mutable assignments + counts; add/remove keep every counter in sync."""
 
@@ -91,10 +113,11 @@ class CPDState:
         ]
         # unique words + multiplicities per doc: lets assign/unassign use a
         # fancy-indexed in-place add (safe on unique indices, faster than
-        # the general np.add.at scatter)
-        doc_unique = [np.unique(words, return_counts=True) for words in self._doc_words]
-        self._doc_unique_words = [unique for unique, _ in doc_unique]
-        self._doc_unique_counts = [counts.astype(np.float64) for _, counts in doc_unique]
+        # the general np.add.at scatter); the per-doc arrays are views
+        self._unique_words, self._unique_counts, self._unique_indptr = unique_word_csr(
+            self._all_words, self._doc_word_lengths
+        )
+        self._point_unique_views()
 
         # lazily built estimator caches with dirty-row invalidation
         self._pi_cache: np.ndarray | None = None
@@ -245,12 +268,22 @@ class CPDState:
             self._all_words[self._word_indptr[doc_id] : self._word_indptr[doc_id + 1]]
             for doc_id in range(self.n_docs)
         ]
-        for words in arrays:
-            unique, counts = np.unique(words, return_counts=True)
-            self._doc_unique_words.append(unique)
-            self._doc_unique_counts.append(counts.astype(np.float64))
+        words, counts, indptr = unique_word_csr(np.concatenate(arrays), new_lengths)
+        self._unique_words = np.concatenate([self._unique_words, words])
+        self._unique_counts = np.concatenate([self._unique_counts, counts])
+        self._unique_indptr = np.concatenate(
+            [self._unique_indptr, indptr[1:] + self._unique_indptr[-1]]
+        )
+        self._point_unique_views()
         self.n_unassigned += n_new
         return new_ids
+
+    def _point_unique_views(self) -> None:
+        """Per-doc views of the unique-word CSR (re-pointed after appends)."""
+        bounds = self._unique_indptr.tolist()
+        spans = list(zip(bounds[:-1], bounds[1:]))
+        self._doc_unique_words = [self._unique_words[lo:hi] for lo, hi in spans]
+        self._doc_unique_counts = [self._unique_counts[lo:hi] for lo, hi in spans]
 
     def assign_many(
         self, doc_ids: np.ndarray, communities: np.ndarray, topics: np.ndarray

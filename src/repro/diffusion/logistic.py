@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ..sampling.polya_gamma import sigmoid
 
@@ -163,7 +162,7 @@ class LogisticTrainer:
         loss = self._loss(logits, labels, params, penalty)
         iterations_run = 0
         for iterations_run in range(1, cfg.n_iterations + 1):
-            probabilities = expit(logits)
+            probabilities = sigmoid(logits)
             gradient = design.T @ (probabilities - labels) / n_examples + penalty * params
             # active set: a clamped weight at 0 that the gradient pushes
             # further down stays put this step

@@ -10,11 +10,13 @@ smoothed point estimates used for ``pi``, ``theta`` and ``phi``
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 
 def log_delta(x: np.ndarray) -> float:
     """Log of the Dirichlet normaliser ``Delta(x) = prod Gamma(x_i) / Gamma(sum x_i)``."""
+    # deferred (DESIGN.md §14): no fit or serve path calls this
+    from scipy.special import gammaln
+
     x = np.asarray(x, dtype=np.float64)
     if np.any(x <= 0):
         raise ValueError("Delta is defined for positive arguments only")

@@ -19,13 +19,14 @@ support) — bounded, symmetric, and well-defined for sparse profiles.
 
 Matching is agglomerative over shards: shard 0's communities seed the
 global space; each further shard is matched against the *current* global
-signatures by Hungarian assignment (``scipy.optimize.linear_sum_assignment``
-when available, greedy best-pair-first otherwise). Pairs below
-``min_similarity`` are rejected — those communities open fresh global
-labels instead of polluting an existing one, so the global space can grow
-beyond the per-shard ``C`` when shards genuinely hold different
-communities. Matched signatures are merged as user-mass-weighted averages,
-keeping the anchors stable as more shards join.
+signatures by an exact maximum-similarity assignment (``"hungarian"``, a
+numpy Kuhn-Munkres in :func:`_hungarian`) or, when asked for, greedy
+best-pair-first (``"greedy"``). Pairs below ``min_similarity`` are
+rejected — those communities open fresh global labels instead of
+polluting an existing one, so the global space can grow beyond the
+per-shard ``C`` when shards genuinely hold different communities.
+Matched signatures are merged as user-mass-weighted averages, keeping the
+anchors stable as more shards join.
 
 Alignment quality is pinned by test against :mod:`repro.evaluation.nmi`:
 aligned global user labels on the synthetic scenarios must reach NMI ≥ 0.7
@@ -42,11 +43,6 @@ from ..core.result import CPDResult
 
 METHODS = ("hungarian", "greedy")
 FEATURES = ("content", "diffusion")
-
-try:  # scipy is a hard dependency of the sampler, but stay import-safe here
-    from scipy.optimize import linear_sum_assignment as _linear_sum_assignment
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _linear_sum_assignment = None
 
 
 @dataclass
@@ -156,12 +152,60 @@ def hellinger_affinity(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(p, 0.0)) @ np.sqrt(np.maximum(q, 0.0)).T
 
 
+def _hungarian(cost: np.ndarray) -> np.ndarray:
+    """Minimum-cost assignment of every row of ``cost`` (``n <= m`` columns).
+
+    Kuhn-Munkres by shortest augmenting paths with row/column potentials,
+    O(n^2 m): each row is added by a Dijkstra-like search over the columns
+    on reduced costs, then the alternating path to the first free column
+    is flipped. Returns the column of each row, shape ``(n,)``.
+    """
+    n, m = cost.shape
+    # index 0 is a virtual column/row that roots each search
+    u = np.zeros(n + 1)
+    v = np.zeros(m + 1)
+    owner = np.zeros(m + 1, dtype=np.int64)  # row (1-based) holding a column
+    way = np.zeros(m + 1, dtype=np.int64)  # previous column on the path
+    for row in range(1, n + 1):
+        owner[0] = row
+        column = 0
+        reach = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while True:
+            used[column] = True
+            reduced = cost[owner[column] - 1] - u[owner[column]] - v[1:]
+            closer = ~used[1:] & (reduced < reach[1:])
+            reach[1:][closer] = reduced[closer]
+            way[1:][closer] = column
+            candidates = np.where(used[1:], np.inf, reach[1:])
+            nearest = int(np.argmin(candidates)) + 1
+            delta = candidates[nearest - 1]
+            u[owner[used]] += delta
+            v[used] -= delta
+            reach[~used] -= delta
+            column = nearest
+            if owner[column] == 0:
+                break
+        while column:  # flip the augmenting path
+            previous = way[column]
+            owner[column] = owner[previous]
+            column = previous
+    assignment = np.empty(n, dtype=np.int64)
+    matched = np.flatnonzero(owner[1:])
+    assignment[owner[1:][matched] - 1] = matched
+    return assignment
+
+
 def _assign(similarity: np.ndarray, method: str) -> list[tuple[int, int]]:
     """Match rows to columns maximising similarity; returns (row, col) pairs."""
-    if method == "hungarian" and _linear_sum_assignment is not None:
-        rows, cols = _linear_sum_assignment(-similarity)
-        return list(zip(rows.tolist(), cols.tolist()))
-    # greedy best-pair-first (also the no-scipy fallback for "hungarian")
+    if method == "hungarian":
+        if not np.isfinite(similarity).all():
+            raise ValueError("similarities must be finite")
+        if similarity.shape[0] <= similarity.shape[1]:
+            return list(enumerate(_hungarian(-similarity).tolist()))
+        rows = _hungarian(-similarity.T)
+        return sorted((row, col) for col, row in enumerate(rows.tolist()))
+    # greedy best-pair-first
     pairs: list[tuple[int, int]] = []
     sim = similarity.copy()
     n = min(sim.shape)

@@ -2,8 +2,11 @@
 
 ``import repro`` resolves its public names on first access, and the heavy
 optional libraries (``scipy.stats``, networkx) load at the call sites that
-use them. Every case runs in a fresh interpreter, so modules this test
-process has already imported cannot leak into the answer.
+use them. No compiled fit and no serving path loads scipy at all: the
+shard aligner solves its assignment in numpy, and ``scipy.special`` loads
+only in the numpy fallbacks that call it. Every case runs in a fresh
+interpreter, so modules this test process has already imported cannot
+leak into the answer.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.core import _compiled
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -34,6 +39,25 @@ def _run(code: str):
 
 def _loaded_after(statement: str) -> set[str]:
     return set(_run(f"import json, sys\n{statement}\nprint(json.dumps(sorted(sys.modules)))"))
+
+
+def _scipy(loaded: set[str]) -> list[str]:
+    return sorted(m for m in loaded if m == "scipy" or m.startswith("scipy."))
+
+
+needs_compiled = pytest.mark.skipif(
+    not _compiled.backend_status()[0], reason="compiled backend unavailable"
+)
+
+#: a compiled tiny fit, its profile store and a 2-shard community router
+_COMPILED_FIT_AND_SERVE = (
+    "from repro.core import CPDConfig, CPDModel\n"
+    "from repro.datasets import twitter_scenario\n"
+    "from repro.serving import ProfileStore\n"
+    "from repro.shard import fit_shards\n"
+    "graph, _ = twitter_scenario('tiny', rng=0)\n"
+    "config = CPDConfig(n_communities=2, n_topics=3, n_iterations=2, sweep_kernel='compiled')\n"
+)
 
 
 def test_import_repro_loads_no_subpackage():
@@ -115,3 +139,57 @@ def test_artifact_save_and_load_load_only_the_fault_hook(tmp_path):
     assert "repro.resilience.faults" in loaded
     unwanted = {"repro.resilience.wal", "repro.resilience.recovery", "repro.stream", "repro.serving"}
     assert sorted(loaded & unwanted) == []
+
+
+@pytest.mark.parametrize("package", ["repro.core", "repro.gateway", "repro.cli"])
+def test_entry_points_load_no_scipy(package):
+    assert _scipy(_loaded_after(f"import {package}")) == []
+
+
+@needs_compiled
+def test_compiled_fit_and_router_rank_load_no_scipy():
+    loaded = _loaded_after(
+        _COMPILED_FIT_AND_SERVE
+        + "CPDModel(config, rng=0).fit(graph)\n"
+        "router = fit_shards(graph, config, 2, strategy='community', rng=2).router()\n"
+        "assert router.rank(router.indexed_terms()[0])"
+    )
+    assert _scipy(loaded) == []
+
+
+@needs_compiled
+def test_fits_and_ranks_import_no_module():
+    # every module a fit or a rank needs loads with the packages, before
+    # any timed region starts: numpy's np.unique imports numpy.ma on its
+    # first call, so repro.core loads numpy.ma up front
+    imported = _run(
+        "import json, sys\n"
+        + _COMPILED_FIT_AND_SERVE
+        + "from repro.core import _compiled\n"
+        "assert _compiled.backend_status()[0]\n"
+        "imported = []\n"
+        "sys.addaudithook(lambda event, args: event == 'import' and imported.append(args[0]))\n"
+        "for seed in (0, 1):\n"
+        "    result = CPDModel(config, rng=seed).fit(graph)\n"
+        "store = ProfileStore.from_fit(result, graph)\n"
+        "assert store.rank(next(iter(store.query_index())))\n"
+        "router = fit_shards(graph, config, 2, strategy='community', rng=2).router()\n"
+        "assert router.rank(router.indexed_terms()[0])\n"
+        "print(json.dumps(imported))"
+    )
+    assert imported == []
+
+
+def test_vectorized_fit_loads_scipy_special_on_first_call():
+    before, after = _run(
+        "import json, sys\n"
+        "from repro.core import CPDConfig, CPDModel\n"
+        "from repro.datasets import twitter_scenario\n"
+        "graph, _ = twitter_scenario('tiny', rng=0)\n"
+        "config = CPDConfig(n_communities=2, n_topics=3, n_iterations=2, sweep_kernel='vectorized')\n"
+        "before = 'scipy.special' in sys.modules\n"
+        "result = CPDModel(config, rng=0).fit(graph)\n"
+        "assert result.doc_topic.min() >= 0\n"
+        "print(json.dumps([before, 'scipy.special' in sys.modules]))"
+    )
+    assert (before, after) == (False, True)

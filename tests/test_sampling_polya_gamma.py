@@ -185,6 +185,19 @@ class TestSigmoid:
         assert values[0] == pytest.approx(0.0, abs=1e-12)
         assert values[1] == pytest.approx(1.0, abs=1e-12)
 
+    def test_equals_the_two_branch_form_bit_for_bit(self):
+        # 1/(1+exp(-x)) at x >= 0 and exp(x)/(1+exp(x)) below, each branch
+        # computed on its own, as the compiled Newton solver does
+        x = np.random.default_rng(3).normal(0.0, 20.0, 5000)
+        x = np.concatenate([x, [0.0, -0.0, 745.0, -745.0, 800.0, -800.0]])
+        expected = np.empty_like(x)
+        positive = x >= 0
+        expected[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
+        exp_x = np.exp(x[~positive])
+        expected[~positive] = exp_x / (1.0 + exp_x)
+        np.testing.assert_array_equal(sigmoid(x), expected)
+        assert sigmoid(np.array(0.5)).shape == ()
+
     def test_symmetry(self):
         x = np.linspace(-5, 5, 11)
         np.testing.assert_allclose(sigmoid(x) + sigmoid(-x), 1.0, rtol=1e-12)

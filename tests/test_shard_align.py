@@ -1,15 +1,21 @@
 """Tests for the cross-shard community aligner."""
 
+import functools
+import itertools
+
 import numpy as np
 import pytest
 
-from repro.core import CPDResult
+from repro.core import CPDConfig, CPDResult
+from repro.datasets import separated_scenario
 from repro.shard import (
     CommunityAligner,
     aligned_user_labels,
     community_signatures,
+    fit_shards,
     hellinger_affinity,
 )
+from repro.shard import align
 
 
 def permuted_result(result: CPDResult, permutation: np.ndarray) -> CPDResult:
@@ -131,3 +137,82 @@ class TestAlignedLabels:
         assert labels.shape == (graph.n_users,)
         assert (labels >= 0).all()
         assert (labels < sharded_parity.alignment.n_global).all()
+
+
+@functools.lru_cache(maxsize=None)
+def _matchings(rows: int, cols: int) -> np.ndarray:
+    """Every injective row -> column map, one per row of the result."""
+    return np.array(list(itertools.permutations(range(cols), rows)), dtype=np.int8)
+
+
+def _brute_force_best(similarity: np.ndarray) -> float:
+    """Largest total similarity over every way to match the smaller side."""
+    rows, cols = similarity.shape
+    if rows > cols:
+        return _brute_force_best(similarity.T)
+    return float(similarity[np.arange(rows), _matchings(rows, cols)].sum(axis=1).max())
+
+
+def _scipy_assign(similarity: np.ndarray, method: str) -> list[tuple[int, int]]:
+    """scipy's solver as an oracle (the program itself never imports it)."""
+    from scipy.optimize import linear_sum_assignment
+
+    rows, cols = linear_sum_assignment(-similarity)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+class TestExactAssignment:
+    @pytest.fixture(scope="class")
+    def matrices(self):
+        rng = np.random.default_rng(2024)
+        shapes = [(r, c) for r in range(1, 8) for c in range(r, 10)]
+        out = []
+        for index in range(520):
+            rows, cols = shapes[index % len(shapes)]
+            sim = rng.random((rows, cols))
+            out.append(sim if index % 2 == 0 else sim.T.copy())  # both orientations
+        return out
+
+    def test_reaches_the_brute_force_optimum(self, matrices):
+        for sim in matrices:
+            pairs = align._assign(sim, "hungarian")
+            assert len(pairs) == min(sim.shape)
+            rows, cols = zip(*pairs)
+            assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+            total = sum(sim[row, col] for row, col in pairs)
+            assert total == pytest.approx(_brute_force_best(sim), abs=1e-12)
+
+    def test_matches_scipy_pairs(self, matrices):
+        pytest.importorskip("scipy.optimize")
+        for sim in matrices:
+            assert align._assign(sim, "hungarian") == _scipy_assign(sim, "hungarian")
+
+    def test_degenerate_shapes_and_ties(self):
+        assert align._assign(np.zeros((0, 3)), "hungarian") == []
+        assert align._assign(np.zeros((3, 0)), "hungarian") == []
+        assert align._assign(np.ones((3, 3)), "hungarian") == [(0, 0), (1, 1), (2, 2)]
+        tall = align._assign(np.ones((4, 2)), "hungarian")
+        assert len(tall) == 2 and len({col for _, col in tall}) == 2
+
+    def test_rejects_non_finite_similarities(self):
+        with pytest.raises(ValueError):
+            align._assign(np.array([[0.5, np.nan], [0.1, 0.2]]), "hungarian")
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_serve_router_shard_fits_align_as_scipy_would(self, seed, monkeypatch):
+        # the perfbench serve-router set-up: a 2-shard community fit
+        pytest.importorskip("scipy.optimize")
+        graph, _ = separated_scenario("medium", rng=seed)
+        config = CPDConfig(
+            n_communities=8, n_topics=16, n_iterations=20, rho=0.5, alpha=0.5,
+            sweep_kernel="compiled",
+        )
+        sharded = fit_shards(graph, config, 2, strategy="community", rng=seed)
+        ours = sharded.alignment
+        monkeypatch.setattr(align, "_assign", _scipy_assign)
+        oracle = CommunityAligner(
+            method=ours.method, feature=ours.feature, min_similarity=ours.min_similarity
+        ).align(sharded.results)
+        assert ours.n_global == oracle.n_global
+        for mine, theirs in zip(ours.local_to_global, oracle.local_to_global):
+            np.testing.assert_array_equal(mine, theirs)
