@@ -2,10 +2,9 @@
 
 One full E-step (document sweep + augmentation draws, which the runner
 fuses into the workers) serially and at 1/2/4 workers on the twitter
-scenario. Both serial and workers run the fastest available sweep kernel
-(``compiled`` when a C toolchain exists, else ``vectorized``) so the
-speedup_vs_serial ratio compares like against like; the vectorized serial
-time is recorded alongside for cross-kernel context. Speedup contracts are
+scenario. Both serial and workers run the default ``compiled`` sweep
+kernel (the reference fallback when no C toolchain exists) so the
+speedup_vs_serial ratio compares like against like. Speedup contracts are
 gated on the machine's core count; a single-core container reports honest
 numbers (the paper's 4.5-5.7x needs 8 real cores).
 
@@ -20,7 +19,6 @@ from pathlib import Path
 
 from bench_support import contract, cpd_config, format_table, get_scenario, report
 from repro.core import DiffusionParameters
-from repro.core import _compiled
 from repro.core.gibbs import CPDSampler
 from repro.parallel import ParallelEStepRunner
 
@@ -36,9 +34,9 @@ def _fresh_sampler(graph, config) -> CPDSampler:
     return CPDSampler(graph, config, params, rng=0)
 
 
-def _serial_estep_seconds(graph, config, sweep_kernel) -> float:
+def _serial_estep_seconds(graph, config) -> float:
     """One full E-step (sweep + PG draws), best of MEASURE_SWEEPS rounds."""
-    sampler = _fresh_sampler(graph, config.with_overrides(sweep_kernel=sweep_kernel))
+    sampler = _fresh_sampler(graph, config)
     sampler.sweep_documents()  # warm-up: caches, CSR layouts, allocator, .so
     best = float("inf")
     for _ in range(MEASURE_SWEEPS):
@@ -50,15 +48,13 @@ def _serial_estep_seconds(graph, config, sweep_kernel) -> float:
     return best
 
 
-def _parallel_estep_seconds(graph, config, n_workers, sweep_kernel) -> tuple[float, str]:
+def _parallel_estep_seconds(graph, config, n_workers) -> tuple[float, str]:
     """Best E-step seconds at ``n_workers`` and the kernel the workers run.
 
     The fused runner's ``__call__`` *is* the full E-step: workers draw the
     augmentation variables and partial eta counts inside the sweep.
     """
-    with ParallelEStepRunner(
-        graph, config, n_workers=n_workers, rng=0, sweep_kernel=sweep_kernel
-    ) as runner:
+    with ParallelEStepRunner(graph, config, n_workers=n_workers, rng=0) as runner:
         # worker 0 sweeps on this sampler, so it runs the runner's kernel too
         sampler = _fresh_sampler(graph, runner.config)
         runner(sampler)  # warm-up: caches, helper samplers, threads
@@ -71,25 +67,14 @@ def _parallel_estep_seconds(graph, config, n_workers, sweep_kernel) -> tuple[flo
 
 
 def _measure(graph, config) -> dict:
-    compiled_available, _reason = _compiled.backend_status()
-    sweep_kernel = "compiled" if compiled_available else "vectorized"
-    serial_vectorized = _serial_estep_seconds(graph, config, "vectorized")
-    serial_seconds = (
-        _serial_estep_seconds(graph, config, "compiled")
-        if compiled_available
-        else serial_vectorized
-    )
+    serial_seconds = _serial_estep_seconds(graph, config)
     scaling = []
-    worker_kernel = sweep_kernel
     for n_workers in WORKER_COUNTS:
-        seconds, worker_kernel = _parallel_estep_seconds(
-            graph, config, n_workers, sweep_kernel
-        )
+        seconds, worker_kernel = _parallel_estep_seconds(graph, config, n_workers)
         scaling.append([n_workers, seconds, serial_seconds / seconds])
     return {
         "serial_seconds": serial_seconds,
-        "serial_vectorized_seconds": serial_vectorized,
-        "sweep_kernel": sweep_kernel,
+        "sweep_kernel": config.sweep_kernel,
         "worker_sweep_kernel": worker_kernel,
         "scaling": scaling,
     }
@@ -121,7 +106,6 @@ def test_parallel_engine(benchmark):
         "sweep_kernel": measured["sweep_kernel"],
         "worker_sweep_kernel": measured["worker_sweep_kernel"],
         "serial_estep_seconds": measured["serial_seconds"],
-        "serial_vectorized_estep_seconds": measured["serial_vectorized_seconds"],
         "parallel_estep_seconds": {
             str(row[0]): row[1] for row in measured["scaling"]
         },

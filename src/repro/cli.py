@@ -153,11 +153,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="parallel E-step worker threads (0 = serial sweep)",
     )
     fit.add_argument(
-        "--sweep-kernel", choices=SWEEP_KERNELS, default=None,
-        help="E-step sweep implementation; 'compiled' builds the C kernel at "
-        "first use and falls back to 'vectorized' when no toolchain is "
-        "available (default: the REPRO_SWEEP_KERNEL environment variable, "
-        "else 'vectorized')",
+        "--sweep-kernel", choices=SWEEP_KERNELS, default="compiled",
+        help="E-step sweep implementation (default: 'compiled', which builds "
+        "the C kernel at first use and falls back to 'reference' when no "
+        "toolchain is available)",
     )
     fit.add_argument("--out", required=True, help="output path (.cpd.npz)")
     _add_telemetry_arg(fit)
@@ -586,7 +585,7 @@ def _describe_sweep_kernel(requested: str) -> str:
     available, reason = _compiled.backend_status()
     if available:
         return "sweep kernel: compiled"
-    return f"sweep kernel: compiled -> vectorized ({reason})"
+    return f"sweep kernel: compiled -> reference ({reason})"
 
 
 def _telemetry_begin(args) -> str | None:
@@ -748,16 +747,13 @@ def run_fit(args, out=None) -> int:
 
 def _run_fit(args, out) -> int:
     graph = load_graph(args.graph)
-    overrides = {}
-    if getattr(args, "sweep_kernel", None) is not None:
-        overrides["sweep_kernel"] = args.sweep_kernel
     config = CPDConfig(
         n_communities=args.communities,
         n_topics=args.topics,
         n_iterations=args.iterations,
         alpha=args.alpha,
         rho=args.rho,
-        **overrides,
+        sweep_kernel=args.sweep_kernel,
     )
     print(_describe_sweep_kernel(config.sweep_kernel), file=out)
     runner, options = _parallel_options(

@@ -9,9 +9,9 @@ every deployment (and adds a hard JIT dependency); instead this module
 carries one small C translation unit, compiles it **at first use** with the
 system C toolchain (``$CC``, ``cc`` or ``gcc``), caches the shared object
 under a content-hash name, and binds it through :mod:`ctypes`. The net
-contract is the same as the numba plan in ISSUE 7: zero new package
-dependencies, graceful fallback to the vectorized kernel when no toolchain
-exists, and a one-time warning on fallback (DESIGN.md §10).
+contract is the same as a numba plan: zero new package dependencies,
+graceful fallback to the reference kernel when no toolchain exists, and a
+one-time warning on fallback (DESIGN.md §10).
 
 The C code reads and mutates the *same* buffers ``CPDState`` owns — count
 matrices, assignment vectors, the ``pi_hat`` / ``theta_hat`` caches and the
@@ -213,11 +213,11 @@ _STRUCT_BODY = "\n".join(
     for name, kind in _CTX_FIELDS
 )
 
-# The arithmetic deliberately mirrors the vectorized kernel expression by
-# expression (same operand association wherever the numpy code fixes one),
-# so the compiled conditionals agree to the reference within the same
-# floating-point-noise tolerances the vectorized kernel is held to, and a
-# matched-seed sweep consumes one uniform per draw in the same order.
+# The arithmetic is the reference conditionals' up to reassociation (the
+# ascending factorials as lgamma differences, the link factors folded), so
+# the compiled conditionals agree to the reference within floating-point
+# noise (~1e-10 pinned, DESIGN.md §4), and a matched-seed sweep consumes
+# one uniform per draw in the same order.
 # Compiled without -ffast-math: IEEE semantics are part of the parity
 # contract.
 _C_SOURCE = """
@@ -442,10 +442,10 @@ void cpd_community_log_weights(CpdCtx *c, int64_t doc, int64_t topic, double *ou
     }
 }
 
-/* The trusted log-categorical draw: scalar translation of
-   sampling/categorical.py draw_log_categorical. One uniform per draw;
-   shift by the max, sequential exp accumulation, first cumulative bound
-   strictly above the scaled uniform, tie walk-back at the end. */
+/* The trusted log-categorical draw: the C form of sampling/categorical.py
+   draw_log_categorical_from_uniform. One uniform per draw; shift by the
+   max, sequential exp accumulation, first cumulative bound strictly above
+   the scaled uniform, tie walk-back at the end. */
 static int64_t draw_cat(const double *log_weights, int64_t n, double uniform,
                         double *cumulative) {
     double shift = log_weights[0];

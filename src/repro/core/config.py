@@ -9,29 +9,12 @@ compares against is this config with one switch flipped (see
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 #: the canonical accepted set for ``sweep_kernel`` — dispatch, CLI choices,
 #: and validation messages all derive from this one tuple
-SWEEP_KERNELS = ("reference", "vectorized", "compiled")
-
-#: environment override for the default sweep kernel
-SWEEP_KERNEL_ENV = "REPRO_SWEEP_KERNEL"
-
-
-def _default_sweep_kernel() -> str:
-    """``REPRO_SWEEP_KERNEL`` when set (and valid), else "vectorized"."""
-    value = os.environ.get(SWEEP_KERNEL_ENV, "").strip()
-    if not value:
-        return "vectorized"
-    if value not in SWEEP_KERNELS:
-        raise ValueError(
-            f"{SWEEP_KERNEL_ENV}={value!r} is not a valid sweep kernel: "
-            f"must be one of {', '.join(SWEEP_KERNELS)}"
-        )
-    return value
+SWEEP_KERNELS = ("reference", "compiled")
 
 
 @dataclass(frozen=True)
@@ -80,13 +63,12 @@ class CPDConfig:
     nu_l2_penalty: float = 1e-3
 
     # --- sampler numerics ---
-    #: E-step sweep implementation: "vectorized" (array-native kernel, the
-    #: default), "reference" (the literal per-word/per-link loops of
-    #: Eqs. 13-14, kept as the executable specification — DESIGN.md §4), or
-    #: "compiled" (the fused C sweep of DESIGN.md §10, falling back to
-    #: "vectorized" with a warning when no C toolchain is available). The
-    #: default honours the ``REPRO_SWEEP_KERNEL`` environment variable.
-    sweep_kernel: str = field(default_factory=_default_sweep_kernel)
+    #: E-step sweep implementation: "compiled" (the fused C sweep of
+    #: DESIGN.md §10, the default) or "reference" (the literal
+    #: per-word/per-link loops of Eqs. 13-14, kept as the executable
+    #: specification — DESIGN.md §4). "compiled" falls back to "reference"
+    #: with a one-time warning when no C toolchain is available.
+    sweep_kernel: str = "compiled"
 
     def __post_init__(self) -> None:
         if self.n_communities < 1:

@@ -10,11 +10,11 @@ One :class:`CPDSampler` owns the mutable sampling state for one graph:
 
 Sweep mechanics follow Alg. 1: for every document, sample its topic by
 Eq. 13 then its community by Eq. 14; afterwards redraw the augmentation
-variables. The conditional log-weights are computed by a sweep kernel
-(:mod:`repro.core.kernel`) selected by ``CPDConfig.sweep_kernel``: the
-default "vectorized" kernel does no per-word or per-link Python work, while
-"reference" keeps the literal loops below as the executable specification.
-Link incidence is stored as flat CSR index arrays shared by both kernels.
+variables. Each sweep runs in a sweep kernel (:mod:`repro.core.kernel`)
+selected by ``CPDConfig.sweep_kernel``: the default "compiled" kernel
+resamples a whole partition in one C call, while "reference" loops the
+literal conditionals below, the executable specification. Link incidence
+is stored as flat CSR index arrays shared by both kernels.
 
 Two documented deviations from a literal reading (both noted in
 DESIGN.md §3):
@@ -35,6 +35,7 @@ from .. import obs
 from ..diffusion.features import UserFeatures
 from ..diffusion.popularity import TopicPopularity
 from ..graph.social_graph import SocialGraph
+from ..sampling.categorical import sample_log_categorical
 from ..sampling.polya_gamma import log_psi, sample_pg_array
 from ..sampling.rng import RngLike, ensure_rng
 from .config import CPDConfig
@@ -380,7 +381,7 @@ class CPDSampler:
     def sweep_documents(self, doc_ids: np.ndarray | None = None):
         """One Gibbs sweep (Alg. 1 steps 3-6) over ``doc_ids`` (default: all).
 
-        The kernel owns the whole partition: the Python kernels loop
+        The kernel owns the whole partition: the reference kernel loops
         :meth:`_resample_document`, the compiled kernel resamples the range
         in one fused C call. Every kernel reports what it did via a
         :class:`~repro.core.kernel.SweepStats`, returned here and — when
@@ -391,18 +392,21 @@ class CPDSampler:
         return stats
 
     def _resample_document(self, doc_id: int) -> None:
+        """Alg. 1 steps 3-6 for one document, through the literal loops."""
         state = self.state
-        kernel = self.kernel
-        draw = kernel.draw
         timestamp = self._doc_time_ints[doc_id]
         old_community, old_topic = state.unassign(doc_id)
         self.popularity.decrement(timestamp, old_topic)
 
-        topic = draw(kernel.topic_log_weights(doc_id, old_community), self.rng)
+        topic = sample_log_categorical(
+            self.reference_topic_log_weights(doc_id, old_community), self.rng
+        )
         if self.fixed_communities is not None:
             community = int(self.fixed_communities[doc_id])
         else:
-            community = draw(kernel.community_log_weights(doc_id, topic), self.rng)
+            community = sample_log_categorical(
+                self.reference_community_log_weights(doc_id, topic), self.rng
+            )
 
         state.assign(doc_id, community, topic)
         self.popularity.increment(timestamp, topic)
@@ -412,7 +416,7 @@ class CPDSampler:
     def reference_topic_log_weights(self, doc_id: int, community: int) -> np.ndarray:
         """Eq. 13: community-topic prior x word likelihood x diffusion factors.
 
-        Literal per-word / per-link loops; the vectorized kernel must match
+        Literal per-word / per-link loops; the compiled kernel must match
         this to floating-point noise (tests/test_core_kernel.py).
         """
         state = self.state
@@ -472,7 +476,7 @@ class CPDSampler:
     def reference_community_log_weights(self, doc_id: int, topic: int) -> np.ndarray:
         """Eq. 14: user prior x content term x friendship & diffusion factors.
 
-        Literal per-link loops; the vectorized kernel must match this to
+        Literal per-link loops; the compiled kernel must match this to
         floating-point noise (tests/test_core_kernel.py).
         """
         state = self.state

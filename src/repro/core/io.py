@@ -75,6 +75,10 @@ _SUMMARY_NAME = "graph_summary.json"
 #: CPDConfig fields that older artifacts still carry but the model no longer
 #: reads; dropped on load. Any other unknown field still fails the load.
 _RETIRED_CONFIG_KEYS = frozenset({"nu_learning_rate", "pg_terms"})
+#: CPDConfig values older artifacts carry that the model no longer accepts,
+#: mapped to their successor on load: the vectorized sweep kernel (the
+#: default until it was retired) draws identically to the compiled one
+_RETIRED_CONFIG_VALUES = {("sweep_kernel", "vectorized"): "compiled"}
 
 
 class ArtifactError(ValueError):
@@ -348,7 +352,7 @@ def load_artifact(path: PathLike, verify: bool = False) -> CPDArtifact:
 
     config = CPDConfig(
         **{
-            key: value
+            key: _RETIRED_CONFIG_VALUES.get((key, value), value)
             for key, value in meta["config"].items()
             if key not in _RETIRED_CONFIG_KEYS
         }

@@ -1,4 +1,4 @@
-"""The sweep kernels' multiplicity-split word layout."""
+"""The compiled sweep kernel's multiplicity-split word layout."""
 
 from __future__ import annotations
 
@@ -14,11 +14,11 @@ def split_word_multiplicity(
 
     Takes the per-document unique-word CSR (``CPDState._unique_*``, see
     :func:`repro.core.state.unique_word_csr`). Words occurring once in a
-    document (the dominant case in short social-media posts) go through a
-    plain log-gather in the vectorized kernel; repeated words go through
-    the two-``gammaln`` ascending-factorial form. Used by
-    :class:`repro.core.kernel.VectorizedKernel` (and so the compiled
-    kernel) at construction and for streamed-in documents.
+    document (the dominant case in short social-media posts) take one
+    count-log lookup in the C topic conditional; repeated words take the
+    two-``lgamma`` ascending-factorial form. Used by
+    :class:`repro.core.kernel.CompiledKernel` at construction and for
+    streamed-in documents.
     """
     lengths = np.diff(indptr)
     once = counts == 1

@@ -37,10 +37,6 @@ class TopicPopularity:
         self.mode = mode
         self.weight = weight
         self._counts = np.zeros((n_time_buckets, n_topics), dtype=np.float64)
-        # lazily built cache of transformed score rows with dirty-row
-        # invalidation; backs scores_batch on the vectorized sweep hot path
-        self._score_cache: np.ndarray | None = None
-        self._dirty_rows: set[int] = set()
 
     @classmethod
     def from_assignments(
@@ -62,8 +58,6 @@ class TopicPopularity:
     def increment(self, timestamp: int, topic: int) -> None:
         """Register one document of ``topic`` at ``timestamp``."""
         self._counts[timestamp, topic] += 1.0
-        if self._score_cache is not None:
-            self._dirty_rows.add(int(timestamp))
 
     def decrement(self, timestamp: int, topic: int) -> None:
         """Remove one document of ``topic`` at ``timestamp``."""
@@ -72,8 +66,6 @@ class TopicPopularity:
                 f"popularity count underflow at (t={timestamp}, z={topic})"
             )
         self._counts[timestamp, topic] -= 1.0
-        if self._score_cache is not None:
-            self._dirty_rows.add(int(timestamp))
 
     def move(self, timestamp: int, old_topic: int, new_topic: int) -> None:
         """Reassign one document's topic at a fixed timestamp."""
@@ -87,8 +79,6 @@ class TopicPopularity:
         topics = np.asarray(topics, dtype=np.int64)
         if len(timestamps):
             np.add.at(self._counts, (timestamps, topics), 1.0)
-            if self._score_cache is not None:
-                self._dirty_rows.update(timestamps.tolist())
 
     def decrement_many(self, timestamps: np.ndarray, topics: np.ndarray) -> None:
         """Remove one document per ``(timestamp, topic)`` pair (batched)."""
@@ -100,8 +90,6 @@ class TopicPopularity:
         if np.any(self._counts[timestamps, topics] < 0.0):
             np.add.at(self._counts, (timestamps, topics), 1.0)  # restore
             raise ValueError("popularity count underflow in batched decrement")
-        if self._score_cache is not None:
-            self._dirty_rows.update(timestamps.tolist())
 
     def move_many(
         self, timestamps: np.ndarray, old_topics: np.ndarray, new_topics: np.ndarray
@@ -113,8 +101,7 @@ class TopicPopularity:
     def load_counts(self, counts: np.ndarray) -> None:
         """Overwrite the full count table in place (parallel-helper refresh).
 
-        One memcpy instead of replaying increments; the transformed-score
-        cache is dropped wholesale because every row may have changed.
+        One memcpy instead of replaying increments.
         """
         counts = np.asarray(counts, dtype=np.float64)
         if counts.shape != self._counts.shape:
@@ -122,8 +109,6 @@ class TopicPopularity:
                 f"count table has shape {self._counts.shape}, got {counts.shape}"
             )
         np.copyto(self._counts, counts)
-        self._score_cache = None
-        self._dirty_rows.clear()
 
     # ---------------------------------------------------------------- lookups
 
@@ -139,44 +124,8 @@ class TopicPopularity:
         """Popularity term for every topic at ``timestamp`` (vectorised)."""
         return self._transform_row(self._counts[timestamp])
 
-    def scores_batch(self, timestamps: np.ndarray) -> np.ndarray:
-        """Popularity terms for every topic at each timestamp, shape (N, Z).
-
-        Row-for-row identical to stacking :meth:`scores` over ``timestamps``;
-        used by the vectorized sweep kernel to score all incident links of a
-        document in one gather against the dirty-row score cache.
-        """
-        return self._scores_view()[timestamps]
-
-    def scores_at(self, timestamps: np.ndarray, topics: np.ndarray) -> np.ndarray:
-        """Scalar popularity terms for aligned ``(timestamp, topic)`` pairs.
-
-        Equivalent to ``scores_batch(timestamps)[arange(n), topics]`` without
-        materialising the intermediate rows.
-        """
-        view = self._scores_view()
-        return view.ravel()[timestamps * self.n_topics + topics]
-
-    def _scores_view(self) -> np.ndarray:
-        """Cached transformed score matrix; refreshed row-wise, read-only."""
-        if self._score_cache is None:
-            self._score_cache = self.score_matrix()
-            self._dirty_rows.clear()
-        elif self._dirty_rows:
-            if len(self._dirty_rows) <= 8:  # the per-document steady state
-                cache = self._score_cache
-                for row in self._dirty_rows:
-                    cache[row] = self._transform_row(self._counts[row])
-            else:
-                rows = np.fromiter(
-                    self._dirty_rows, dtype=np.int64, count=len(self._dirty_rows)
-                )
-                self._score_cache[rows] = self._transform_rows(self._counts[rows])
-            self._dirty_rows.clear()
-        return self._score_cache
-
     def _transform_row(self, row: np.ndarray) -> np.ndarray:
-        """Single-row transform with scalar arithmetic (per-document hot path)."""
+        """Single-row transform with scalar arithmetic."""
         if self.mode == "raw":
             transformed = row
         elif self.mode == "proportion":

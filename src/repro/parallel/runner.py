@@ -144,7 +144,7 @@ class ParallelEStepRunner:
         #: the kernel the helpers actually run (compiled may fall back)
         self.worker_sweep_kernel = config.sweep_kernel
         if config.sweep_kernel == "compiled" and not _compiled.backend_status()[0]:
-            self.worker_sweep_kernel = "vectorized"
+            self.worker_sweep_kernel = "reference"
         self.graph = graph
         self.config = config
         self.n_workers = n_workers

@@ -4,7 +4,6 @@ from .categorical import (
     log_normalize,
     normalize,
     sample_categorical,
-    draw_log_categorical,
     sample_log_categorical,
     sample_many_categorical,
     sample_many_log_categorical,
@@ -40,7 +39,6 @@ __all__ = [
     "pg_mean",
     "pg_variance",
     "sample_categorical",
-    "draw_log_categorical",
     "sample_log_categorical",
     "sample_many_categorical",
     "sample_many_log_categorical",

@@ -73,62 +73,17 @@ def sample_many_categorical(weight_rows: np.ndarray, rng: RngLike = None) -> np.
     return np.clip(indices, 0, weight_rows.shape[1] - 1)
 
 
-def draw_log_categorical(log_weights: np.ndarray, generator: np.random.Generator) -> int:
-    """Minimal-overhead draw from trusted, finite log-weights (hot path).
-
-    Semantics and RNG consumption (one uniform) match
-    :func:`sample_log_categorical`, but the input-validation passes are
-    skipped and ``log_weights`` may be consumed as scratch space: callers
-    must guarantee a finite 1-D float64 array they no longer need and a
-    real ``numpy`` Generator. The Gibbs sweep draws two of these per
-    document, which makes the checks the dominant cost at small graph
-    scales; for the few-category case a scalar scan beats the array
-    machinery outright.
-    """
-    size = len(log_weights)
-    if size <= 32:  # typical |Z| / |C|: python-scalar path, ~2.5x faster
-        values = log_weights.tolist()
-        shift = max(values)
-        total = 0.0
-        cumulative = []
-        append = cumulative.append
-        for value in values:
-            total += math.exp(value - shift)
-            append(total)
-        draw = generator.random() * total
-        for index, bound in enumerate(cumulative):
-            if bound > draw:
-                return index
-        # draw rounded up to the total: walk back past zero-weight outcomes,
-        # mirroring sample_categorical
-        index = size - 1
-        while index > 0 and cumulative[index] == cumulative[index - 1]:
-            index -= 1
-        return index
-    log_weights -= log_weights.max()
-    weights = np.exp(log_weights, out=log_weights)
-    cumulative = weights.cumsum(out=weights)
-    draw = generator.random() * cumulative[-1]
-    index = int(np.searchsorted(cumulative, draw, side="right"))
-    last = size - 1
-    if index >= last:
-        index = last
-        while index > 0 and cumulative[index] == cumulative[index - 1]:
-            index -= 1
-    return index
-
-
 def draw_log_categorical_from_uniform(log_weights: np.ndarray, uniform: float) -> int:
-    """:func:`draw_log_categorical` as a pure function of one uniform draw.
+    """A log-categorical draw as a pure function of one uniform draw.
 
     This is the draw contract the compiled sweep kernel implements in C
     (``cpd_draw_log_categorical``): shift by the maximum, accumulate
     ``exp`` terms sequentially, return the first index whose cumulative
     bound strictly exceeds ``uniform * total``, walking back over trailing
-    zero-weight outcomes if the scaled uniform rounds up to the total.
-    Given the same ``log_weights`` and ``uniform`` it returns the same
-    index as :func:`draw_log_categorical` fed a Generator about to emit
-    ``uniform`` — the property the cross-language parity tests pin.
+    zero-weight outcomes if the scaled uniform rounds up to the total. It
+    consumes one uniform, like :func:`sample_log_categorical`, which the
+    reference kernel draws with — the property the cross-language parity
+    tests pin.
     """
     values = [float(value) for value in log_weights]
     shift = max(values)

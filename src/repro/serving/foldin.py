@@ -8,19 +8,19 @@ new document's latent ``(community, topic)`` pair.
 
 With the model frozen the Eq. 13 / Eq. 14 conditionals collapse: count
 perturbations from a single held-out document vanish into the fitted
-estimators, the ascending-factorial word likelihood of the sweep kernel
-(DESIGN.md §4.2) degenerates to a plain product of ``phi`` gathers, and no
-link factors apply (a document that just arrived has no diffusion links
-yet). What remains is the two-step scan
+estimators, the ascending-factorial word likelihood of the sweep
+(DESIGN.md §4 item 3) degenerates to a plain product of ``phi`` gathers,
+and no link factors apply (a document that just arrived has no diffusion
+links yet). What remains is the two-step scan
 
     z | c  ~  theta[c, z] * prod_{w in d} phi[z, w]          (Eq. 13 frozen)
     c | z  ~  pi[u, c] * theta[c, z]                         (Eq. 14 frozen)
 
-which this module evaluates batched over all documents at once with the
-same array-native machinery as the vectorized sweep kernel: one scatter-add
-builds every document's word log-likelihood row, and each Gibbs step is a
-single :func:`repro.sampling.categorical.sample_many_log_categorical` call
-over the whole batch — no per-document Python work inside a sweep.
+which this module evaluates batched over all documents at once in numpy:
+one scatter-add builds every document's word log-likelihood row, and each
+Gibbs step is a single
+:func:`repro.sampling.categorical.sample_many_log_categorical` call over
+the whole batch — no per-document Python work inside a sweep.
 
 Documents by unknown users (``user_id=None`` / ``-1``) fall back to a
 uniform community prior.

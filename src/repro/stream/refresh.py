@@ -9,9 +9,9 @@ parameters resuming the offline fit's end state), append arriving
 documents/links to it in place (:meth:`CPDSampler.append_documents` /
 :meth:`append_diffusion_links`), and periodically re-sweep only the *dirty*
 documents — the appended ones plus the endpoints its new links touch —
-with the vectorized sweep kernel. Everything the sweep reads (count
-matrices, estimator caches, CSR layouts) is maintained incrementally, so a
-refresh costs O(dirty) instead of O(corpus).
+with the sampler's sweep kernel (compiled by default). Everything the
+sweep reads (count matrices, estimator caches, CSR layouts) is maintained
+incrementally, so a refresh costs O(dirty) instead of O(corpus).
 
 The M-step is partially refreshed too: ``eta`` is re-aggregated from the
 current assignments (one scatter-add), while the factor weights

@@ -78,7 +78,7 @@ class TestFit:
         banner = capsys.readouterr().out
         assert (
             "sweep kernel: compiled\n" in banner
-            or "sweep kernel: compiled -> vectorized (" in banner
+            or "sweep kernel: compiled -> reference (" in banner
         )
         assert out.exists()
         # the choice round-trips through the artifact into `repro info`
@@ -86,15 +86,16 @@ class TestFit:
         assert "sweep kernel    : compiled" in capsys.readouterr().out
 
     def test_sweep_kernel_matches_default_results(self, workspace, tmp_path, capsys):
-        """An explicit --sweep-kernel vectorized equals the default fit."""
+        """An explicit --sweep-kernel reference equals the default
+        (compiled) fit draw for draw."""
         _root, graph_path, _model = workspace
         explicit = tmp_path / "explicit.cpd.npz"
         assert main([
             "fit", "--graph", str(graph_path), "--communities", "4",
             "--topics", "8", "--iterations", "6", "--seed", "0",
-            "--sweep-kernel", "vectorized", "--out", str(explicit),
+            "--sweep-kernel", "reference", "--out", str(explicit),
         ]) == 0
-        assert "sweep kernel: vectorized" in capsys.readouterr().out
+        assert "sweep kernel: reference" in capsys.readouterr().out
         from repro.core import load_result
         import numpy as np
 

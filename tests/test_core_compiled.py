@@ -2,9 +2,10 @@
 
 Kernel-vs-kernel *parity* lives in ``test_core_kernel.py`` (the compiled
 kernel rides its matrices); this file pins the machinery around the
-backend — graceful degradation without a C toolchain, the environment
-switches, and the cross-language RNG contracts (DESIGN.md §10). Every
-test here must pass whether or not the host can actually compile.
+backend — graceful degradation to the reference kernel without a C
+toolchain, the ``REPRO_COMPILED_DISABLE`` switch, and the cross-language
+RNG contracts (DESIGN.md §10). Every test here must pass whether or not
+the host can actually compile.
 """
 
 import ctypes
@@ -15,17 +16,16 @@ import pytest
 
 from repro.core import CPDConfig, DiffusionParameters
 from repro.core import _compiled
-from repro.core.config import SWEEP_KERNEL_ENV, SWEEP_KERNELS
+from repro.core.config import SWEEP_KERNELS
 from repro.core.gibbs import CPDSampler
 from repro.core.kernel import (
-    VectorizedKernel,
+    ReferenceKernel,
     compiled_fallback_reason,
-    make_kernel,
     reset_fallback_state,
 )
 from repro.sampling.categorical import (
-    draw_log_categorical,
     draw_log_categorical_from_uniform,
+    sample_log_categorical,
 )
 from repro.sampling.polya_gamma import _SLOTS, sample_pg_array
 
@@ -61,23 +61,23 @@ class TestFallback:
         graph, _ = twitter_tiny
         with pytest.warns(RuntimeWarning, match="no toolchain \\(test\\)"):
             sampler = _tiny_sampler(graph)
-        assert type(sampler.kernel) is VectorizedKernel
-        assert sampler.kernel.name == "vectorized"
+        assert type(sampler.kernel) is ReferenceKernel
+        assert sampler.kernel.name == "reference"
         assert sampler.kernel.fallback_reason == "no toolchain (test)"
         assert compiled_fallback_reason() == "no toolchain (test)"
         # the warning fires once per process, not once per sampler
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             again = _tiny_sampler(graph)
-        assert again.kernel.name == "vectorized"
+        assert again.kernel.name == "reference"
 
-    def test_fallback_results_identical_to_vectorized(
+    def test_fallback_results_identical_to_reference(
         self, twitter_tiny, broken_backend
     ):
         graph, _ = twitter_tiny
         with pytest.warns(RuntimeWarning):
             degraded = _tiny_sampler(graph, rng=7)
-        plain = _tiny_sampler(graph, sweep_kernel="vectorized", rng=7)
+        plain = _tiny_sampler(graph, sweep_kernel="reference", rng=7)
         for sampler in (degraded, plain):
             sampler.sweep_documents()
         np.testing.assert_array_equal(
@@ -98,26 +98,6 @@ class TestFallback:
 
 
 class TestEnvironmentSwitches:
-    def test_sweep_kernel_env_sets_default(self, monkeypatch):
-        for kernel in SWEEP_KERNELS:
-            monkeypatch.setenv(SWEEP_KERNEL_ENV, kernel)
-            assert CPDConfig().sweep_kernel == kernel
-
-    def test_explicit_value_beats_env(self, monkeypatch):
-        monkeypatch.setenv(SWEEP_KERNEL_ENV, "reference")
-        assert CPDConfig(sweep_kernel="vectorized").sweep_kernel == "vectorized"
-
-    def test_unset_or_empty_env_means_vectorized(self, monkeypatch):
-        monkeypatch.delenv(SWEEP_KERNEL_ENV, raising=False)
-        assert CPDConfig().sweep_kernel == "vectorized"
-        monkeypatch.setenv(SWEEP_KERNEL_ENV, "")
-        assert CPDConfig().sweep_kernel == "vectorized"
-
-    def test_invalid_env_value_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(SWEEP_KERNEL_ENV, "turbo")
-        with pytest.raises(ValueError, match=SWEEP_KERNEL_ENV):
-            CPDConfig()
-
     def test_validation_message_names_all_kernels(self):
         with pytest.raises(ValueError, match=", ".join(SWEEP_KERNELS)):
             CPDConfig(sweep_kernel="turbo")
@@ -149,15 +129,16 @@ class TestDrawContract:
         for size in (1, 2, 5, 8, 32):
             for _ in range(50):
                 log_weights = rng.normal(scale=5.0, size=size)
-                uniform = rng.random()
+                seed = int(rng.integers(2**32))
+                uniform = np.random.default_rng(seed).random()
                 out = np.empty(size, dtype=np.float64)
 
-                class _Emitter:
-                    def random(self):
-                        return uniform
-
                 expected = draw_log_categorical_from_uniform(log_weights, uniform)
-                via_generator = draw_log_categorical(log_weights.copy(), _Emitter())
+                # the reference kernel's draw, fed a Generator about to emit
+                # the same uniform
+                via_generator = sample_log_categorical(
+                    log_weights, np.random.default_rng(seed)
+                )
                 from_c = library.cpd_draw_log_categorical(
                     np.ascontiguousarray(log_weights).ctypes.data_as(
                         ctypes.POINTER(ctypes.c_double)
@@ -241,16 +222,21 @@ class TestCompiledPolyaGamma:
             draw_round(np.zeros((3, _SLOTS), dtype=np.float32))
 
 
-@needs_backend
 class TestCompiledSweepMachinery:
+    @pytest.mark.filterwarnings("ignore:compiled sweep kernel unavailable")
     def test_rejects_out_of_range_ids(self, twitter_tiny):
+        """Both kernels refuse ids outside ``[0, n_docs)`` before touching
+        the state (a negative id used to resample the last document)."""
         graph, _ = twitter_tiny
-        sampler = _tiny_sampler(graph)
-        with pytest.raises(ValueError, match="out of range"):
-            sampler.kernel.sweep(np.array([graph.n_documents], dtype=np.int64))
-        with pytest.raises(ValueError, match="out of range"):
-            sampler.kernel.sweep(np.array([-1], dtype=np.int64))
+        for kernel in SWEEP_KERNELS:
+            sampler = _tiny_sampler(graph, sweep_kernel=kernel)
+            before = sampler.state.doc_topic.copy()
+            for bad in (graph.n_documents, -1):
+                with pytest.raises(ValueError, match="out of range"):
+                    sampler.kernel.sweep(np.array([0, bad], dtype=np.int64))
+            np.testing.assert_array_equal(sampler.state.doc_topic, before)
 
+    @needs_backend
     def test_rejects_unassigned_documents(self, twitter_tiny):
         graph, _ = twitter_tiny
         sampler = _tiny_sampler(graph)
@@ -258,12 +244,13 @@ class TestCompiledSweepMachinery:
         with pytest.raises(ValueError, match="assigned"):
             sampler.kernel.sweep(np.array([0], dtype=np.int64))
 
-    def test_partial_sweep_matches_vectorized(self, twitter_tiny):
+    @needs_backend
+    def test_partial_sweep_matches_reference(self, twitter_tiny):
         graph, _ = twitter_tiny
         subset = np.arange(0, graph.n_documents, 3, dtype=np.int64)
         samplers = [
             _tiny_sampler(graph, sweep_kernel=kernel, rng=21)
-            for kernel in ("vectorized", "compiled")
+            for kernel in ("reference", "compiled")
         ]
         for sampler in samplers:
             sampler.sweep_documents(subset)
@@ -275,11 +262,12 @@ class TestCompiledSweepMachinery:
             samplers[0].state.doc_community, samplers[1].state.doc_community
         )
 
+    @needs_backend
     def test_streaming_append_then_sweep(self, twitter_tiny):
         graph, _ = twitter_tiny
         samplers = [
             _tiny_sampler(graph, sweep_kernel=kernel, rng=13)
-            for kernel in ("vectorized", "compiled")
+            for kernel in ("reference", "compiled")
         ]
         new_docs = [np.array([0, 1, 1, 2]), np.array([3, 3])]
         for sampler in samplers:

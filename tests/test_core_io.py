@@ -198,6 +198,47 @@ class TestFormatVersions:
         artifact = load_artifact(legacy, verify=True)
         assert artifact.result.config == fitted_cpd.config
 
+    @pytest.mark.filterwarnings("ignore:compiled sweep kernel unavailable")
+    def test_retired_vectorized_kernel_loads_serves_and_warm_starts(
+        self, fitted_cpd, twitter_tiny, tmp_path
+    ):
+        """A v2 artifact saved by a default-config fit while the default
+        sweep kernel was "vectorized" loads as "compiled" (the kernels draw
+        identically), then serves and warm-starts a sampler."""
+        from repro.core.gibbs import CPDSampler
+        from repro.serving import GraphSummary, ProfileStore
+
+        graph, _ = twitter_tiny
+        current = tmp_path / "model.cpd.npz"
+        legacy = tmp_path / "vectorized-v2.cpd.npz"
+        save_result(
+            fitted_cpd, current, vocabulary=graph.vocabulary,
+            graph_summary=GraphSummary.from_graph(graph),
+        )
+        with zipfile.ZipFile(current) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        meta = json.loads(members["cpd_meta.json"])
+        meta["format_version"] = 2
+        meta.pop("stream_cursor", None)
+        meta["config"]["sweep_kernel"] = "vectorized"
+        members["cpd_meta.json"] = json.dumps(meta)
+        with zipfile.ZipFile(legacy, "w") as archive:
+            for name, data in members.items():
+                archive.writestr(name, data)
+
+        artifact = load_artifact(legacy, verify=True)
+        assert artifact.format_version == 2
+        assert artifact.result.config.sweep_kernel == "compiled"
+        assert artifact.result.config == fitted_cpd.config.with_overrides(
+            sweep_kernel="compiled"
+        )
+        store = ProfileStore.from_artifact(legacy)
+        assert store.rank(next(iter(store.query_index())))
+        sampler = CPDSampler.warm_start(graph, artifact.result, rng=11)
+        np.testing.assert_array_equal(sampler.state.doc_topic, fitted_cpd.doc_topic)
+        sampler.sweep_documents()
+        sampler.state.check_consistency()
+
     def test_unknown_config_key_still_fails(self, fitted_cpd, tmp_path):
         current = tmp_path / "model.cpd.npz"
         future = tmp_path / "future.cpd.npz"

@@ -1,20 +1,22 @@
-"""Parity tests: the fast sweep kernels against the reference loops.
+"""Parity tests: the compiled sweep kernel against the reference loops.
 
-The vectorized and compiled kernels must reproduce the reference
-implementation's Eq. 13 / Eq. 14 conditional log-weights to
-floating-point noise on every document, for every model-design ablation,
-and a matched-seed fit must yield identical assignments (hence equal
-NMI / perplexity). None of the compiled cases assert on the kernel's
-*class*: without a C toolchain `"compiled"` degrades to the vectorized
-kernel, and every parity statement must hold just the same.
+The compiled kernel must reproduce the reference implementation's
+Eq. 13 / Eq. 14 conditional log-weights to floating-point noise on every
+document, for every model-design ablation, and a matched-seed fit must
+yield identical assignments (hence equal NMI / perplexity). Sweep and fit
+parity cases do not assert on the kernel's *class*: without a C toolchain
+`"compiled"` degrades to the reference kernel, and every parity statement
+must hold just the same. The conditional-level cases need the C
+conditional builders, so they skip on such a host.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import CPDConfig, CPDModel, DiffusionParameters
+from repro.core import _compiled
 from repro.core.gibbs import CPDSampler
-from repro.core.kernel import ReferenceKernel, VectorizedKernel, make_kernel
+from repro.core.kernel import CompiledKernel, ReferenceKernel, make_kernel
 from repro.evaluation import normalized_mutual_information
 
 ABLATIONS = {
@@ -26,7 +28,7 @@ ABLATIONS = {
     "no_content": {"community_uses_content": False},
 }
 
-KERNELS = ("reference", "vectorized", "compiled")
+KERNELS = ("reference", "compiled")
 
 # building a "compiled" sampler on a toolchain-less host emits the
 # documented one-time fallback warning; parity must hold regardless
@@ -34,8 +36,12 @@ fallback_ok = pytest.mark.filterwarnings(
     "ignore:compiled sweep kernel unavailable"
 )
 
+needs_backend = pytest.mark.skipif(
+    not _compiled.backend_status()[0], reason="no C toolchain on this host"
+)
 
-def _mixed_sampler(graph, sweep_kernel="vectorized", **overrides):
+
+def _mixed_sampler(graph, sweep_kernel="compiled", **overrides):
     config = CPDConfig(
         n_communities=4, n_topics=8, rho=0.5, alpha=0.5,
         sweep_kernel=sweep_kernel, **overrides,
@@ -52,15 +58,14 @@ def _mixed_sampler(graph, sweep_kernel="vectorized", **overrides):
 
 
 class TestKernelSelection:
-    def test_default_is_vectorized(self, twitter_tiny, monkeypatch):
+    @needs_backend
+    def test_default_is_compiled(self, twitter_tiny):
         graph, _ = twitter_tiny
-        # the default must be env-independent here: this test also runs
-        # inside CI's REPRO_SWEEP_KERNEL matrix
-        monkeypatch.delenv("REPRO_SWEEP_KERNEL", raising=False)
         config = CPDConfig(n_communities=4, n_topics=8, rho=0.5, alpha=0.5)
+        assert config.sweep_kernel == "compiled"
         sampler = CPDSampler(graph, config, DiffusionParameters.initial(4, 8), rng=0)
-        assert type(sampler.kernel) is VectorizedKernel
-        assert sampler.kernel.name == "vectorized"
+        assert type(sampler.kernel) is CompiledKernel
+        assert sampler.kernel.name == "compiled"
 
     def test_reference_switch(self, twitter_tiny, tiny_config):
         graph, _ = twitter_tiny
@@ -78,25 +83,24 @@ class TestKernelSelection:
         graph, _ = twitter_tiny
         config = tiny_config.with_overrides(sweep_kernel="compiled")
         sampler = CPDSampler(graph, config, DiffusionParameters.initial(4, 8), rng=0)
-        # kernel is CompiledKernel, or VectorizedKernel on a toolchain-less
-        # host — either way a VectorizedKernel subtype that can sweep
-        assert isinstance(sampler.kernel, VectorizedKernel)
-        assert sampler.kernel.name in ("compiled", "vectorized")
-        if sampler.kernel.name == "vectorized":
+        # kernel is CompiledKernel, or the ReferenceKernel fallback on a
+        # toolchain-less host, which records why
+        assert isinstance(sampler.kernel, (CompiledKernel, ReferenceKernel))
+        if isinstance(sampler.kernel, ReferenceKernel):
             assert sampler.kernel.fallback_reason
 
 
+@needs_backend
 class TestConditionalParity:
-    """Log-weights of the fast kernels agree with reference to ~1e-10."""
+    """Log-weights of the compiled kernel agree with reference to ~1e-10."""
 
-    @fallback_ok
-    @pytest.mark.parametrize("kernel", ("vectorized", "compiled"))
+    @pytest.mark.parametrize("kernel", ("compiled",))
     @pytest.mark.parametrize("ablation", sorted(ABLATIONS))
     def test_topic_and_community_log_weights(self, twitter_tiny, ablation, kernel):
         graph, _ = twitter_tiny
         sampler = _mixed_sampler(graph, sweep_kernel=kernel, **ABLATIONS[ablation])
         fast = sampler.kernel
-        assert isinstance(fast, VectorizedKernel)
+        assert isinstance(fast, CompiledKernel)
         for doc_id in range(graph.n_documents):
             community, topic = sampler.state.unassign(doc_id)
             sampler.popularity.decrement(int(sampler._doc_time[doc_id]), topic)
@@ -118,8 +122,7 @@ class TestConditionalParity:
             sampler.popularity.increment(int(sampler._doc_time[doc_id]), topic)
             sampler.state.assign(doc_id, community, topic)
 
-    @fallback_ok
-    @pytest.mark.parametrize("kernel", ("vectorized", "compiled"))
+    @pytest.mark.parametrize("kernel", ("compiled",))
     def test_parity_on_dblp(self, dblp_tiny, kernel):
         graph, _ = dblp_tiny
         sampler = _mixed_sampler(graph, sweep_kernel=kernel)
@@ -148,14 +151,14 @@ class TestMatchedSeedFits:
         reference = CPDModel(
             config.with_overrides(sweep_kernel="reference"), rng=11
         ).fit(graph)
-        vectorized = CPDModel(config, rng=11).fit(graph)
-        return graph, truth, reference, vectorized
+        default = CPDModel(config, rng=11).fit(graph)  # the compiled kernel
+        return graph, truth, reference, default
 
     def test_assignments_identical(self, fits):
-        _, _, reference, vectorized = fits
-        np.testing.assert_array_equal(reference.doc_topic, vectorized.doc_topic)
+        _, _, reference, default = fits
+        np.testing.assert_array_equal(reference.doc_topic, default.doc_topic)
         np.testing.assert_array_equal(
-            reference.doc_community, vectorized.doc_community
+            reference.doc_community, default.doc_community
         )
 
     @fallback_ok
@@ -175,22 +178,22 @@ class TestMatchedSeedFits:
         np.testing.assert_allclose(reference.phi, compiled.phi, atol=1e-12)
 
     def test_nmi_equal_within_noise(self, fits):
-        _, truth, reference, vectorized = fits
+        _, truth, reference, default = fits
         nmi_ref = normalized_mutual_information(
             truth.doc_community, reference.doc_community
         )
-        nmi_vec = normalized_mutual_information(
-            truth.doc_community, vectorized.doc_community
+        nmi_default = normalized_mutual_information(
+            truth.doc_community, default.doc_community
         )
-        assert nmi_vec == pytest.approx(nmi_ref, abs=1e-9)
+        assert nmi_default == pytest.approx(nmi_ref, abs=1e-9)
 
     def test_estimators_equal_within_noise(self, fits):
-        _, _, reference, vectorized = fits
-        np.testing.assert_allclose(reference.pi, vectorized.pi, atol=1e-12)
-        np.testing.assert_allclose(reference.theta, vectorized.theta, atol=1e-12)
-        np.testing.assert_allclose(reference.phi, vectorized.phi, atol=1e-12)
+        _, _, reference, default = fits
+        np.testing.assert_allclose(reference.pi, default.pi, atol=1e-12)
+        np.testing.assert_allclose(reference.theta, default.theta, atol=1e-12)
+        np.testing.assert_allclose(reference.phi, default.phi, atol=1e-12)
         np.testing.assert_allclose(
-            reference.diffusion.eta, vectorized.diffusion.eta, atol=1e-12
+            reference.diffusion.eta, default.diffusion.eta, atol=1e-12
         )
 
     @fallback_ok
@@ -210,10 +213,12 @@ class TestMatchedSeedFits:
         sampler.state.check_consistency()
 
 
+@needs_backend
 class TestMidResampleGuard:
     def test_unassigned_neighbor_skipped_like_reference(self, twitter_tiny):
-        """Off-contract: another linked document is unassigned — both
-        kernels must skip its links rather than wrap negative indices."""
+        """Off-contract: another linked document is unassigned — the C
+        conditional must skip its links like the reference loop does,
+        rather than wrap negative indices."""
         graph, _ = twitter_tiny
         sampler = _mixed_sampler(graph)
         link = 0

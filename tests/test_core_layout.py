@@ -4,15 +4,24 @@ import numpy as np
 import pytest
 
 from repro.core import CPDConfig, DiffusionParameters
+from repro.core import _compiled
 from repro.core.gibbs import CPDSampler
 from repro.core.layout import split_word_multiplicity
 from repro.core.state import counts_to_indptr, unique_word_csr
 
+#: the layout lives on the compiled kernel; without a toolchain a
+#: "compiled" sampler runs the reference kernel, which keeps none
+needs_backend = pytest.mark.skipif(
+    not _compiled.backend_status()[0], reason="no C toolchain on this host"
+)
 
 @pytest.fixture(scope="module")
 def layout_setup(twitter_tiny):
     graph, _ = twitter_tiny
-    config = CPDConfig(n_communities=4, n_topics=8, n_iterations=5, rho=0.5, alpha=0.5)
+    config = CPDConfig(
+        n_communities=4, n_topics=8, n_iterations=5, rho=0.5, alpha=0.5,
+        sweep_kernel="compiled",
+    )
     params = DiffusionParameters.initial(4, 8)
     return CPDSampler(graph, config, params, rng=3)
 
@@ -29,6 +38,7 @@ class TestSplitWordMultiplicity:
         np.testing.assert_array_equal(split["ws_indptr"], [0, 2, 2, 2])
         np.testing.assert_array_equal(split["wm_indptr"], [0, 1, 2, 2])
 
+    @needs_backend
     def test_matches_kernel_layout(self, layout_setup):
         sampler = layout_setup
         state = sampler.state
@@ -70,9 +80,13 @@ class TestUniqueWordCsr:
             np.testing.assert_array_equal(state._doc_unique_words[doc], words)
             np.testing.assert_array_equal(state._doc_unique_counts[doc], counts)
 
+    @needs_backend
     def test_appended_documents_extend_the_csr_and_kernel_layout(self, twitter_tiny):
         graph, _ = twitter_tiny
-        config = CPDConfig(n_communities=4, n_topics=8, n_iterations=5, rho=0.5, alpha=0.5)
+        config = CPDConfig(
+            n_communities=4, n_topics=8, n_iterations=5, rho=0.5, alpha=0.5,
+            sweep_kernel="compiled",
+        )
         sampler = CPDSampler(graph, config, DiffusionParameters.initial(4, 8), rng=3)
         documents = [np.array([1, 4, 1]), np.zeros(0, dtype=np.int64), np.array([3])]
         new_ids = sampler.append_documents(documents, [0, 1, 2], [0, 0, 0])

@@ -137,45 +137,6 @@ class TestTopicPopularity:
         with pytest.raises(ValueError):
             TopicPopularity(1, 1, mode="exotic")
 
-    @pytest.mark.parametrize("mode", ["raw", "proportion", "log"])
-    def test_scores_batch_matches_rowwise_scores(self, mode):
-        table = TopicPopularity.from_assignments(
-            timestamps=np.array([0, 1, 1, 2]),
-            topics=np.array([0, 1, 1, 0]),
-            n_topics=3,
-            n_time_buckets=3,
-            mode=mode,
-            weight=2.0,
-        )
-        timestamps = np.array([2, 0, 1, 1])
-        batch = table.scores_batch(timestamps)
-        for row, timestamp in enumerate(timestamps):
-            np.testing.assert_allclose(batch[row], table.scores(int(timestamp)))
-
-    def test_scores_batch_cache_tracks_mutations(self):
-        table = TopicPopularity(n_topics=2, n_time_buckets=2, mode="proportion")
-        table.increment(0, 0)
-        before = table.scores_batch(np.array([0])).copy()
-        table.increment(0, 1)
-        after = table.scores_batch(np.array([0]))
-        assert not np.allclose(before, after)
-        np.testing.assert_allclose(after[0], table.scores(0))
-        table.decrement(0, 1)
-        np.testing.assert_allclose(table.scores_batch(np.array([0]))[0], before[0])
-
-    def test_scores_at_matches_batch(self):
-        table = TopicPopularity.from_assignments(
-            timestamps=np.array([0, 1, 1]),
-            topics=np.array([0, 1, 1]),
-            n_topics=2,
-            n_time_buckets=2,
-        )
-        timestamps = np.array([0, 1, 1])
-        topics = np.array([1, 0, 1])
-        values = table.scores_at(timestamps, topics)
-        batch = table.scores_batch(timestamps)
-        np.testing.assert_allclose(values, batch[np.arange(3), topics])
-
     def test_increment_decrement_many(self):
         table = TopicPopularity(n_topics=3, n_time_buckets=2)
         table.increment_many(np.array([0, 0, 1]), np.array([2, 2, 0]))

@@ -180,16 +180,26 @@ def test_fits_and_ranks_import_no_module():
     assert imported == []
 
 
-def test_vectorized_fit_loads_scipy_special_on_first_call():
-    before, after = _run(
+@needs_compiled
+def test_default_config_fit_runs_compiled_and_loads_no_scipy_special():
+    """``CPDConfig()`` selects the compiled kernel, so a fit without a
+    ``sweep_kernel`` argument takes the C path and leaves scipy unloaded."""
+    kernel, loaded = _run(
         "import json, sys\n"
         "from repro.core import CPDConfig, CPDModel\n"
+        "from repro.core.gibbs import CPDSampler\n"
         "from repro.datasets import twitter_scenario\n"
+        "kernels = []\n"
+        "build = CPDSampler.__init__\n"
+        "def spy(self, *args, **kwargs):\n"
+        "    build(self, *args, **kwargs)\n"
+        "    kernels.append(type(self.kernel).__name__)\n"
+        "CPDSampler.__init__ = spy\n"
         "graph, _ = twitter_scenario('tiny', rng=0)\n"
-        "config = CPDConfig(n_communities=2, n_topics=3, n_iterations=2, sweep_kernel='vectorized')\n"
-        "before = 'scipy.special' in sys.modules\n"
+        "config = CPDConfig(n_communities=2, n_topics=3, n_iterations=2)\n"
         "result = CPDModel(config, rng=0).fit(graph)\n"
         "assert result.doc_topic.min() >= 0\n"
-        "print(json.dumps([before, 'scipy.special' in sys.modules]))"
+        "print(json.dumps([sorted(set(kernels)), sorted(sys.modules)]))"
     )
-    assert (before, after) == (False, True)
+    assert kernel == ["CompiledKernel"]
+    assert _scipy(set(loaded)) == []

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.sampling import (
-    draw_log_categorical,
     log_normalize,
     normalize,
     sample_categorical,
@@ -15,6 +14,7 @@ from repro.sampling import (
     sample_many_categorical,
     sample_many_log_categorical,
 )
+from repro.sampling.categorical import draw_log_categorical_from_uniform
 
 
 class TestSampleCategorical:
@@ -106,7 +106,9 @@ class TestSampleManyCategorical:
 
 
 class TestDrawLogCategorical:
-    """The trusted fast draw matches sample_log_categorical draw-for-draw."""
+    """The compiled kernel's draw contract, as its pure-Python function of
+    one uniform, matches sample_log_categorical (the reference kernel's
+    draw) draw-for-draw."""
 
     @pytest.mark.parametrize("size", [2, 6, 12, 33, 100])
     def test_matches_validating_draw_with_same_seed(self, size):
@@ -115,26 +117,31 @@ class TestDrawLogCategorical:
             checked = sample_log_categorical(
                 log_weights.copy(), np.random.default_rng(seed)
             )
-            fast = draw_log_categorical(log_weights.copy(), np.random.default_rng(seed))
-            assert checked == fast
+            uniform = np.random.default_rng(seed).random()
+            assert checked == draw_log_categorical_from_uniform(log_weights, uniform)
 
     def test_respects_proportions(self):
         rng = np.random.default_rng(0)
         log_weights = np.log(np.array([0.2, 0.8]))
-        draws = [draw_log_categorical(log_weights.copy(), rng) for _ in range(4000)]
+        draws = [
+            draw_log_categorical_from_uniform(log_weights, rng.random())
+            for _ in range(4000)
+        ]
         assert 0.75 < np.mean(draws) < 0.85
 
     def test_degenerate_distribution(self):
         rng = np.random.default_rng(0)
         log_weights = np.array([-1e9, 0.0, -1e9])
         assert all(
-            draw_log_categorical(log_weights.copy(), rng) == 1 for _ in range(20)
+            draw_log_categorical_from_uniform(log_weights, rng.random()) == 1
+            for _ in range(20)
         )
 
     def test_large_array_path_shift_invariant(self):
         base = np.random.default_rng(1).normal(size=64)
-        a = draw_log_categorical(base.copy() + 700.0, np.random.default_rng(3))
-        b = draw_log_categorical(base.copy() - 700.0, np.random.default_rng(3))
+        uniform = np.random.default_rng(3).random()
+        a = draw_log_categorical_from_uniform(base + 700.0, uniform)
+        b = draw_log_categorical_from_uniform(base - 700.0, uniform)
         assert a == b
 
 
