@@ -2,7 +2,8 @@
 
 One full E-step (document sweep + augmentation draws, which the runner
 fuses into the workers) serially and at 1/2/4 workers on the twitter
-scenario. Both serial and workers run the default ``compiled`` sweep
+scenario, timed as the median of interleaved rounds (one E-step per arm
+per round). Both serial and workers run the default ``compiled`` sweep
 kernel (the reference fallback when no C toolchain exists) so the
 speedup_vs_serial ratio compares like against like. Speedup contracts are
 gated on the machine's core count; a single-core container reports honest
@@ -12,8 +13,10 @@ Results go to ``benchmarks/results/`` and — as the cross-PR perf
 trajectory record — to ``BENCH_parallel.json`` at the repository root.
 """
 
+import functools
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -24,7 +27,10 @@ from repro.parallel import ParallelEStepRunner
 
 N_COMMUNITIES = 6
 WORKER_COUNTS = (1, 2, 4)
-MEASURE_SWEEPS = 2
+#: E-steps timed per arm, one per arm per round in turn; an arm's time is
+#: the median of its E-steps. An E-step takes ~3-4 ms, so host noise on a
+#: best-of-2 swung the ratios by 2x from run to run.
+MEASURE_ROUNDS = 24
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
@@ -34,49 +40,60 @@ def _fresh_sampler(graph, config) -> CPDSampler:
     return CPDSampler(graph, config, params, rng=0)
 
 
-def _serial_estep_seconds(graph, config) -> float:
-    """One full E-step (sweep + PG draws), best of MEASURE_SWEEPS rounds."""
-    sampler = _fresh_sampler(graph, config)
-    sampler.sweep_documents()  # warm-up: caches, CSR layouts, allocator, .so
-    best = float("inf")
-    for _ in range(MEASURE_SWEEPS):
-        started = time.perf_counter()
-        sampler.sweep_documents()
-        sampler.sample_lambdas()
-        sampler.sample_deltas()
-        best = min(best, time.perf_counter() - started)
-    return best
+def _serial_estep(sampler: CPDSampler) -> None:
+    """One full serial E-step: the sweep, then the PG draws."""
+    sampler.sweep_documents()
+    sampler.sample_lambdas()
+    sampler.sample_deltas()
 
 
-def _parallel_estep_seconds(graph, config, n_workers) -> tuple[float, str]:
-    """Best E-step seconds at ``n_workers`` and the kernel the workers run.
-
-    The fused runner's ``__call__`` *is* the full E-step: workers draw the
-    augmentation variables and partial eta counts inside the sweep.
-    """
-    with ParallelEStepRunner(graph, config, n_workers=n_workers, rng=0) as runner:
-        # worker 0 sweeps on this sampler, so it runs the runner's kernel too
-        sampler = _fresh_sampler(graph, runner.config)
-        runner(sampler)  # warm-up: caches, helper samplers, threads
-        best = float("inf")
-        for _ in range(MEASURE_SWEEPS):
-            started = time.perf_counter()
-            runner(sampler)
-            best = min(best, time.perf_counter() - started)
-        return best, runner.worker_sweep_kernel
+def _quartiles(values: list[float]) -> list[float]:
+    return [float(q) for q in statistics.quantiles(values, n=4)]
 
 
 def _measure(graph, config) -> dict:
-    serial_seconds = _serial_estep_seconds(graph, config)
+    """Median E-step seconds per arm over interleaved rounds.
+
+    Arms: serial, and one reused runner per worker count (the fused
+    runner's ``__call__`` *is* the full E-step: workers draw the
+    augmentation variables and partial eta counts inside the sweep).
+    Every round runs one E-step of each arm in turn, so a slow stretch of
+    the host lands on all arms alike.
+    """
+    runners = [
+        ParallelEStepRunner(graph, config, n_workers=n_workers, rng=0)
+        for n_workers in WORKER_COUNTS
+    ]
+    try:
+        serial = _fresh_sampler(graph, config)
+        # worker 0 sweeps on the runner's sampler, so it runs the runner's kernel
+        arms = [("serial", functools.partial(_serial_estep, serial))] + [
+            (n_workers, functools.partial(runner, _fresh_sampler(graph, runner.config)))
+            for n_workers, runner in zip(WORKER_COUNTS, runners)
+        ]
+        for _, step in arms:
+            step()  # warm-up: caches, CSR layouts, helper samplers, threads, .so
+        seconds = {name: [] for name, _ in arms}
+        for _ in range(MEASURE_ROUNDS):
+            for name, step in arms:
+                started = time.perf_counter()
+                step()
+                seconds[name].append(time.perf_counter() - started)
+        worker_kernel = runners[0].worker_sweep_kernel
+    finally:
+        for runner in runners:
+            runner.close()
+    serial_seconds = statistics.median(seconds["serial"])
     scaling = []
     for n_workers in WORKER_COUNTS:
-        seconds, worker_kernel = _parallel_estep_seconds(graph, config, n_workers)
-        scaling.append([n_workers, seconds, serial_seconds / seconds])
+        median = statistics.median(seconds[n_workers])
+        scaling.append([n_workers, median, serial_seconds / median])
     return {
         "serial_seconds": serial_seconds,
         "sweep_kernel": config.sweep_kernel,
         "worker_sweep_kernel": worker_kernel,
         "scaling": scaling,
+        "quartiles": {str(name): _quartiles(values) for name, values in seconds.items()},
     }
 
 
@@ -110,6 +127,8 @@ def test_parallel_engine(benchmark):
             str(row[0]): row[1] for row in measured["scaling"]
         },
         "speedup_vs_serial": {str(w): s for w, s in speedups.items()},
+        "timing": f"median of {MEASURE_ROUNDS} interleaved E-steps per arm",
+        "estep_seconds_quartiles": measured["quartiles"],
     }
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 

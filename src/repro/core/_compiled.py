@@ -17,12 +17,16 @@ The C code reads and mutates the *same* buffers ``CPDState`` owns — count
 matrices, assignment vectors, the ``pi_hat`` / ``theta_hat`` caches and the
 popularity table — and reads the kernel's count-log tables
 (``cpd_log_table`` fills them with the sweep's own libm ``log``) through a
-pointer struct (:data:`_CTX_FIELDS`) built fresh per call, so arrays the
-sampler swaps between calls are always the ones read. The struct layout
-is generated from one field spec for both the C source and the ctypes
-mirror, so the two can never drift.
+pointer struct (:data:`_CTX_FIELDS`). ``CompiledKernel`` keeps one struct
+per sampler and re-points a field only when the sampler swapped its
+array (:func:`set_pointer`). The struct layout is generated from one
+field spec for both the C source and the ctypes mirror, so the two can
+never drift.
 
-The same translation unit carries ``cpd_pg1``, one round of exact
+The same struct feeds ``cpd_link_tilts`` and ``cpd_link_components`` (the
+Eq. 15/16 Pólya-Gamma tilts and the Eq. 5 components of any link batch)
+and ``cpd_pg_tilted`` (the tilts plus the first PG round in one call).
+The translation unit also carries ``cpd_pg1``, one round of exact
 Pólya-Gamma draws for the augmentation variables (:func:`pg1_rounds`, behind
 ``sampling/polya_gamma.py:sample_pg_array``), and ``cpd_lda_sweep``, one
 collapsed-Gibbs LDA sweep for the topic segmentation of the parallel
@@ -79,6 +83,7 @@ _CTX_FIELDS: tuple[tuple[str, str], ...] = (
     ("community_uses_content", "i64"),
     ("has_fixed", "i64"),
     ("pop_mode", "i64"),  # 0 raw, 1 proportion, 2 log
+    ("n_time_buckets", "i64"),
     # priors and derived constants
     ("alpha", "f64"),
     ("rho", "f64"),
@@ -120,6 +125,14 @@ _CTX_FIELDS: tuple[tuple[str, str], ...] = (
     ("f_indptr", "p_i64"),
     ("f_neighbor", "p_i64"),
     ("f_lambdas", "p_f64"),
+    # friendship links in link order (Eq. 15 tilts)
+    ("f_src", "p_i64"),
+    ("f_tgt", "p_i64"),
+    # diffusion links in link order (Eq. 16 tilts)
+    ("e_src", "p_i64"),
+    ("e_tgt", "p_i64"),
+    ("e_time", "p_i64"),
+    ("e_feature", "p_f64"),   # nu^T f per link
     # diffusion incidence (both endpoints)
     ("d_indptr", "p_i64"),
     ("d_other", "p_i64"),
@@ -144,6 +157,7 @@ _CTX_FIELDS: tuple[tuple[str, str], ...] = (
     ("scratch_q", "p_f64"),
     ("scratch_base", "p_f64"),
     ("scratch_cum", "p_f64"),
+    ("scratch_eta", "p_f64"),  # [z][k][d] Eq. 5 fold, C * C * Z
     # kernel-owned count-log tables (NULL -> libm, see count_log)
     ("log_beta_table", "p_f64"),   # [n] = log(n + beta), n < log_beta_size
     ("log_beta_size", "i64"),
@@ -177,33 +191,29 @@ class CpdCtx(ctypes.Structure):
     _fields_ = [(name, _CTYPES_TYPES[kind]) for name, kind in _CTX_FIELDS]
 
 
-def build_ctx(values: dict) -> tuple[CpdCtx, list]:
-    """A :class:`CpdCtx` from a name -> value mapping, plus keep-alive refs.
+#: pointer fields of :class:`CpdCtx` and their kinds
+_POINTER_KINDS = {name: kind for name, kind in _CTX_FIELDS if kind in _POINTER_DTYPES}
 
-    Mutable state arrays are passed by pointer, so they must be C-contiguous
-    with the exact dtype of the spec — a silent copy here would divert the
-    kernel's mutations into a throwaway buffer.
+
+def set_pointer(ctx: CpdCtx, name: str, array: np.ndarray | None) -> None:
+    """Point ctx field ``name`` at ``array`` (``None`` -> NULL).
+
+    The C code reads and mutates the array through the pointer, so it must
+    be C-contiguous with the exact dtype of the spec — a silent copy here
+    would divert the kernel's mutations into a throwaway buffer. The
+    caller keeps ``array`` alive for as long as the field points at it.
     """
-    ctx = CpdCtx()
-    keepalive: list[np.ndarray] = []
-    for name, kind in _CTX_FIELDS:
-        value = values[name]
-        if kind == "i64":
-            setattr(ctx, name, int(value))
-        elif kind == "f64":
-            setattr(ctx, name, float(value))
-        elif value is None:
-            setattr(ctx, name, None)
-        else:
-            expected = _POINTER_DTYPES[kind]
-            if value.dtype != expected or not value.flags.c_contiguous:
-                raise ValueError(
-                    f"ctx field {name} must be a C-contiguous {expected} array, "
-                    f"got {value.dtype} (contiguous={value.flags.c_contiguous})"
-                )
-            keepalive.append(value)
-            setattr(ctx, name, value.ctypes.data_as(_CTYPES_TYPES[kind]))
-    return ctx, keepalive
+    kind = _POINTER_KINDS[name]
+    if array is None:
+        setattr(ctx, name, None)
+        return
+    expected = _POINTER_DTYPES[kind]
+    if array.dtype != expected or not array.flags.c_contiguous:
+        raise ValueError(
+            f"ctx field {name} must be a C-contiguous {expected} array, "
+            f"got {array.dtype} (contiguous={array.flags.c_contiguous})"
+        )
+    setattr(ctx, name, ctypes.cast(array.ctypes.data, _CTYPES_TYPES[kind]))
 
 
 # ---------------------------------------------------------------- C source
@@ -335,17 +345,20 @@ void cpd_topic_log_weights(CpdCtx *c, int64_t doc, int64_t community, double *ou
     const double *pi_u = c->pi_cache + c->doc_user[doc] * C;
     const double *theta = c->theta_cache;
     double *wu = c->scratch_wu;          /* weighted_u[k, z] */
-    double *folded = c->scratch_folded;  /* folded[d, z] = sum_k wu[k,z] eta[k,d,z] */
+    /* folded[z, d] = theta[d, z] * sum_k wu[k,z] eta[k,d,z], contiguous in d */
+    double *folded = c->scratch_folded;
     for (int64_t k = 0; k < C; ++k)
         for (int64_t z = 0; z < Z; ++z) wu[k * Z + z] = pi_u[k] * theta[k * Z + z];
-    for (int64_t i = 0; i < C * Z; ++i) folded[i] = 0.0;
     for (int64_t z = 0; z < Z; ++z) {
         const double *eta_z = c->eta_oriented + (Z + z) * C * C; /* [z][c][d] */
+        double *fz = folded + z * C;
+        for (int64_t d = 0; d < C; ++d) fz[d] = 0.0;
         for (int64_t k = 0; k < C; ++k) {
             const double w = wu[k * Z + z];
             const double *eta_row = eta_z + k * C;
-            for (int64_t d = 0; d < C; ++d) folded[d * Z + z] += w * eta_row[d];
+            for (int64_t d = 0; d < C; ++d) fz[d] += w * eta_row[d];
         }
+        for (int64_t d = 0; d < C; ++d) fz[d] = theta[d * Z + z] * fz[d];
     }
     for (int64_t p = start; p < end; ++p) {
         const double *pi_v = c->pi_cache + c->dout_target_user[p] * C;
@@ -354,9 +367,9 @@ void cpd_topic_log_weights(CpdCtx *c, int64_t doc, int64_t community, double *ou
         double denom = 1.0;
         if (c->use_topic_factor && c->pop_mode == 1) denom = pop_row_denom(c, t);
         for (int64_t z = 0; z < Z; ++z) {
+            const double *fz = folded + z * C;
             double bilinear = 0.0;
-            for (int64_t d = 0; d < C; ++d)
-                bilinear += pi_v[d] * (theta[d * Z + z] * folded[d * Z + z]);
+            for (int64_t d = 0; d < C; ++d) bilinear += pi_v[d] * fz[d];
             double score = c->comm_weight * bilinear + c->bias;
             if (c->use_topic_factor) score += c->pop_weight * pop_cell(c, t, z, denom);
             if (c->use_individual_factor) score += c->dout_feature[p];
@@ -1000,6 +1013,135 @@ cleanup:
     free(fixed);
     return result;
 }
+/* Link tilts and Eq. 5 components, read from the context: the C forms of
+   gibbs.py friendship_dots / diffusion_components / diffusion_logits, for
+   the state the sweep left. They match those numpy specs to rounding (the
+   numpy sums run through BLAS and einsum, whose order C does not copy:
+   dot products here run in lr_dot's four partial sums). */
+
+/* Per-call tables for a link batch: scratch_eta[z][k][d] = (eta[k,d,z]
+   theta[k,z]) theta[d,z], so a link's community term is
+   sum_d pi_v[d] sum_k pi_u[k] scratch_eta[z][k][d]; and, returned, each
+   time bucket's popularity row total in proportion mode (integer counts,
+   so any summation order gives numpy's total). The caller frees it; NULL
+   when there is nothing to hold or the allocation failed, and
+   pop_row_denom then runs per link. */
+static double *link_tables(CpdCtx *c) {
+    const int64_t C = c->n_communities, Z = c->n_topics;
+    if (!c->similarity_mode) {
+        const double *theta = c->theta_cache;
+        for (int64_t z = 0; z < Z; ++z) {
+            const double *eta_z = c->eta_oriented + (Z + z) * C * C; /* [z][k][d] */
+            double *out = c->scratch_eta + z * C * C;
+            for (int64_t k = 0; k < C; ++k)
+                for (int64_t d = 0; d < C; ++d)
+                    out[k * C + d] = (eta_z[k * C + d] * theta[k * Z + z]) * theta[d * Z + z];
+        }
+    }
+    if (!(c->use_topic_factor && c->pop_mode == 1 && c->n_time_buckets > 0)) return NULL;
+    double *pop_denom = malloc(sizeof(double) * (size_t)c->n_time_buckets);
+    if (pop_denom)
+        for (int64_t t = 0; t < c->n_time_buckets; ++t) pop_denom[t] = pop_row_denom(c, t);
+    return pop_denom;
+}
+
+/* community (profile or similarity mode) and popularity components of one
+   (source, target, time) link; an unassigned source reads as topic 0 */
+static void link_terms(CpdCtx *c, const double *pop_denom, int64_t src, int64_t tgt,
+                       int64_t t, double *community, double *popularity) {
+    const int64_t C = c->n_communities;
+    const double *pi_u = c->pi_cache + c->doc_user[src] * C;
+    const double *pi_v = c->pi_cache + c->doc_user[tgt] * C;
+    const int64_t topic = c->doc_topic[src];
+    const int64_t z = topic >= 0 ? topic : 0;
+    if (c->similarity_mode) {
+        *community = lr_dot(pi_u, pi_v, NULL, C);
+    } else {
+        /* acc[d] = sum_k pi_u[k] folded[k][d]: C independent sums */
+        const double *folded = c->scratch_eta + z * C * C;
+        double *acc = c->scratch_q;
+        for (int64_t d = 0; d < C; ++d) acc[d] = pi_u[0] * folded[d];
+        for (int64_t k = 1; k < C; ++k) {
+            const double w = pi_u[k];
+            const double *row = folded + k * C;
+            for (int64_t d = 0; d < C; ++d) acc[d] += w * row[d];
+        }
+        *community = lr_dot(acc, pi_v, NULL, C);
+    }
+    *popularity = 0.0;
+    if (c->use_topic_factor) {
+        double denom = 1.0;
+        if (c->pop_mode == 1) denom = pop_denom ? pop_denom[t] : pop_row_denom(c, t);
+        *popularity = pop_cell(c, t, z, denom);
+    }
+}
+
+/* Community and popularity components for any batch of links. Returns -1,
+   before writing anything, when an id is out of range. */
+int64_t cpd_link_components(CpdCtx *c, const int64_t *src, const int64_t *tgt,
+                            const int64_t *time, int64_t n, double *community,
+                            double *popularity) {
+    for (int64_t i = 0; i < n; ++i) {
+        if (src[i] < 0 || src[i] >= c->n_docs || tgt[i] < 0 || tgt[i] >= c->n_docs)
+            return -1;
+        if (c->use_topic_factor && (time[i] < 0 || time[i] >= c->n_time_buckets))
+            return -1;
+    }
+    double *pop_denom = link_tables(c);
+    for (int64_t i = 0; i < n; ++i)
+        link_terms(c, pop_denom, src[i], tgt[i], time[i], community + i, popularity + i);
+    free(pop_denom);
+    return 0;
+}
+
+/* PG tilts for links [start, stop): which 0 is the Eq. 15 friendship tilt
+   pi_u . pi_v, which 1 the Eq. 16 diffusion tilt (the raw pi_u . pi_v in
+   similarity mode, else the Eq. 5 logit summed as DiffusionParameters.logits
+   does). Returns the number of non-finite tilts. */
+int64_t cpd_link_tilts(CpdCtx *c, int64_t which, int64_t start, int64_t stop, double *z) {
+    const int64_t C = c->n_communities;
+    const int64_t n = stop - start;
+    if (which == 0) {
+        for (int64_t i = 0; i < n; ++i)
+            z[i] = lr_dot(c->pi_cache + c->f_src[start + i] * C,
+                          c->pi_cache + c->f_tgt[start + i] * C, NULL, C);
+    } else {
+        double *pop_denom = link_tables(c);
+        for (int64_t i = 0; i < n; ++i) {
+            const int64_t link = start + i;
+            double community, popularity;
+            link_terms(c, pop_denom, c->e_src[link], c->e_tgt[link], c->e_time[link],
+                       &community, &popularity);
+            if (c->similarity_mode) {
+                z[i] = community;
+                continue;
+            }
+            double logit = c->comm_weight * community + c->pop_weight * popularity;
+            if (c->use_individual_factor) logit += c->e_feature[link];
+            z[i] = logit + c->bias;
+        }
+        free(pop_denom);
+    }
+    int64_t bad = 0;
+    for (int64_t i = 0; i < n; ++i) bad += !isfinite(z[i]);
+    return bad;
+}
+
+/* The tilts of links [start, stop) into z, then the first cpd_pg1 round
+   over all of them from the (stop - start, slots) block uniforms: the same
+   Generator reads as tilting first and calling cpd_pg1 after. Returns the
+   round's pending count, or -1 (no round run) on a non-finite tilt. */
+int64_t cpd_pg_tilted(CpdCtx *c, int64_t which, int64_t start, int64_t stop, double *z,
+                      int64_t *pending, int8_t *branch, const double *uniforms,
+                      int64_t slots, double *out) {
+    const int64_t n = stop - start;
+    if (cpd_link_tilts(c, which, start, stop, z)) return -1;
+    for (int64_t i = 0; i < n; ++i) {
+        pending[i] = i;
+        branch[i] = 0;
+    }
+    return cpd_pg1(z, pending, n, branch, uniforms, slots, out);
+}
 """.replace("__STRUCT_BODY__", _STRUCT_BODY)
 
 
@@ -1096,6 +1238,15 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
         void_p, void_p, ctypes.c_int64, void_p, void_p, ctypes.c_int64, void_p
     ]
     library.cpd_pg1.restype = ctypes.c_int64
+    i64 = ctypes.c_int64
+    library.cpd_link_components.argtypes = [ctx_p, void_p, void_p, void_p, i64, void_p, void_p]
+    library.cpd_link_components.restype = i64
+    library.cpd_link_tilts.argtypes = [ctx_p, i64, i64, i64, void_p]
+    library.cpd_link_tilts.restype = i64
+    library.cpd_pg_tilted.argtypes = [
+        ctx_p, i64, i64, i64, void_p, void_p, void_p, void_p, i64, void_p
+    ]
+    library.cpd_pg_tilted.restype = i64
     library.cpd_lda_sweep.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
         i64_p, i64_p, i64_p, f64_p, f64_p, f64_p, f64_p, f64_p,

@@ -13,8 +13,12 @@ Eq. 13 then its community by Eq. 14; afterwards redraw the augmentation
 variables. Each sweep runs in a sweep kernel (:mod:`repro.core.kernel`)
 selected by ``CPDConfig.sweep_kernel``: the default "compiled" kernel
 resamples a whole partition in one C call, while "reference" loops the
-literal conditionals below, the executable specification. Link incidence
-is stored as flat CSR index arrays shared by both kernels.
+literal conditionals below, the executable specification. The compiled
+kernel also computes the augmentation tilts and draws and the Eq. 5
+components from the context it keeps for the sampler's life; the numpy
+bodies here (``_friendship_tilts``, ``_diffusion_tilts``,
+``_link_components``) are their specification and the fallback. Link
+incidence is stored as flat CSR index arrays shared by both kernels.
 
 Two documented deviations from a literal reading (both noted in
 DESIGN.md §3):
@@ -39,7 +43,7 @@ from ..sampling.categorical import sample_log_categorical
 from ..sampling.polya_gamma import log_psi, sample_pg_array
 from ..sampling.rng import RngLike, ensure_rng
 from .config import CPDConfig
-from .kernel import SweepStats, make_kernel
+from .kernel import DIFFUSION, FRIENDSHIP, SweepStats, make_kernel
 from .parameters import DiffusionParameters
 from .result import CPDResult
 from .state import CPDState, counts_to_indptr
@@ -552,11 +556,19 @@ class CPDSampler:
 
     def friendship_dots(self) -> np.ndarray:
         """``pi_hat_u . pi_hat_v`` for every friendship link (Eq. 3 logits)."""
-        pi = self.state.pi_hat_view()
         if self.n_friend_links == 0:
             return np.zeros(0)
+        if self.kernel.uses_compiled_pg:
+            return self.kernel.link_tilts(FRIENDSHIP, 0, self.n_friend_links)
+        return self._friendship_tilts(0, self.n_friend_links)
+
+    def _friendship_tilts(self, start: int, stop: int) -> np.ndarray:
+        """Numpy spec of the Eq. 15 tilts for friendship links ``[start, stop)``."""
+        pi = self.state.pi_hat_view()
         return np.einsum(
-            "ij,ij->i", np.take(pi, self.f_src, axis=0), np.take(pi, self.f_tgt, axis=0)
+            "ij,ij->i",
+            np.take(pi, self.f_src[start:stop], axis=0),
+            np.take(pi, self.f_tgt[start:stop], axis=0),
         )
 
     def diffusion_logits(
@@ -583,15 +595,10 @@ class CPDSampler:
     ) -> dict[str, np.ndarray]:
         """Raw per-factor values for a batch of pairs (M-step features).
 
-        The Eq. 5 community term ``sum_{c,d} (pi_uc theta_cz) eta_cdz
-        (pi_vd theta_dz)`` is folded per user instead of per link:
-        ``A = eta * theta_c * theta_d`` once as a ``(C, C, Z)`` array, then
-        ``P = pi @ A`` as ``(U, C, Z)``, and a link scores
-        ``P[u_src, :, z] . pi[u_tgt]``. The same double sum in another
-        order (agrees to ~1e-15 relative). It costs ``U * C^2 * Z`` per
-        call whatever the batch size; every caller passes a whole link set
-        (all of E, its negatives, or a worker's range). A source document
-        without a topic reads as topic 0.
+        The compiled kernel computes the community and popularity columns
+        in C (``CompiledKernel.link_components``); :meth:`_link_components`
+        is their numpy spec. A source document without a topic reads as
+        topic 0.
         """
         source_docs = np.asarray(source_docs, dtype=np.int64)
         target_docs = np.asarray(target_docs, dtype=np.int64)
@@ -603,6 +610,44 @@ class CPDSampler:
                 "popularity": np.zeros(0),
                 "features": np.zeros((0, UserFeatures.N_FEATURES)),
             }
+        if self.kernel.uses_compiled_pg:
+            community_score, popularity_score = self.kernel.link_components(
+                source_docs, target_docs, timestamps
+            )
+        else:
+            community_score, popularity_score = self._link_components(
+                source_docs, target_docs, timestamps
+            )
+
+        if features is None:
+            if self.user_features is None:
+                raise RuntimeError(
+                    "graph-free sampler cannot derive pair features; pass them explicitly"
+                )
+            features = self.user_features.pair_features_batch(
+                self._doc_user[source_docs], self._doc_user[target_docs]
+            )
+        if not self.config.use_individual_factor:
+            features = np.zeros_like(features)
+        return {
+            "community": community_score,
+            "popularity": popularity_score,
+            "features": features,
+        }
+
+    def _link_components(
+        self, source_docs: np.ndarray, target_docs: np.ndarray, timestamps: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Numpy spec of the Eq. 5 community and popularity components.
+
+        The community term ``sum_{c,d} (pi_uc theta_cz) eta_cdz (pi_vd
+        theta_dz)`` is folded per user instead of per link: ``A = eta *
+        theta_c * theta_d`` once as a ``(C, C, Z)`` array, then ``P = pi @
+        A`` as ``(U, C, Z)``, and a link scores ``P[u_src, :, z] .
+        pi[u_tgt]``. The same double sum in another order (agrees to ~1e-15
+        relative). It costs ``U * C^2 * Z`` per call whatever the batch
+        size.
+        """
         state = self.state
         pi = state.pi_hat_view()
         theta = state.theta_hat_view()
@@ -637,23 +682,8 @@ class CPDSampler:
             matrix = self.popularity.score_matrix()
             popularity_score = matrix[timestamps, link_topics]
         else:
-            popularity_score = np.zeros(n)
-
-        if features is None:
-            if self.user_features is None:
-                raise RuntimeError(
-                    "graph-free sampler cannot derive pair features; pass them explicitly"
-                )
-            features = self.user_features.pair_features_batch(
-                self._doc_user[source_docs], self._doc_user[target_docs]
-            )
-        if not self.config.use_individual_factor:
-            features = np.zeros_like(features)
-        return {
-            "community": community_score,
-            "popularity": popularity_score,
-            "features": features,
-        }
+            popularity_score = np.zeros(len(source_docs))
+        return community_score, popularity_score
 
     def sample_lambdas(self) -> np.ndarray | None:
         """Eq. 15: ``lambda_uv ~ PG(1, pi_hat_u . pi_hat_v)`` for every F link.
@@ -663,10 +693,7 @@ class CPDSampler:
         """
         if self.n_friend_links == 0 or not self.config.model_friendship:
             return None
-        dots = self.friendship_dots()
-        self.lambdas = sample_pg_array(
-            dots, self.rng, compiled=getattr(self.kernel, "uses_compiled_pg", False)
-        )
+        self.lambdas, dots = self._draw_lambdas(0, self.n_friend_links)
         return dots
 
     def sample_deltas(self) -> None:
@@ -680,39 +707,47 @@ class CPDSampler:
 
         The parallel runner fuses the per-link draws into the workers by
         handing each a contiguous link range; the serial
-        :meth:`sample_lambdas` draws the full range from the same dots.
-        Always one batched :func:`sample_pg_array` call.
+        :meth:`sample_lambdas` draws the full range.
         """
-        pi = self.state.pi_hat_view()
-        dots = np.einsum(
-            "ij,ij->i", pi[self.f_src[start:stop]], pi[self.f_tgt[start:stop]]
-        )
-        return sample_pg_array(
-            dots,
-            self.rng,
-            compiled=getattr(self.kernel, "uses_compiled_pg", False),
-        )
+        return self._draw_lambdas(start, stop)[0]
+
+    def _draw_lambdas(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Eq. 15 draws for friendship links ``[start, stop)`` and their tilts.
+
+        The compiled kernel tilts and draws in C (``CompiledKernel.draw_pg``);
+        otherwise one batched numpy :func:`sample_pg_array` call on
+        :meth:`_friendship_tilts`. Both read the same uniform blocks.
+        """
+        if self.kernel.uses_compiled_pg:
+            return self.kernel.draw_pg(FRIENDSHIP, start, stop, self.rng)
+        dots = self._friendship_tilts(start, stop)
+        return sample_pg_array(dots, self.rng), dots
 
     def draw_delta_range(self, start: int, stop: int) -> np.ndarray:
-        """Fresh Eq. 16 draws for diffusion links ``[start, stop)``."""
+        """Fresh Eq. 16 draws for diffusion links ``[start, stop)``.
+
+        The compiled kernel tilts and draws in C; otherwise one batched
+        numpy :func:`sample_pg_array` call on :meth:`_diffusion_tilts`.
+        """
+        if self.kernel.uses_compiled_pg:
+            return self.kernel.draw_pg(DIFFUSION, start, stop, self.rng)[0]
+        return sample_pg_array(self._diffusion_tilts(start, stop), self.rng)
+
+    def _diffusion_tilts(self, start: int, stop: int) -> np.ndarray:
+        """Numpy spec of the Eq. 16 tilts for diffusion links ``[start, stop)``:
+        the Eq. 5 logits, or ``pi_hat_u . pi_hat_v`` in similarity mode."""
         if self.uses_similarity_diffusion:
             pi = self.state.pi_hat_view()
-            logits = np.einsum(
+            return np.einsum(
                 "ij,ij->i",
                 pi[self._doc_user[self.e_src[start:stop]]],
                 pi[self._doc_user[self.e_tgt[start:stop]]],
             )
-        else:
-            logits = self.diffusion_logits(
-                self.e_src[start:stop],
-                self.e_tgt[start:stop],
-                self.e_time[start:stop],
-                self.e_features[start:stop],
-            )
-        return sample_pg_array(
-            logits,
-            self.rng,
-            compiled=getattr(self.kernel, "uses_compiled_pg", False),
+        return self.diffusion_logits(
+            self.e_src[start:stop],
+            self.e_tgt[start:stop],
+            self.e_time[start:stop],
+            self.e_features[start:stop],
         )
 
     # ---------------------------------------------------------------- M-step

@@ -6,10 +6,12 @@ selected by ``CPDConfig.sweep_kernel``:
 
 * :class:`CompiledKernel` (the default) runs the whole sweep — conditional
   builds, categorical draws, and counting-state updates — inside one C
-  function compiled at first use (:mod:`repro.core._compiled`). It keeps
-  the per-link arrays in CSR order (link timestamps, feature projections
-  ``nu^T f``, augmentation variables, both ``eta`` orientations) so the C
-  code reads contiguous slices.
+  function compiled at first use (:mod:`repro.core._compiled`), and the
+  rest of the E-step's link work too: the Eq. 15/16 Pólya-Gamma tilts and
+  draws and the Eq. 5 components. It keeps the per-link arrays in CSR
+  order (link timestamps, feature projections ``nu^T f``, augmentation
+  variables, both ``eta`` orientations) so the C code reads contiguous
+  slices, and hands C one context struct for the fit's life.
 * :class:`ReferenceKernel` loops the sampler's literal per-word / per-link
   conditionals — the executable specification of the model, and the
   fallback when no C toolchain is available: ``make_kernel`` then warns
@@ -23,6 +25,7 @@ identically; the parity tests live in ``tests/test_core_kernel.py``.
 from __future__ import annotations
 
 import ctypes
+import operator
 import time
 import warnings
 from dataclasses import dataclass
@@ -30,6 +33,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..sampling.polya_gamma import _SLOTS as PG_SLOTS
 from . import _compiled
 from .layout import split_word_multiplicity
 
@@ -107,6 +111,8 @@ class ReferenceKernel:
     """Per-word / per-link loop implementation (the executable spec)."""
 
     name = "reference"
+    #: gibbs keeps the augmentation draws and the Eq. 5 components in numpy
+    uses_compiled_pg = False
 
     def __init__(self, sampler: "CPDSampler") -> None:
         self.sampler = sampler
@@ -133,20 +139,82 @@ class ReferenceKernel:
         )
 
 
+#: pointer fields of the persistent ctx and the kernel attribute path each
+#: one's array is read from; the pi/theta caches are read through their
+#: flushing accessors, and the scratch buffers are pointed once
+_CTX_SOURCES = (
+    ("doc_user", "sampler._doc_user"),
+    ("doc_time", "sampler._doc_time"),
+    ("doc_community", "state.doc_community"),
+    ("doc_topic", "state.doc_topic"),
+    ("fixed_communities", "sampler.fixed_communities"),
+    ("user_community", "state.user_community"),
+    ("user_totals", "state.user_totals"),
+    ("community_topic", "state.community_topic"),
+    ("community_totals", "state.community_totals"),
+    ("topic_word", "state.topic_word"),
+    ("topic_totals", "state.topic_totals"),
+    ("pop_counts", "sampler.popularity._counts"),
+    ("ws_words", "ws_words"),
+    ("ws_indptr", "ws_indptr"),
+    ("wm_words", "wm_words"),
+    ("wm_indptr", "wm_indptr"),
+    ("wm_counts", "wm_counts"),
+    ("doc_lengths", "_doc_lengths_f64"),
+    ("f_indptr", "sampler.f_csr_indptr"),
+    ("f_neighbor", "sampler.f_csr_neighbor"),
+    ("f_lambdas", "_f_lambdas"),
+    ("f_src", "sampler.f_src"),
+    ("f_tgt", "sampler.f_tgt"),
+    ("e_src", "sampler.e_src"),
+    ("e_tgt", "sampler.e_tgt"),
+    ("e_time", "sampler.e_time"),
+    ("e_feature", "_e_feature"),
+    ("d_indptr", "sampler.d_csr_indptr"),
+    ("d_other", "_d_other"),
+    ("d_other_user", "_d_other_user"),
+    ("d_time", "_d_time"),
+    ("d_is_source", "_d_orientation"),
+    ("d_deltas", "_d_deltas"),
+    ("d_feature", "_d_feature"),
+    ("dout_indptr", "sampler.dout_csr_indptr"),
+    ("dout_target_user", "_dout_target_user"),
+    ("dout_time", "_dout_time"),
+    ("dout_deltas", "_dout_deltas"),
+    ("dout_feature", "_dout_feature"),
+    ("eta_oriented", "_eta_oriented_flat"),
+    ("log_beta_table", "_log_beta_table"),
+    ("log_alpha_table", "_log_alpha_table"),
+    ("lgamma_cache", "_lgamma_cache"),
+)
+#: every pointer field _sync keeps current, in the order it reads them
+_CTX_POINTED = tuple(name for name, _ in _CTX_SOURCES) + ("pi_cache", "theta_cache")
+#: table fields whose length the ctx carries next to the pointer
+_CTX_SIZES = {"log_beta_table": "log_beta_size", "log_alpha_table": "log_alpha_size"}
+#: which link set a PG tilt or draw covers (``cpd_link_tilts``)
+FRIENDSHIP, DIFFUSION = 0, 1
+_UNBOUND = object()
+
+
 class CompiledKernel:
     """C implementation of the fused sweep (DESIGN.md §4, §10).
 
     Computes the Eq. 13 / Eq. 14 conditionals — and, through :meth:`sweep`,
     the entire per-document resample loop including count updates and
-    categorical draws — in the runtime-compiled C library. The C code
-    mutates the *same* arrays ``CPDState`` owns through a pointer struct
-    rebuilt on every entry, so M-step array swaps and streaming appends
-    keep working unchanged.
+    categorical draws — in the runtime-compiled C library, plus the
+    Eq. 15/16 augmentation tilts and draws (:meth:`draw_pg`) and the Eq. 5
+    components (:meth:`link_components`). The C code mutates the *same*
+    arrays ``CPDState`` owns through one ``CpdCtx`` pointer struct kept for
+    the kernel's life. Each entry into C (:meth:`_sync`) writes the
+    parameter scalars and re-points a field only when the sampler replaced
+    its array (an M-step swap, a snapshot load, a popularity rebuild, a
+    streaming append, a helper refresh), so those keep working unchanged.
 
     RNG contract: the sweep pre-draws one uniform per categorical draw from
     the sampler's ``Generator`` (``rng.random(k)`` consumes the same bit
     stream as ``k`` scalar draws), so matched seeds stay aligned with the
-    reference kernel draw for draw.
+    reference kernel draw for draw; the PG draws read the same uniform
+    blocks as ``sample_pg_array``.
 
     The kernel also owns the count-log tables and the per-topic ``lgamma``
     memo the C topic conditional reads (:meth:`_build_count_tables`); they
@@ -154,7 +222,8 @@ class CompiledKernel:
     """
 
     name = "compiled"
-    #: gibbs hands the augmentation draws to the compiled PG sampler
+    #: gibbs hands the augmentation tilts and draws, the Eq. 5 components
+    #: and the nu solve to the compiled backend
     uses_compiled_pg = True
 
     _POP_MODES = {"raw": 0, "proportion": 1, "log": 2}
@@ -166,21 +235,7 @@ class CompiledKernel:
         self.sampler = sampler
         self.state = sampler.state
         config = sampler.config
-
-        # config- and prior-derived constants (fixed for the sampler's life)
-        self._profile_mode = sampler.uses_profile_diffusion
-        self._similarity_mode = sampler.uses_similarity_diffusion
-        self._model_friendship = config.model_friendship
-        self._use_topic_factor = config.use_topic_factor
-        self._use_individual_factor = config.use_individual_factor
-        self._community_uses_content = config.community_uses_content
         state = sampler.state
-        self._alpha = state.alpha
-        self._rho = state.rho
-        self._beta = state.beta
-        self._words_beta = state.n_words * state.beta
-        self._topics_alpha = config.n_topics * state.alpha
-        self._denominator_offset = 1.0 + config.n_communities * state.rho
 
         self._build_word_layout(sampler)
         self._build_link_layout(sampler)
@@ -201,11 +256,46 @@ class CompiledKernel:
             "scratch_q": np.empty(n_communities),
             "scratch_base": np.empty(n_communities),
             "scratch_cum": np.empty(max(n_topics, n_communities)),
+            "scratch_eta": np.empty(n_communities * n_communities * n_topics),
         }
         # lgamma(topic_totals[z] + W beta) memo, keyed by its exact argument
         # (so it never goes stale); NaN keys match nothing
         self._lgamma_cache = np.full(2 * n_topics, np.nan)
         self._build_count_tables()
+
+        # the persistent ctx: config- and prior-derived fields are fixed
+        # for the sampler's life; _sync keeps the rest current
+        ctx = self._ctx = _compiled.CpdCtx()
+        self._ctx_p = ctypes.pointer(ctx)
+        for name, value in (
+            ("n_users", state.n_users),
+            ("n_words", state.n_words),
+            ("n_communities", state.n_communities),
+            ("n_topics", state.n_topics),
+            ("profile_mode", sampler.uses_profile_diffusion),
+            ("similarity_mode", sampler.uses_similarity_diffusion),
+            ("model_friendship", config.model_friendship),
+            ("use_topic_factor", config.use_topic_factor),
+            ("use_individual_factor", config.use_individual_factor),
+            ("community_uses_content", config.community_uses_content),
+        ):
+            setattr(ctx, name, int(value))
+        for name, value in (
+            ("alpha", state.alpha),
+            ("rho", state.rho),
+            ("beta", state.beta),
+            ("words_beta", state.n_words * state.beta),
+            ("topics_alpha", n_topics * state.alpha),
+            ("comm_denom_offset", 1.0 + n_communities * state.rho),
+            ("pi_denom_offset", n_communities * state.rho),
+            ("theta_denom_offset", n_topics * state.alpha),
+        ):
+            setattr(ctx, name, float(value))
+        for name, array in self._scratch.items():
+            _compiled.set_pointer(ctx, name, array)
+        self._read_sources = operator.attrgetter(*(path for _, path in _CTX_SOURCES))
+        # the array each pointer field was last pointed at (kept alive here)
+        self._bound: list = [_UNBOUND] * len(_CTX_POINTED)
 
     # ---------------------------------------------------------------- layout
 
@@ -247,8 +337,8 @@ class CompiledKernel:
 
         The streaming update-in-place path: only the new documents'
         (word, count) rows are split and appended — existing layout entries
-        are untouched. The new documents have no incident links yet, and
-        the doc-indexed link pointers are read from the sampler per call.
+        are untouched. The new documents have no incident links yet; the
+        next entry into C re-points the ctx at the grown arrays.
         """
         sampler = self.sampler
         state = sampler.state
@@ -314,6 +404,7 @@ class CompiledKernel:
                 if len(sampler.e_features)
                 else np.zeros(0)
             )
+            self._e_feature = projection
             self._d_feature = projection[sampler.d_csr_link]
             self._dout_feature = projection[sampler.dout_csr_link]
         if sampler.lambdas is not self._lambdas_source:
@@ -338,8 +429,9 @@ class CompiledKernel:
         §10, "Count-log tables"). Rebuilt when documents are appended.
         """
         n_tokens = int(self._doc_lengths_f64.sum())
-        self._log_beta_table = self._log_table(n_tokens + 1, self._beta)
-        self._log_alpha_table = self._log_table(self.state.n_docs + 1, self._alpha)
+        state = self.state
+        self._log_beta_table = self._log_table(n_tokens + 1, state.beta)
+        self._log_alpha_table = self._log_table(state.n_docs + 1, state.alpha)
 
     def _log_table(self, size: int, offset: float) -> np.ndarray:
         table = np.empty(size)
@@ -352,119 +444,154 @@ class CompiledKernel:
 
     # ------------------------------------------------------------------- ctx
 
-    def _ctx_values(self) -> dict:
-        """Current pointer-struct contents; rebuilt per entry into C.
+    def _sync(self):
+        """Bring the persistent ctx up to date; returns the pointer to pass C.
 
-        ``pi_hat_view`` / ``theta_hat_view`` flush their dirty rows here, so
-        the C code always starts from fresh caches and keeps the rows it
-        touches fresh itself (same ``(count + prior) / (total + offset)``
-        arithmetic, validated by ``check_consistency`` at 1e-12).
+        Runs on every entry into C: it writes the scalars that may change
+        between calls (the factor weights, the document count, the
+        popularity table's shape) and re-points each pointer field whose
+        source array is no longer the object it was pointed at. Flushing
+        ``pi_hat_view`` / ``theta_hat_view`` here means C always starts
+        from fresh caches and keeps the rows it touches fresh itself (same
+        ``(count + prior) / (total + offset)`` arithmetic, validated by
+        ``check_consistency`` at 1e-12).
         """
+        self._refresh_caches()
         sampler = self.sampler
         state = self.state
         params = sampler.params
         popularity = sampler.popularity
-        fixed = sampler.fixed_communities
-        values = {
-            "n_docs": state.n_docs,
-            "n_users": state.n_users,
-            "n_words": state.n_words,
-            "n_communities": state.n_communities,
-            "n_topics": state.n_topics,
-            "profile_mode": int(self._profile_mode),
-            "similarity_mode": int(self._similarity_mode),
-            "model_friendship": int(self._model_friendship),
-            "use_topic_factor": int(self._use_topic_factor),
-            "use_individual_factor": int(self._use_individual_factor),
-            "community_uses_content": int(self._community_uses_content),
-            "has_fixed": int(fixed is not None),
-            "pop_mode": self._POP_MODES[popularity.mode],
-            "alpha": self._alpha,
-            "rho": self._rho,
-            "beta": self._beta,
-            "words_beta": self._words_beta,
-            "topics_alpha": self._topics_alpha,
-            "comm_denom_offset": self._denominator_offset,
-            "pi_denom_offset": state.n_communities * state.rho,
-            "theta_denom_offset": state.n_topics * state.alpha,
-            "comm_weight": params.comm_weight,
-            "pop_weight": params.pop_weight,
-            "bias": params.bias,
-            "pop_table_weight": popularity.weight,
-            "doc_user": sampler._doc_user,
-            "doc_time": sampler._doc_time,
-            "doc_community": state.doc_community,
-            "doc_topic": state.doc_topic,
-            "fixed_communities": fixed,
-            "user_community": state.user_community,
-            "user_totals": state.user_totals,
-            "community_topic": state.community_topic,
-            "community_totals": state.community_totals,
-            "topic_word": state.topic_word,
-            "topic_totals": state.topic_totals,
-            "pi_cache": state.pi_hat_view(),
-            "theta_cache": state.theta_hat_view(),
-            "pop_counts": popularity._counts,
-            "ws_words": self.ws_words,
-            "ws_indptr": self.ws_indptr,
-            "wm_words": self.wm_words,
-            "wm_indptr": self.wm_indptr,
-            "wm_counts": self.wm_counts,
-            "doc_lengths": self._doc_lengths_f64,
-            "f_indptr": sampler.f_csr_indptr,
-            "f_neighbor": sampler.f_csr_neighbor,
-            "f_lambdas": self._f_lambdas,
-            "d_indptr": sampler.d_csr_indptr,
-            "d_other": self._d_other,
-            "d_other_user": self._d_other_user,
-            "d_time": self._d_time,
-            "d_is_source": self._d_orientation,
-            "d_deltas": self._d_deltas,
-            "d_feature": self._d_feature,
-            "dout_indptr": sampler.dout_csr_indptr,
-            "dout_target_user": self._dout_target_user,
-            "dout_time": self._dout_time,
-            "dout_deltas": self._dout_deltas,
-            "dout_feature": self._dout_feature,
-            "eta_oriented": self._eta_oriented_flat,
-            "log_beta_table": self._log_beta_table,
-            "log_beta_size": 0 if self._log_beta_table is None else len(self._log_beta_table),
-            "log_alpha_table": self._log_alpha_table,
-            "log_alpha_size": 0 if self._log_alpha_table is None else len(self._log_alpha_table),
-            "lgamma_cache": self._lgamma_cache,
-        }
-        values.update(self._scratch)
-        return values
+        ctx = self._ctx
+        ctx.n_docs = state.n_docs
+        ctx.has_fixed = sampler.fixed_communities is not None
+        ctx.pop_mode = self._POP_MODES[popularity.mode]
+        ctx.n_time_buckets = popularity.n_time_buckets
+        ctx.pop_table_weight = float(popularity.weight)
+        ctx.comm_weight = float(params.comm_weight)
+        ctx.pop_weight = float(params.pop_weight)
+        ctx.bias = float(params.bias)
+        sources = self._read_sources(self) + (state.pi_hat_view(), state.theta_hat_view())
+        bound = self._bound
+        for index, source in enumerate(sources):
+            if source is not bound[index]:
+                self._point(index, source)
+        return self._ctx_p
+
+    def _point(self, index: int, source: np.ndarray | None) -> None:
+        """Point ctx field ``_CTX_POINTED[index]`` at ``source``."""
+        name = _CTX_POINTED[index]
+        _compiled.set_pointer(self._ctx, name, source)
+        if name in _CTX_SIZES:
+            setattr(self._ctx, _CTX_SIZES[name], 0 if source is None else len(source))
+        self._bound[index] = source
 
     # ----------------------------------------------------------- conditionals
 
     def topic_log_weights(self, doc_id: int, community: int) -> np.ndarray:
         """Eq. 13 log-weights computed by the C conditional builder."""
-        self._refresh_caches()
-        ctx, keepalive = _compiled.build_ctx(self._ctx_values())
+        ctx = self._sync()
         out = np.empty(self.state.n_topics)
         self._lib.cpd_topic_log_weights(
-            ctypes.byref(ctx),
+            ctx,
             ctypes.c_int64(int(doc_id)),
             ctypes.c_int64(int(community)),
             out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
         )
-        del keepalive
         return out
 
     def community_log_weights(self, doc_id: int, topic: int) -> np.ndarray:
         """Eq. 14 log-weights computed by the C conditional builder."""
-        self._refresh_caches()
-        ctx, keepalive = _compiled.build_ctx(self._ctx_values())
+        ctx = self._sync()
         out = np.empty(self.state.n_communities)
         self._lib.cpd_community_log_weights(
-            ctypes.byref(ctx),
+            ctx,
             ctypes.c_int64(int(doc_id)),
             ctypes.c_int64(int(topic)),
             out.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
         )
-        del keepalive
         return out
+
+    # ------------------------------------------------------- links and tilts
+
+    def _link_range(self, which: int, start: int, stop: int) -> int:
+        total = self.sampler.n_friend_links if which == FRIENDSHIP else self.sampler.n_diff_links
+        if not 0 <= start <= stop <= total:
+            raise ValueError(f"link range [{start}, {stop}) outside [0, {total})")
+        return stop - start
+
+    def link_tilts(self, which: int, start: int, stop: int) -> np.ndarray:
+        """PG tilts of links ``[start, stop)`` (``cpd_link_tilts``).
+
+        ``FRIENDSHIP``: ``pi_hat_u . pi_hat_v`` (``friendship_dots``);
+        ``DIFFUSION``: the Eq. 16 tilt of ``draw_delta_range``.
+        """
+        tilts = np.empty(self._link_range(which, start, stop))
+        self._lib.cpd_link_tilts(self._sync(), which, start, stop, tilts.ctypes.data)
+        return tilts
+
+    def link_components(
+        self, source_docs: np.ndarray, target_docs: np.ndarray, timestamps: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Eq. 5 community and popularity components of a link batch.
+
+        The C form of ``CPDSampler.diffusion_components``'s numpy spec, for
+        any batch (all of E, E with its negatives, a worker's range).
+        Raises ``IndexError`` for a document id or, with the topic factor
+        on, a timestamp outside the sampler's tables.
+        """
+        source_docs = np.ascontiguousarray(source_docs, dtype=np.int64)
+        target_docs = np.ascontiguousarray(target_docs, dtype=np.int64)
+        timestamps = np.ascontiguousarray(timestamps, dtype=np.int64)
+        n = len(source_docs)
+        if target_docs.shape != (n,) or timestamps.shape != (n,):
+            raise ValueError("source, target and timestamp arrays must align")
+        community = np.empty(n)
+        popularity = np.empty(n)
+        status = self._lib.cpd_link_components(
+            self._sync(), source_docs.ctypes.data, target_docs.ctypes.data,
+            timestamps.ctypes.data, n, community.ctypes.data, popularity.ctypes.data,
+        )
+        if status < 0:
+            raise IndexError("link document id or timestamp out of range")
+        return community, popularity
+
+    def draw_pg(
+        self, which: int, start: int, stop: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh PG(1, tilt) draws for links ``[start, stop)`` and the tilts.
+
+        ``sample_pg_array`` on :meth:`link_tilts`, with the tilts and the
+        first round in one C call (``cpd_pg_tilted``) and the refill rounds
+        in ``cpd_pg1``: the same uniform blocks in the same order, so the
+        Generator ends where ``sample_pg_array`` leaves it. A non-finite
+        tilt raises ``ValueError`` after the first block was drawn.
+        """
+        n = self._link_range(which, start, stop)
+        tilts = np.empty(n)
+        out = np.empty(n)
+        if n == 0:
+            return out, tilts
+        pending = np.empty(n, dtype=np.int64)
+        branch = np.empty(n, dtype=np.int8)
+        # C reads the buffers by raw address: every one stays bound to a
+        # name for the whole call
+        z_p, pending_p, branch_p, out_p = (
+            tilts.ctypes.data, pending.ctypes.data, branch.ctypes.data, out.ctypes.data
+        )
+        lib = self._lib
+        block = rng.random((n, PG_SLOTS))
+        kept = lib.cpd_pg_tilted(
+            self._sync(), which, start, stop, z_p, pending_p, branch_p,
+            block.ctypes.data, PG_SLOTS, out_p,
+        )
+        if kept < 0:
+            raise ValueError("Pólya-Gamma tilt z must be finite")
+        while kept:
+            block = rng.random((kept, PG_SLOTS))
+            kept = lib.cpd_pg1(
+                z_p, pending_p, kept, branch_p, block.ctypes.data, PG_SLOTS, out_p
+            )
+        return out, tilts
 
     # ------------------------------------------------------------------ sweep
 
@@ -477,19 +604,17 @@ class CompiledKernel:
         n = len(ids)
         if n == 0:
             return SweepStats(kernel=self.name, n_docs=0, draws=0, seconds=0.0)
-        if np.any(state.doc_topic[ids] < 0):
+        if state.n_unassigned and np.any(state.doc_topic[ids] < 0):
             raise ValueError("compiled sweep requires currently-assigned documents")
-        self._refresh_caches()
+        ctx = self._sync()
         draws_per_doc = 1 if sampler.fixed_communities is not None else 2
         uniforms = sampler.rng.random(draws_per_doc * n)
-        ctx, keepalive = _compiled.build_ctx(self._ctx_values())
         consumed = self._lib.cpd_sweep_docs(
-            ctypes.byref(ctx),
+            ctx,
             ids.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
             ctypes.c_int64(n),
             uniforms.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
         )
-        del keepalive
         if consumed != draws_per_doc * n:
             raise RuntimeError(
                 f"compiled sweep consumed {consumed} uniforms, "

@@ -389,15 +389,30 @@ class CPDState:
         self._drop_caches()
 
     def random_init(self, rng: RngLike = None, fixed_communities: np.ndarray | None = None) -> None:
-        """Uniformly random initial assignments (optionally with frozen C)."""
+        """Uniformly random initial assignments (optionally with frozen C).
+
+        The draws stay scalar ``integers`` calls, community then topic per
+        document (an array call reads the Generator differently); the
+        counts are then built at once by :meth:`load_assignments`. The
+        state must be wholly unassigned.
+        """
+        if self.n_unassigned != self.n_docs:
+            raise ValueError("random_init needs a wholly unassigned state")
         generator = ensure_rng(rng)
+        integers = generator.integers
+        n_communities, n_topics = self.n_communities, self.n_topics
+        communities = [0] * self.n_docs
+        topics = [0] * self.n_docs
+        fixed = None if fixed_communities is None else np.asarray(fixed_communities).tolist()
         for doc_id in range(self.n_docs):
-            if fixed_communities is None:
-                community = int(generator.integers(0, self.n_communities))
+            if fixed is None:
+                communities[doc_id] = int(integers(0, n_communities))
             else:
-                community = int(fixed_communities[doc_id])
-            topic = int(generator.integers(0, self.n_topics))
-            self.assign(doc_id, community, topic)
+                communities[doc_id] = int(fixed[doc_id])
+            topics[doc_id] = int(integers(0, n_topics))
+        self.load_assignments(
+            np.asarray(communities, dtype=np.int64), np.asarray(topics, dtype=np.int64)
+        )
 
     # ------------------------------------------------------------ estimators
 

@@ -4,6 +4,8 @@ The iteration trace scores the M-step's own rows of E with the fitted
 weights and reuses the friendship dots ``sample_lambdas`` returns; both
 must equal a recompute from the sampler (``friendship_dots`` /
 ``diffusion_logits``) bit for bit. Negatives come back as one int64 array.
+The gather and call-count pins run the numpy spec (the reference kernel);
+the compiled kernel computes the same tilts and components in C.
 """
 
 import numpy as np
@@ -24,6 +26,8 @@ CONFIG = CPDConfig(
     n_communities=4, n_topics=8, n_iterations=4, rho=0.5, alpha=0.5,
     sweep_kernel="compiled",
 )
+#: the numpy spec of the tilts and components (the reference kernel)
+NUMPY_CONFIG = CONFIG.with_overrides(sweep_kernel="reference")
 
 
 def recomputed_trace(graph, monkeypatch):
@@ -56,9 +60,8 @@ class TestTraceReuse:
             assert entry.mean_friendship_probability == friendship
             assert entry.mean_diffusion_probability == diffusion
 
-    def test_two_components_calls_per_iteration(self, twitter_tiny, monkeypatch):
-        """One for the Eq. 16 draws, one for the M-step's whole design."""
-        graph, _ = twitter_tiny
+    @staticmethod
+    def _components_calls(graph, config, monkeypatch):
         calls = []
         components = CPDSampler.diffusion_components
 
@@ -67,11 +70,29 @@ class TestTraceReuse:
             return components(self, *args, **kwargs)
 
         monkeypatch.setattr(CPDSampler, "diffusion_components", counting)
-        CPDModel(CONFIG, rng=3).fit(graph)
+        CPDModel(config, rng=3).fit(graph)
+        return calls
+
+    def test_two_components_calls_per_iteration(self, twitter_tiny, monkeypatch):
+        """The numpy path: one for the Eq. 16 draws, one for the M-step's
+        whole design."""
+        graph, _ = twitter_tiny
+        calls = self._components_calls(graph, NUMPY_CONFIG, monkeypatch)
         assert len(calls) == 2 * CONFIG.n_iterations
         n_links = graph.n_diffusion_links
         assert calls[0::2] == [n_links] * CONFIG.n_iterations
         assert all(n > n_links for n in calls[1::2])
+
+    def test_compiled_draws_tilt_without_components_calls(self, twitter_tiny, monkeypatch):
+        """The compiled kernel tilts the Eq. 16 draws in C: the M-step's
+        design is the one ``diffusion_components`` call per iteration."""
+        graph, _ = twitter_tiny
+        calls = self._components_calls(graph, CONFIG, monkeypatch)
+        if not _compiled.backend_status()[0]:
+            assert len(calls) == 2 * CONFIG.n_iterations
+            return
+        assert len(calls) == CONFIG.n_iterations
+        assert all(n > graph.n_diffusion_links for n in calls)
 
     def test_compiled_fit_uses_the_compiled_solver(self, twitter_tiny, monkeypatch):
         graph, _ = twitter_tiny
@@ -88,8 +109,12 @@ class TestTraceReuse:
 @pytest.mark.filterwarnings("ignore:compiled sweep kernel unavailable")
 class TestGathers:
     def test_friendship_dots_equal_the_fancy_indexed_einsum(self, twitter_tiny):
+        """The numpy spec's gathers; the compiled tilts' parity with it is
+        pinned in test_core_link_kernels.py."""
         graph, _ = twitter_tiny
-        sampler = CPDSampler(graph, CONFIG, DiffusionParameters.initial(4, 8), rng=0)
+        sampler = CPDSampler(
+            graph, NUMPY_CONFIG, DiffusionParameters.initial(4, 8), rng=0
+        )
         sampler.sweep_documents()
         pi = sampler.state.pi_hat_view()
         np.testing.assert_array_equal(

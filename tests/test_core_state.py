@@ -46,6 +46,34 @@ class TestAssignUnassign:
         assert np.all(state.doc_community >= 0)
         state.check_consistency()
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_random_init_matches_the_scalar_path(self, twitter_tiny, tiny_config, frozen):
+        """Bulk counts equal one ``assign`` per document from the same scalar
+        draws, and the Generator ends in the same state."""
+        graph, _ = twitter_tiny
+        fixed = None
+        if frozen:
+            fixed = np.random.default_rng(3).integers(0, tiny_config.n_communities, graph.n_documents)
+        bulk, scalar = CPDState(graph, tiny_config), CPDState(graph, tiny_config)
+        bulk_rng, scalar_rng = np.random.default_rng(11), np.random.default_rng(11)
+        bulk.random_init(bulk_rng, fixed_communities=fixed)
+        for doc_id in range(scalar.n_docs):
+            community = (
+                int(scalar_rng.integers(0, scalar.n_communities)) if fixed is None
+                else int(fixed[doc_id])
+            )
+            scalar.assign(doc_id, community, int(scalar_rng.integers(0, scalar.n_topics)))
+        for name in CPDState.SHARED_FIELDS:
+            np.testing.assert_array_equal(getattr(bulk, name), getattr(scalar, name))
+        assert bulk.n_unassigned == scalar.n_unassigned == 0
+        assert bulk_rng.bit_generator.state == scalar_rng.bit_generator.state
+        bulk.check_consistency()
+
+    def test_random_init_needs_an_unassigned_state(self, state, rng):
+        state.assign(0, 0, 0)
+        with pytest.raises(ValueError, match="unassigned"):
+            state.random_init(rng)
+
     def test_fixed_communities_respected(self, state, rng, twitter_tiny):
         graph, _ = twitter_tiny
         fixed = np.zeros(graph.n_documents, dtype=np.int64)
