@@ -24,8 +24,7 @@ field spec for both the C source and the ctypes mirror, so the two can
 never drift.
 
 The same struct feeds ``cpd_link_tilts`` and ``cpd_link_components`` (the
-Eq. 15/16 Pólya-Gamma tilts and the Eq. 5 components of any link batch)
-and ``cpd_pg_tilted`` (the tilts plus the first PG round in one call).
+Eq. 15/16 Pólya-Gamma tilts and the Eq. 5 components of any link batch).
 The translation unit also carries ``cpd_pg1``, one round of exact
 Pólya-Gamma draws for the augmentation variables (:func:`pg1_rounds`, behind
 ``sampling/polya_gamma.py:sample_pg_array``), and ``cpd_lda_sweep``, one
@@ -1097,8 +1096,8 @@ int64_t cpd_link_components(CpdCtx *c, const int64_t *src, const int64_t *tgt,
 /* PG tilts for links [start, stop): which 0 is the Eq. 15 friendship tilt
    pi_u . pi_v, which 1 the Eq. 16 diffusion tilt (the raw pi_u . pi_v in
    similarity mode, else the Eq. 5 logit summed as DiffusionParameters.logits
-   does). Returns the number of non-finite tilts. */
-int64_t cpd_link_tilts(CpdCtx *c, int64_t which, int64_t start, int64_t stop, double *z) {
+   does). */
+void cpd_link_tilts(CpdCtx *c, int64_t which, int64_t start, int64_t stop, double *z) {
     const int64_t C = c->n_communities;
     const int64_t n = stop - start;
     if (which == 0) {
@@ -1122,25 +1121,6 @@ int64_t cpd_link_tilts(CpdCtx *c, int64_t which, int64_t start, int64_t stop, do
         }
         free(pop_denom);
     }
-    int64_t bad = 0;
-    for (int64_t i = 0; i < n; ++i) bad += !isfinite(z[i]);
-    return bad;
-}
-
-/* The tilts of links [start, stop) into z, then the first cpd_pg1 round
-   over all of them from the (stop - start, slots) block uniforms: the same
-   Generator reads as tilting first and calling cpd_pg1 after. Returns the
-   round's pending count, or -1 (no round run) on a non-finite tilt. */
-int64_t cpd_pg_tilted(CpdCtx *c, int64_t which, int64_t start, int64_t stop, double *z,
-                      int64_t *pending, int8_t *branch, const double *uniforms,
-                      int64_t slots, double *out) {
-    const int64_t n = stop - start;
-    if (cpd_link_tilts(c, which, start, stop, z)) return -1;
-    for (int64_t i = 0; i < n; ++i) {
-        pending[i] = i;
-        branch[i] = 0;
-    }
-    return cpd_pg1(z, pending, n, branch, uniforms, slots, out);
 }
 """.replace("__STRUCT_BODY__", _STRUCT_BODY)
 
@@ -1242,11 +1222,7 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     library.cpd_link_components.argtypes = [ctx_p, void_p, void_p, void_p, i64, void_p, void_p]
     library.cpd_link_components.restype = i64
     library.cpd_link_tilts.argtypes = [ctx_p, i64, i64, i64, void_p]
-    library.cpd_link_tilts.restype = i64
-    library.cpd_pg_tilted.argtypes = [
-        ctx_p, i64, i64, i64, void_p, void_p, void_p, void_p, i64, void_p
-    ]
-    library.cpd_pg_tilted.restype = i64
+    library.cpd_link_tilts.restype = None
     library.cpd_lda_sweep.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
         i64_p, i64_p, i64_p, f64_p, f64_p, f64_p, f64_p, f64_p,

@@ -17,7 +17,8 @@ literal conditionals below, the executable specification. The compiled
 kernel also computes the augmentation tilts and draws and the Eq. 5
 components from the context it keeps for the sampler's life; the numpy
 bodies here (``_friendship_tilts``, ``_diffusion_tilts``,
-``_link_components``) are their specification and the fallback. Link
+``_link_components``) are their specification, which the reference
+kernel runs. Link
 incidence is stored as flat CSR index arrays shared by both kernels.
 
 Two documented deviations from a literal reading (both noted in
@@ -40,7 +41,7 @@ from ..diffusion.features import UserFeatures
 from ..diffusion.popularity import TopicPopularity
 from ..graph.social_graph import SocialGraph
 from ..sampling.categorical import sample_log_categorical
-from ..sampling.polya_gamma import log_psi, sample_pg_array
+from ..sampling.polya_gamma import log_psi
 from ..sampling.rng import RngLike, ensure_rng
 from .config import CPDConfig
 from .kernel import DIFFUSION, FRIENDSHIP, SweepStats, make_kernel
@@ -558,9 +559,7 @@ class CPDSampler:
         """``pi_hat_u . pi_hat_v`` for every friendship link (Eq. 3 logits)."""
         if self.n_friend_links == 0:
             return np.zeros(0)
-        if self.kernel.uses_compiled_pg:
-            return self.kernel.link_tilts(FRIENDSHIP, 0, self.n_friend_links)
-        return self._friendship_tilts(0, self.n_friend_links)
+        return self.kernel.link_tilts(FRIENDSHIP, 0, self.n_friend_links)
 
     def _friendship_tilts(self, start: int, stop: int) -> np.ndarray:
         """Numpy spec of the Eq. 15 tilts for friendship links ``[start, stop)``."""
@@ -595,10 +594,10 @@ class CPDSampler:
     ) -> dict[str, np.ndarray]:
         """Raw per-factor values for a batch of pairs (M-step features).
 
-        The compiled kernel computes the community and popularity columns
-        in C (``CompiledKernel.link_components``); :meth:`_link_components`
-        is their numpy spec. A source document without a topic reads as
-        topic 0.
+        The kernel computes the community and popularity columns
+        (``link_components``: C in the compiled kernel, the numpy spec
+        :meth:`_link_components` in the reference one). A source document
+        without a topic reads as topic 0.
         """
         source_docs = np.asarray(source_docs, dtype=np.int64)
         target_docs = np.asarray(target_docs, dtype=np.int64)
@@ -610,14 +609,9 @@ class CPDSampler:
                 "popularity": np.zeros(0),
                 "features": np.zeros((0, UserFeatures.N_FEATURES)),
             }
-        if self.kernel.uses_compiled_pg:
-            community_score, popularity_score = self.kernel.link_components(
-                source_docs, target_docs, timestamps
-            )
-        else:
-            community_score, popularity_score = self._link_components(
-                source_docs, target_docs, timestamps
-            )
+        community_score, popularity_score = self.kernel.link_components(
+            source_docs, target_docs, timestamps
+        )
 
         if features is None:
             if self.user_features is None:
@@ -714,24 +708,18 @@ class CPDSampler:
     def _draw_lambdas(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """Eq. 15 draws for friendship links ``[start, stop)`` and their tilts.
 
-        The compiled kernel tilts and draws in C (``CompiledKernel.draw_pg``);
-        otherwise one batched numpy :func:`sample_pg_array` call on
-        :meth:`_friendship_tilts`. Both read the same uniform blocks.
+        The kernel tilts and draws (``draw_pg``: C in the compiled kernel,
+        :meth:`_friendship_tilts` and numpy rounds in the reference one);
+        both read the same uniform blocks.
         """
-        if self.kernel.uses_compiled_pg:
-            return self.kernel.draw_pg(FRIENDSHIP, start, stop, self.rng)
-        dots = self._friendship_tilts(start, stop)
-        return sample_pg_array(dots, self.rng), dots
+        return self.kernel.draw_pg(FRIENDSHIP, start, stop, self.rng)
 
     def draw_delta_range(self, start: int, stop: int) -> np.ndarray:
         """Fresh Eq. 16 draws for diffusion links ``[start, stop)``.
 
-        The compiled kernel tilts and draws in C; otherwise one batched
-        numpy :func:`sample_pg_array` call on :meth:`_diffusion_tilts`.
+        The kernel tilts and draws (``draw_pg``), as for the lambdas.
         """
-        if self.kernel.uses_compiled_pg:
-            return self.kernel.draw_pg(DIFFUSION, start, stop, self.rng)[0]
-        return sample_pg_array(self._diffusion_tilts(start, stop), self.rng)
+        return self.kernel.draw_pg(DIFFUSION, start, stop, self.rng)[0]
 
     def _diffusion_tilts(self, start: int, stop: int) -> np.ndarray:
         """Numpy spec of the Eq. 16 tilts for diffusion links ``[start, stop)``:

@@ -13,9 +13,10 @@ selected by ``CPDConfig.sweep_kernel``:
   variables, both ``eta`` orientations) so the C code reads contiguous
   slices, and hands C one context struct for the fit's life.
 * :class:`ReferenceKernel` loops the sampler's literal per-word / per-link
-  conditionals — the executable specification of the model, and the
-  fallback when no C toolchain is available: ``make_kernel`` then warns
-  once per process and records why (DESIGN.md §4, §10).
+  conditionals and runs the sampler's numpy link bodies — the executable
+  specification of the model, and the fallback when no C toolchain is
+  available: ``make_kernel`` then warns once per process and records why
+  (DESIGN.md §4, §10).
 
 Both kernels read the same mutable state and consume one uniform per
 draw, so they are interchangeable mid-fit and matched seeds draw
@@ -33,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..sampling.polya_gamma import _SLOTS as PG_SLOTS
+from ..sampling.polya_gamma import sample_pg_array
 from . import _compiled
 from .layout import split_word_multiplicity
 
@@ -107,15 +108,42 @@ def _checked_doc_ids(doc_ids: np.ndarray | None, n_docs: int) -> np.ndarray:
     return ids
 
 
+#: which link set a PG tilt or draw covers (``link_tilts``, ``draw_pg``)
+FRIENDSHIP, DIFFUSION = 0, 1
+
+
 class ReferenceKernel:
-    """Per-word / per-link loop implementation (the executable spec)."""
+    """Per-word / per-link loop implementation (the executable spec).
+
+    The link methods run the sampler's numpy bodies, the spec the compiled
+    kernel's C entry points are held to.
+    """
 
     name = "reference"
-    #: gibbs keeps the augmentation draws and the Eq. 5 components in numpy
-    uses_compiled_pg = False
+    #: the nu M-step keeps the numpy Newton loop
+    uses_compiled_solver = False
 
     def __init__(self, sampler: "CPDSampler") -> None:
         self.sampler = sampler
+
+    def link_tilts(self, which: int, start: int, stop: int) -> np.ndarray:
+        """PG tilts of links ``[start, stop)`` (Eq. 15 or Eq. 16)."""
+        if which == FRIENDSHIP:
+            return self.sampler._friendship_tilts(start, stop)
+        return self.sampler._diffusion_tilts(start, stop)
+
+    def link_components(
+        self, source_docs: np.ndarray, target_docs: np.ndarray, timestamps: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Eq. 5 community and popularity components of a link batch."""
+        return self.sampler._link_components(source_docs, target_docs, timestamps)
+
+    def draw_pg(
+        self, which: int, start: int, stop: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Fresh PG(1, tilt) draws for links ``[start, stop)`` and the tilts."""
+        tilts = self.link_tilts(which, start, stop)
+        return sample_pg_array(tilts, rng), tilts
 
     def append_documents(self, first_new_doc: int) -> None:
         """No-op: the reference loops read the sampler's arrays directly."""
@@ -191,8 +219,6 @@ _CTX_SOURCES = (
 _CTX_POINTED = tuple(name for name, _ in _CTX_SOURCES) + ("pi_cache", "theta_cache")
 #: table fields whose length the ctx carries next to the pointer
 _CTX_SIZES = {"log_beta_table": "log_beta_size", "log_alpha_table": "log_alpha_size"}
-#: which link set a PG tilt or draw covers (``cpd_link_tilts``)
-FRIENDSHIP, DIFFUSION = 0, 1
 _UNBOUND = object()
 
 
@@ -222,9 +248,8 @@ class CompiledKernel:
     """
 
     name = "compiled"
-    #: gibbs hands the augmentation tilts and draws, the Eq. 5 components
-    #: and the nu solve to the compiled backend
-    uses_compiled_pg = True
+    #: the nu M-step runs the compiled Newton solver
+    uses_compiled_solver = True
 
     _POP_MODES = {"raw": 0, "proportion": 1, "log": 2}
 
@@ -560,38 +585,12 @@ class CompiledKernel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fresh PG(1, tilt) draws for links ``[start, stop)`` and the tilts.
 
-        ``sample_pg_array`` on :meth:`link_tilts`, with the tilts and the
-        first round in one C call (``cpd_pg_tilted``) and the refill rounds
-        in ``cpd_pg1``: the same uniform blocks in the same order, so the
-        Generator ends where ``sample_pg_array`` leaves it. A non-finite
-        tilt raises ``ValueError`` after the first block was drawn.
+        The C tilts, then ``sample_pg_array``'s compiled rounds: both run
+        inside GIL-free ctypes calls, and the Generator is read as by the
+        numpy spec. A non-finite tilt raises ``ValueError``.
         """
-        n = self._link_range(which, start, stop)
-        tilts = np.empty(n)
-        out = np.empty(n)
-        if n == 0:
-            return out, tilts
-        pending = np.empty(n, dtype=np.int64)
-        branch = np.empty(n, dtype=np.int8)
-        # C reads the buffers by raw address: every one stays bound to a
-        # name for the whole call
-        z_p, pending_p, branch_p, out_p = (
-            tilts.ctypes.data, pending.ctypes.data, branch.ctypes.data, out.ctypes.data
-        )
-        lib = self._lib
-        block = rng.random((n, PG_SLOTS))
-        kept = lib.cpd_pg_tilted(
-            self._sync(), which, start, stop, z_p, pending_p, branch_p,
-            block.ctypes.data, PG_SLOTS, out_p,
-        )
-        if kept < 0:
-            raise ValueError("Pólya-Gamma tilt z must be finite")
-        while kept:
-            block = rng.random((kept, PG_SLOTS))
-            kept = lib.cpd_pg1(
-                z_p, pending_p, kept, branch_p, block.ctypes.data, PG_SLOTS, out_p
-            )
-        return out, tilts
+        tilts = self.link_tilts(which, start, stop)
+        return sample_pg_array(tilts, rng, compiled=True), tilts
 
     # ------------------------------------------------------------------ sweep
 

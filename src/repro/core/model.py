@@ -177,7 +177,7 @@ class CPDModel:
             labels,
             initial_weights=initial,
             initial_bias=params.bias,
-            compiled=getattr(sampler.kernel, "uses_compiled_pg", False),
+            compiled=sampler.kernel.uses_compiled_solver,
         )
         params.comm_weight = float(fit.weights[0])
         params.pop_weight = float(fit.weights[1])

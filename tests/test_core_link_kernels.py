@@ -1,9 +1,9 @@
 """The compiled link kernels: PG tilts, Eq. 5 components, the persistent ctx.
 
-``CompiledKernel`` computes the Eq. 15/16 tilts (``cpd_link_tilts``), the
-Eq. 5 community and popularity components (``cpd_link_components``) and
-the fused tilt-and-draw (``cpd_pg_tilted``) from one ``CpdCtx`` it keeps
-for the sampler's life. Two contracts are pinned here:
+``CompiledKernel`` computes the Eq. 15/16 tilts (``cpd_link_tilts``) and
+the Eq. 5 community and popularity components (``cpd_link_components``)
+from one ``CpdCtx`` it keeps for the sampler's life, and draws the PG
+variables from those tilts. Two contracts are pinned here:
 
 * parity with the numpy spec (the sampler's own numpy bodies, run through
   a ``ReferenceKernel``) at rtol 1e-12, across model designs and with an
