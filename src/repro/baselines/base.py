@@ -37,24 +37,6 @@ class BaselineModel(abc.ABC):
     def fit(self, graph: SocialGraph, rng: RngLike = None) -> "BaselineModel":
         """Train on the full graph (the paper's protocol trains once)."""
 
-    # ----------------------------------------------------------- capabilities
-
-    @property
-    def supports_detection(self) -> bool:
-        return self.memberships() is not None
-
-    @property
-    def supports_friendship(self) -> bool:
-        return True
-
-    @property
-    def supports_diffusion(self) -> bool:
-        return True
-
-    @property
-    def supports_profiles(self) -> bool:
-        return self.profiles() is not None
-
     # ---------------------------------------------------------------- outputs
 
     def memberships(self) -> np.ndarray | None:

@@ -11,15 +11,12 @@ The paper's workflow is "profile once offline, serve many applications"
     repro query      --model model.cpd.npz --query "#topic3"
     repro report     --model model.cpd.npz --out report.md
     repro visualize  --model model.cpd.npz --format dot
-    repro serve-bench --model model.cpd.npz
     repro info       --model model.cpd.npz
     repro stream-replay --graph graph.json.gz --communities 6 --topics 12 \\
                      --out snapshot.cpd.npz
-    repro stream-bench  --graph graph.json.gz --communities 6 --topics 12
     repro shard-fit  --graph graph.json.gz --shards 2 --communities 6 \\
                      --topics 12 --out-dir shards/
     repro shard-query --manifest shards/manifest.shards.json --query "#topic3"
-    repro shard-bench --graph graph.json.gz --communities 6 --topics 12
     repro serve      --model model.cpd.npz --port 8323
     repro doctor     --model model.cpd.npz --snapshot-dir snaps/ --wal events.wal
     repro doctor     --url http://127.0.0.1:8323
@@ -29,7 +26,7 @@ The paper's workflow is "profile once offline, serve many applications"
 ``fit`` writes *self-contained* v3 artifacts (model + vocabulary + graph
 summary), so every read command after ``evaluate`` serves from the
 artifact alone — ``--graph`` is only needed for v1 artifacts or when the
-corpus itself must be consulted. The ``stream-*`` commands exercise the
+corpus itself must be consulted. ``stream-replay`` exercises the
 streaming pipeline (:mod:`repro.stream`): split a graph into a warm base
 plus a timestamp-ordered event stream, fold arrivals in, refresh
 incrementally and snapshot. The ``shard-*`` commands exercise the
@@ -45,14 +42,17 @@ prints the cursor a :func:`repro.resilience.recover` call would resume
 replay from. It exits non-zero when integrity is broken *and* no valid
 recovery path remains.
 
-Passing ``--telemetry PATH`` to ``fit``, ``serve-bench``, the ``stream-*``
-commands, ``shard-query`` or ``shard-bench`` switches on the
-:mod:`repro.obs` registry + tracer for that run and writes one JSON
-snapshot (metrics + span ring buffer) on exit. ``repro top`` renders the
-snapshot (table, raw JSON or Prometheus text exposition, with ``--watch``
-for live redraws) and ``repro trace`` reassembles and prints its span
-trees. ``repro doctor --telemetry`` folds the same snapshot into the
+Passing ``--telemetry PATH`` to ``fit``, ``stream-replay`` or ``shard-query``
+switches on the :mod:`repro.obs` registry + tracer for that run and writes
+one JSON snapshot (metrics + span ring buffer) on exit. ``repro top``
+renders the snapshot (table, raw JSON or Prometheus text exposition, with
+``--watch`` for live redraws) and ``repro trace`` reassembles and prints
+its span trees. ``repro doctor --telemetry`` folds the same snapshot into the
 health report, and ``info``/``doctor`` grow ``--json`` for scripting.
+
+Throughput benchmarks are not CLI commands: serving, stream ingest and
+sharded serving are measured by ``benchmarks/bench_serving_throughput.py``,
+``benchmarks/bench_stream_ingest.py`` and ``benchmarks/bench_shard_serving.py``.
 """
 
 from __future__ import annotations
@@ -198,16 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
     visualize.add_argument("--format", choices=("ascii", "dot", "json"), default="ascii")
     visualize.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    bench = commands.add_parser(
-        "serve-bench", help="measure cold vs warm query throughput of an artifact"
-    )
-    bench.add_argument("--model", required=True)
-    bench.add_argument("--repeats", type=int, default=50, help="warm passes over the workload")
-    bench.add_argument("--max-queries", type=int, default=32, help="workload size cap")
-    bench.add_argument("--json", dest="json_out", default=None, help="also write a JSON record")
-    _add_telemetry_arg(bench)
-    _add_profile_arg(bench)
-
     info = commands.add_parser("info", help="inspect an artifact (version, dims, payloads)")
     info.add_argument("--model", required=True)
     info.add_argument(
@@ -258,15 +248,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="snapshot generations to keep in --snapshot-dir",
     )
     _add_telemetry_arg(replay)
-
-    sbench = commands.add_parser(
-        "stream-bench",
-        help="measure sustained ingest events/sec: fold-in only vs fold-in + refresh",
-    )
-    _add_stream_args(sbench)
-    sbench.add_argument("--json", dest="json_out", default=None, help="also write a JSON record")
-    _add_telemetry_arg(sbench)
-    _add_profile_arg(sbench)
 
     shard_fit = commands.add_parser(
         "shard-fit",
@@ -323,27 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "when shards cannot answer",
     )
     _add_telemetry_arg(shard_query)
-
-    shard_bench = commands.add_parser(
-        "shard-bench",
-        help="compare monolithic vs sharded fit wall-clock and query throughput",
-    )
-    shard_bench.add_argument("--graph", required=True)
-    shard_bench.add_argument("--communities", type=int, required=True)
-    shard_bench.add_argument("--topics", type=int, required=True)
-    shard_bench.add_argument("--iterations", type=int, default=15)
-    shard_bench.add_argument(
-        "--shards", type=int, nargs="+", default=[1, 2, 4],
-        help="shard counts to benchmark (1 = monolithic baseline)",
-    )
-    shard_bench.add_argument(
-        "--strategy", choices=("community", "hash"), default="community"
-    )
-    shard_bench.add_argument("--repeats", type=int, default=20, help="warm query passes")
-    shard_bench.add_argument("--seed", type=int, default=0)
-    shard_bench.add_argument("--json", dest="json_out", default=None, help="also write a JSON record")
-    _add_telemetry_arg(shard_bench)
-    _add_profile_arg(shard_bench)
 
     serve = commands.add_parser(
         "serve",
@@ -889,70 +849,6 @@ def run_visualize(args, out=None) -> int:
     return 0
 
 
-def run_serve_bench(args, out=None) -> int:
-    out = out or sys.stdout
-    telemetry = _telemetry_begin(args)
-    profiler = _profile_begin(args)
-    try:
-        return _run_serve_bench(args, out)
-    finally:
-        _profile_end(profiler, args, out)
-        _telemetry_end(telemetry, out)
-
-
-def _run_serve_bench(args, out) -> int:
-    probe = _load_store(args.model, None, out)
-    if probe is None:
-        return 1
-    terms = [query.term for query in probe.indexed_queries(args.max_queries)]
-    if not terms:
-        print("error: the artifact indexes no queries to replay", file=out)
-        return 1
-
-    # cold: fresh store, first pass pays artifact load + index builds
-    started = time.perf_counter()
-    store = ProfileStore.from_artifact(args.model)
-    for term in terms:
-        store.rank(term)
-    cold_seconds = time.perf_counter() - started
-
-    # warm: repeated passes served from the LRU cache
-    started = time.perf_counter()
-    for _ in range(args.repeats):
-        for term in terms:
-            store.rank(term)
-    warm_seconds = time.perf_counter() - started
-
-    payload = {
-        "model": str(args.model),
-        "n_queries": len(terms),
-        "repeats": args.repeats,
-        "cold_seconds": cold_seconds,
-        "warm_seconds": warm_seconds,
-        "cold_queries_per_second": len(terms) / cold_seconds,
-        "warm_queries_per_second": len(terms) * args.repeats / warm_seconds,
-        "cache": store.cache_info(),
-    }
-    if obs.get_registry().enabled:
-        payload["telemetry"] = obs.get_registry().snapshot()
-    print(
-        f"cold: {payload['cold_queries_per_second']:.0f} q/s "
-        f"({len(terms)} queries incl. artifact load)",
-        file=out,
-    )
-    print(
-        f"warm: {payload['warm_queries_per_second']:.0f} q/s "
-        f"({len(terms)}x{args.repeats} cached queries)",
-        file=out,
-    )
-    if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {args.json_out}", file=out)
-    return 0
-
-
 def _print_artifact_info(path, out) -> None:
     artifact = load_artifact(path)
     result = artifact.result
@@ -1304,59 +1200,6 @@ def _run_stream_replay(args, out) -> int:
     return 0
 
 
-def run_stream_bench(args, out=None) -> int:
-    out = out or sys.stdout
-    telemetry = _telemetry_begin(args)
-    profiler = _profile_begin(args)
-    try:
-        return _run_stream_bench(args, out)
-    finally:
-        _profile_end(profiler, args, out)
-        _telemetry_end(telemetry, out)
-
-
-def _run_stream_bench(args, out) -> int:
-    modes = {}
-    for mode in ("foldin", "refresh"):
-        plan, base_fit, store, runner = _replay_setup(args)
-        try:
-            ingestor, _refresher, seconds = _drive_replay(
-                plan, base_fit, store, args, with_refresh=(mode == "refresh"), runner=runner
-            )
-        finally:
-            if runner is not None:
-                runner.close()
-        reports = ingestor.refresh_reports
-        modes[mode] = {
-            "seconds": seconds,
-            "events_per_second": len(plan.events) / seconds,
-            "refresh_seconds_total": sum(r.seconds for r in reports),
-            "refreshes": len(reports),
-            **{f"n_{key}": value for key, value in ingestor.stats().items()},
-        }
-        print(
-            f"{mode:>7}: {modes[mode]['events_per_second']:.0f} events/sec "
-            f"({len(plan.events)} events in {seconds:.2f}s, "
-            f"{modes[mode]['refreshes']} refreshes)",
-            file=out,
-        )
-    if args.json_out:
-        payload = {
-            "graph": str(args.graph),
-            "n_events": len(plan.events),
-            "batch_size": args.batch_size,
-            "refresh_every": args.refresh_every,
-            **{f"{mode}_{k}": v for mode, record in modes.items() for k, v in record.items()},
-        }
-        if obs.get_registry().enabled:
-            payload["telemetry"] = obs.get_registry().snapshot()
-        Path(args.json_out).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {args.json_out}", file=out)
-    return 0
-
-
 def run_shard_fit(args, out=None) -> int:
     out = out or sys.stdout
     graph = load_graph(args.graph)
@@ -1490,87 +1333,6 @@ def _run_shard_query(args, out) -> int:
             )
             return 1
     return status
-
-
-def run_shard_bench(args, out=None) -> int:
-    out = out or sys.stdout
-    telemetry = _telemetry_begin(args)
-    profiler = _profile_begin(args)
-    try:
-        return _run_shard_bench(args, out)
-    finally:
-        _profile_end(profiler, args, out)
-        _telemetry_end(telemetry, out)
-
-
-def _run_shard_bench(args, out) -> int:
-    graph = load_graph(args.graph)
-    config = CPDConfig(
-        n_communities=args.communities,
-        n_topics=args.topics,
-        n_iterations=args.iterations,
-    )
-    # one workload for every shard count, so the q/s columns compare like
-    # with like (the graph's own query index, most frequent first)
-    summary = GraphSummary.from_graph(graph)
-    terms = [query.term for query in summary.queries[:32]]
-    if not terms:
-        print("error: the graph indexes no queries to replay", file=out)
-        return 1
-    records = []
-    for n_shards in args.shards:
-        started = time.perf_counter()
-        if n_shards == 1:
-            result = CPDModel(config, rng=args.seed).fit(graph)
-            fit_seconds = time.perf_counter() - started
-            server = ProfileStore(
-                result, vocabulary=graph.vocabulary, summary=summary
-            )
-            spill_fraction = 0.0
-        else:
-            fit = fit_shards(
-                graph, config, n_shards, strategy=args.strategy, rng=args.seed
-            )
-            fit_seconds = time.perf_counter() - started
-            server = fit.router()
-            spill_fraction = fit.plan.spill_fraction()
-        started = time.perf_counter()
-        for _ in range(args.repeats):
-            for term in terms:
-                server.rank(term)
-        query_seconds = time.perf_counter() - started
-        throughput = len(terms) * args.repeats / query_seconds if query_seconds else 0.0
-        records.append(
-            {
-                "n_shards": n_shards,
-                "fit_seconds": fit_seconds,
-                "spill_fraction": spill_fraction,
-                "n_queries": len(terms),
-                "repeats": args.repeats,
-                "query_seconds": query_seconds,
-                "queries_per_second": throughput,
-            }
-        )
-        print(
-            f"{n_shards} shard(s): fit {fit_seconds:.2f}s  "
-            f"spill {spill_fraction:.1%}  "
-            f"queries {throughput:.0f} q/s ({len(terms)}x{args.repeats})",
-            file=out,
-        )
-    if args.json_out:
-        payload = {
-            "graph": str(args.graph),
-            "strategy": args.strategy,
-            "iterations": args.iterations,
-            "runs": records,
-        }
-        if obs.get_registry().enabled:
-            payload["telemetry"] = obs.get_registry().snapshot()
-        Path(args.json_out).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-        print(f"wrote {args.json_out}", file=out)
-    return 0
 
 
 def run_serve(args, out=None) -> int:
@@ -2146,13 +1908,10 @@ _RUNNERS = {
     "query": run_query,
     "report": run_report,
     "visualize": run_visualize,
-    "serve-bench": run_serve_bench,
     "info": run_info,
     "stream-replay": run_stream_replay,
-    "stream-bench": run_stream_bench,
     "shard-fit": run_shard_fit,
     "shard-query": run_shard_query,
-    "shard-bench": run_shard_bench,
     "serve": run_serve,
     "doctor": run_doctor,
     "top": run_top,

@@ -1272,14 +1272,6 @@ def backend_status() -> tuple[bool, str | None]:
     return True, None
 
 
-def reset_for_tests() -> None:
-    """Drop the memoized library/error so tests can re-probe the backend."""
-    global _LIB, _LIB_ERROR
-    with _LOCK:
-        _LIB = None
-        _LIB_ERROR = None
-
-
 def pg1_rounds(
     z: np.ndarray, pending: np.ndarray, branch: np.ndarray, out: np.ndarray
 ) -> Callable[[np.ndarray], int]:

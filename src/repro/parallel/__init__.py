@@ -2,7 +2,7 @@
 workload balancing, and the thread-parallel E-step."""
 
 from .knapsack import Allocation, allocate_segments, solve_knapsack
-from .runner import ParallelEStepRunner, ParallelStats, SerialSweeper
+from .runner import ParallelEStepRunner, ParallelStats
 from .scheduler import (
     Schedule,
     WorkloadModel,
@@ -18,7 +18,6 @@ __all__ = [
     "ParallelEStepRunner",
     "ParallelStats",
     "Schedule",
-    "SerialSweeper",
     "WorkloadModel",
     "allocate_segments",
     "build_schedule",

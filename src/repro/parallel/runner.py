@@ -366,16 +366,3 @@ class ParallelEStepRunner:
             counts = sum(p.eta_counts for p in partitions) + config.eta_smoothing
             sampler.eta_counts_range(n_covered, sampler.n_diff_links, out=counts)
             self._fused_eta = counts / counts.sum()
-
-
-class SerialSweeper:
-    """Drop-in serial counterpart recording the same timing stats."""
-
-    def __init__(self) -> None:
-        self.stats = ParallelStats(worker_seconds=np.zeros(1))
-
-    def __call__(self, sampler: CPDSampler, doc_ids: np.ndarray | None = None) -> None:
-        started = time.perf_counter()
-        sampler.sweep_documents(doc_ids)
-        self.stats.worker_seconds[0] += time.perf_counter() - started
-        self.stats.iterations += 1

@@ -115,11 +115,6 @@ class WalStatus:
     #: per-record ``(seq, n_events)`` index of the valid prefix
     records: list = field(default_factory=list)
 
-    @property
-    def next_seq(self) -> int:
-        """The event cursor an append would continue from."""
-        return self.n_events
-
 
 def scan_wal(path: PathLike) -> WalStatus:
     """Walk a log file, validating records until damage or EOF.

@@ -263,7 +263,7 @@ class MicroBatchIngestor:
     # ------------------------------------------------------------------ stats
 
     def stats(self) -> dict:
-        """Counters for monitoring and the stream-bench readout."""
+        """Counters for monitoring and the stream-replay readout."""
         return {
             "events": self.n_events,
             "documents": self.n_documents,

@@ -214,24 +214,6 @@ class TestQuery:
         assert "pass --graph" in capsys.readouterr().out
 
 
-class TestServeBench:
-    def test_records_cold_and_warm_throughput(self, workspace, tmp_path, capsys):
-        import json
-
-        _root, _graph, model_path = workspace
-        out_path = tmp_path / "BENCH_serving_cli.json"
-        assert main([
-            "serve-bench", "--model", str(model_path),
-            "--repeats", "3", "--max-queries", "4", "--json", str(out_path),
-        ]) == 0
-        text = capsys.readouterr().out
-        assert "cold:" in text and "warm:" in text
-        payload = json.loads(out_path.read_text())
-        assert payload["cold_queries_per_second"] > 0
-        assert payload["warm_queries_per_second"] > 0
-        assert payload["cache"]["hits"] > 0
-
-
 class TestReport:
     def test_markdown_written(self, workspace):
         root, graph_path, model_path = workspace
@@ -367,24 +349,6 @@ class TestStreamReplay:
         assert not snapshot.exists()
 
 
-class TestStreamBench:
-    def test_records_both_modes(self, workspace, capsys, tmp_path):
-        _root, graph_path, _model = workspace
-        payload_path = tmp_path / "stream_bench.json"
-        assert main([
-            "stream-bench", "--graph", str(graph_path), "--communities", "4",
-            "--topics", "8", "--iterations", "3", "--batch-size", "32",
-            "--refresh-every", "64", "--json", str(payload_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "foldin:" in out and "refresh:" in out
-        import json
-
-        payload = json.loads(payload_path.read_text())
-        assert payload["foldin_events_per_second"] > 0
-        assert payload["refresh_events_per_second"] > 0
-
-
 @pytest.fixture(scope="module")
 def shard_workspace(tmp_path_factory):
     """A separated-scenario graph, monolithic fit, and 2-shard fit."""
@@ -461,24 +425,6 @@ class TestShardQuery:
             "--query", "zzzz-not-a-word",
         ]) == 1
         assert "not in the fitted vocabulary" in capsys.readouterr().out
-
-
-class TestShardBench:
-    def test_compares_monolithic_and_sharded(self, shard_workspace, capsys, tmp_path):
-        _root, graph_path, _mono, _manifest = shard_workspace
-        payload_path = tmp_path / "shard_bench.json"
-        assert main([
-            "shard-bench", "--graph", str(graph_path), "--communities", "4",
-            "--topics", "8", "--iterations", "3", "--shards", "1", "2",
-            "--repeats", "2", "--json", str(payload_path),
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "1 shard(s):" in out and "2 shard(s):" in out
-        import json
-
-        payload = json.loads(payload_path.read_text())
-        assert [run["n_shards"] for run in payload["runs"]] == [1, 2]
-        assert all(run["queries_per_second"] > 0 for run in payload["runs"])
 
 
 class TestShardInfo:

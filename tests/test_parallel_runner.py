@@ -13,7 +13,7 @@ from repro.core import CPDConfig, CPDModel, DiffusionParameters, FitOptions
 from repro.core.gibbs import CPDSampler
 from repro.datasets import twitter_scenario
 from repro.evaluation import normalized_mutual_information
-from repro.parallel import ParallelEStepRunner, SerialSweeper
+from repro.parallel import ParallelEStepRunner
 from repro.parallel import runner as runner_module
 from repro.parallel.scheduler import WorkloadModel
 
@@ -23,15 +23,6 @@ def runner_setup(twitter_tiny):
     graph, _ = twitter_tiny
     config = CPDConfig(n_communities=4, n_topics=8, n_iterations=4, rho=0.5, alpha=0.5)
     return graph, config
-
-
-class TestSerialSweeper:
-    def test_records_stats(self, runner_setup):
-        graph, config = runner_setup
-        sweeper = SerialSweeper()
-        CPDModel(config, rng=0).fit(graph, FitOptions(document_sweeper=sweeper))
-        assert sweeper.stats.iterations == config.n_iterations
-        assert sweeper.stats.worker_seconds[0] > 0
 
 
 class TestParallelRunner:
@@ -159,8 +150,18 @@ class TestParallelRunner:
         sampler.sweep_documents(np.arange(10))
         sampler.state.check_consistency()
 
-    def test_close_stops_the_helper_threads(self, runner_setup):
+    def test_close_stops_the_helper_threads(self, monkeypatch, runner_setup):
         graph, config = runner_setup
+        # both helper tasks meet at a barrier, so the pool cannot hand the
+        # second task to a thread the first one has already left idle
+        helper_sweep = runner_module.ParallelEStepRunner._helper_sweep
+        both_running = threading.Barrier(2, timeout=30)
+
+        def meeting(self, *args):
+            both_running.wait()
+            return helper_sweep(self, *args)
+
+        monkeypatch.setattr(runner_module.ParallelEStepRunner, "_helper_sweep", meeting)
 
         def helper_threads():
             return {t for t in threading.enumerate() if t.name.startswith("repro-estep")}
