@@ -5,7 +5,7 @@ scenario: which research communities are "open" (diffusing with many
 others) vs "closed", how diffusion differs between a general and a
 specialised topic, and which communities cite each other on what.
 
-Writes Graphviz DOT and JSON exports next to this script.
+Writes Graphviz DOT and JSON exports into the working directory.
 
 Run:  python examples/citation_flow_analysis.py
 """
@@ -67,10 +67,9 @@ def main() -> None:
         print(f"  T{topic} ({words}): {strength:.5f}")
 
     # machine-readable exports for external renderers
-    out_dir = Path(__file__).parent
-    (out_dir / "citation_flow.dot").write_text(to_dot(aggregated))
-    (out_dir / "citation_flow.json").write_text(to_json(aggregated))
-    print(f"\nwrote {out_dir / 'citation_flow.dot'} and {out_dir / 'citation_flow.json'}")
+    Path("citation_flow.dot").write_text(to_dot(aggregated))
+    Path("citation_flow.json").write_text(to_json(aggregated))
+    print("\nwrote citation_flow.dot and citation_flow.json")
 
 
 if __name__ == "__main__":

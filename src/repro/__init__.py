@@ -43,9 +43,7 @@ _EXPORTS = {
         "separated_scenario", "twitter_scenario",
     ),
     "graph": ("SocialGraph", "SocialGraphBuilder", "Vocabulary", "load_graph", "save_graph"),
-    "shard": (
-        "CommunityAligner", "GraphPartitioner", "ShardRouter", "ShardedIngestor", "fit_shards",
-    ),
+    "shard": ("CommunityAligner", "GraphPartitioner", "ShardRouter", "fit_shards"),
 }
 _HOME = {name: package for package, names in _EXPORTS.items() for name in names}
 

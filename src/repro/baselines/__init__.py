@@ -16,11 +16,6 @@ from .aggregation import (
 )
 from .base import BaselineModel, MethodProfiles
 from .cold import COLD
-from .heuristics import (
-    FriendshipHeuristics,
-    PopularityDiffusionBaseline,
-    RecencyDiffusionBaseline,
-)
 from .crm import CRM
 from .pmtlm import PMTLM
 from .wtm import WTM
@@ -33,11 +28,8 @@ __all__ = [
     "CPDVariant",
     "CRM",
     "CRMAgg",
-    "FriendshipHeuristics",
     "MethodProfiles",
     "PMTLM",
-    "PopularityDiffusionBaseline",
-    "RecencyDiffusionBaseline",
     "VARIANTS",
     "WTM",
     "aggregate_content_profile",

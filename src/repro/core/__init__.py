@@ -5,12 +5,7 @@
 import numpy.ma  # noqa: F401
 
 from .config import CPDConfig
-from .diagnostics import (
-    ConvergenceAssessment,
-    LikelihoodReport,
-    assess_convergence,
-    likelihood_report,
-)
+from .diagnostics import ConvergenceAssessment, assess_convergence
 from .gibbs import CPDSampler
 from .io import (
     ArtifactCheck,
@@ -53,11 +48,9 @@ __all__ = [
     "ArtifactCorruptError",
     "ArtifactError",
     "ConvergenceAssessment",
-    "LikelihoodReport",
     "ManifestCheck",
     "assess_convergence",
     "atomic_write_bytes",
-    "likelihood_report",
     "verify_artifact",
     "verify_shard_manifest",
     "ShardEntry",

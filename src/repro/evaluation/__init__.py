@@ -1,12 +1,6 @@
 """Evaluation harness: the paper's metrics and protocols (Sect. 6.1)."""
 
 from .auc import auc_from_labels, auc_score
-from .calibration import (
-    CalibrationReport,
-    ReliabilityBin,
-    brier_score,
-    calibration_report,
-)
 from .conductance import average_conductance, set_conductance
 from .crossval import (
     DiffusionScoreFn,
@@ -14,17 +8,9 @@ from .crossval import (
     FriendshipScoreFn,
     diffusion_auc_folds,
     friendship_auc_folds,
-    repeated_metric,
 )
-from .model_selection import SweepOutcome, SweepPoint, select_n_communities
 from .nmi import nmi_matrix, normalized_mutual_information
 from .perplexity import content_perplexity
-from .splits import (
-    DiffusionSplit,
-    FriendshipSplit,
-    split_diffusion_links,
-    split_friendship_links,
-)
 from .queries import Query, queries_by_frequency_band, select_queries
 from .ranking_metrics import (
     RankingScores,
@@ -32,44 +18,27 @@ from .ranking_metrics import (
     precision_recall_at_k,
     ranking_scores,
 )
-from .significance import (
-    TTestResult,
-    independent_one_tailed_ttest,
-    paired_one_tailed_ttest,
-)
+from .significance import TTestResult, paired_one_tailed_ttest
 
 __all__ = [
-    "CalibrationReport",
     "DiffusionScoreFn",
-    "DiffusionSplit",
     "FoldedAUC",
     "FriendshipScoreFn",
-    "FriendshipSplit",
     "Query",
-    "SweepOutcome",
-    "SweepPoint",
     "RankingScores",
-    "ReliabilityBin",
     "TTestResult",
     "auc_from_labels",
     "auc_score",
     "average_conductance",
-    "brier_score",
-    "calibration_report",
     "average_precision_recall_f1",
     "content_perplexity",
     "diffusion_auc_folds",
     "friendship_auc_folds",
-    "independent_one_tailed_ttest",
     "nmi_matrix",
     "normalized_mutual_information",
     "paired_one_tailed_ttest",
     "precision_recall_at_k",
     "queries_by_frequency_band",
     "ranking_scores",
-    "repeated_metric",
-    "select_n_communities",
     "select_queries",
-    "split_diffusion_links",
-    "split_friendship_links",
 ]

@@ -11,7 +11,7 @@ methods.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -104,14 +104,3 @@ def friendship_auc_folds(
         negatives = score_fn(neg_src, neg_tgt)
         scores.append(auc_score(positives, negatives))
     return FoldedAUC(fold_scores=np.asarray(scores))
-
-
-def repeated_metric(
-    values: Sequence[float],
-) -> tuple[float, float]:
-    """Mean and sample std of repeated evaluation scores."""
-    array = np.asarray(list(values), dtype=np.float64)
-    if array.size == 0:
-        raise ValueError("need at least one value")
-    std = float(array.std(ddof=1)) if array.size > 1 else 0.0
-    return float(array.mean()), std

@@ -41,20 +41,3 @@ def paired_one_tailed_ttest(ours: np.ndarray, baseline: np.ndarray) -> TTestResu
         p_value=float(one_tailed),
         mean_difference=float((ours - baseline).mean()),
     )
-
-
-def independent_one_tailed_ttest(ours: np.ndarray, baseline: np.ndarray) -> TTestResult:
-    """Welch one-tailed t-test for unpaired score samples."""
-    ours = np.asarray(ours, dtype=np.float64)
-    baseline = np.asarray(baseline, dtype=np.float64)
-    if ours.size < 2 or baseline.size < 2:
-        raise ValueError("need at least two scores per sample")
-    from scipy.stats import ttest_ind
-
-    statistic, two_tailed = ttest_ind(ours, baseline, equal_var=False)
-    one_tailed = two_tailed / 2.0 if statistic > 0 else 1.0 - two_tailed / 2.0
-    return TTestResult(
-        statistic=float(statistic),
-        p_value=float(one_tailed),
-        mean_difference=float(ours.mean() - baseline.mean()),
-    )

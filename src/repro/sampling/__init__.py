@@ -23,12 +23,10 @@ from .polya_gamma import (
     sample_pg_array,
     sigmoid,
 )
-from .rng import RngLike, SeedSequenceFactory, derive_seed, ensure_rng, spawn_rngs
+from .rng import RngLike, ensure_rng
 
 __all__ = [
     "RngLike",
-    "SeedSequenceFactory",
-    "derive_seed",
     "dirichlet_expected_log",
     "ensure_rng",
     "log_delta",
@@ -47,5 +45,4 @@ __all__ = [
     "sample_pg_array",
     "sigmoid",
     "smoothed_probability",
-    "spawn_rngs",
 ]

@@ -1,4 +1,4 @@
-"""Random-number-generator plumbing shared by every stochastic component.
+"""Seed normalisation shared by every stochastic component.
 
 All samplers in :mod:`repro` accept either an integer seed, ``None`` or a
 :class:`numpy.random.Generator` and normalise it through :func:`ensure_rng`,
@@ -7,7 +7,7 @@ so experiments are reproducible end to end from a single seed.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -27,46 +27,3 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
     if isinstance(rng, (int, np.integer)):
         return np.random.default_rng(int(rng))
     raise TypeError(f"cannot build a Generator from {type(rng).__name__!r}")
-
-
-def spawn_rngs(rng: RngLike, n: int) -> list[np.random.Generator]:
-    """Split ``rng`` into ``n`` independent child generators.
-
-    Used by the parallel runtime so each worker owns a private stream that is
-    still a deterministic function of the experiment seed.
-    """
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    parent = ensure_rng(rng)
-    seeds = parent.integers(0, 2**63 - 1, size=n)
-    return [np.random.default_rng(int(s)) for s in seeds]
-
-
-def derive_seed(rng: RngLike, salt: int = 0) -> int:
-    """Derive a deterministic integer seed from ``rng`` and ``salt``."""
-    parent = ensure_rng(rng)
-    return int(parent.integers(0, 2**63 - 1)) ^ (salt * 0x9E3779B97F4A7C15 % (2**63))
-
-
-class SeedSequenceFactory:
-    """Hands out deterministic seeds for named subsystems.
-
-    A single experiment seed fans out into per-subsystem seeds (dataset
-    generation, Gibbs initialisation, negative sampling, ...) without the
-    subsystems perturbing each other's streams.
-    """
-
-    def __init__(self, root_seed: Optional[int] = None):
-        self._sequence = np.random.SeedSequence(root_seed)
-        self._children: dict[str, int] = {}
-
-    def seed_for(self, name: str) -> int:
-        """Return a stable seed for subsystem ``name``."""
-        if name not in self._children:
-            child = self._sequence.spawn(1)[0]
-            self._children[name] = int(child.generate_state(1)[0])
-        return self._children[name]
-
-    def rng_for(self, name: str) -> np.random.Generator:
-        """Return a generator seeded for subsystem ``name``."""
-        return np.random.default_rng(self.seed_for(name))

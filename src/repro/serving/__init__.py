@@ -11,7 +11,7 @@ applications (Sect. 1). This package is that serving side:
   that arrive after the offline fit.
 """
 
-from .foldin import FoldInResult, fold_in_document, fold_in_documents
+from .foldin import FoldInResult, fold_in_documents
 from .store import ProfileStore, ensure_store
 from .summary import GraphSummary
 
@@ -20,6 +20,5 @@ __all__ = [
     "GraphSummary",
     "ProfileStore",
     "ensure_store",
-    "fold_in_document",
     "fold_in_documents",
 ]

@@ -167,22 +167,3 @@ def fold_in_documents(
         topic_posterior=topic_counts / n_samples,
         n_samples=n_samples,
     )
-
-
-def fold_in_document(
-    result: CPDResult,
-    words: np.ndarray,
-    user: int | None = None,
-    n_sweeps: int = 25,
-    burn_in: int = 5,
-    rng: RngLike = None,
-) -> FoldInResult:
-    """Single-document convenience wrapper over :func:`fold_in_documents`."""
-    return fold_in_documents(
-        result,
-        [np.asarray(words, dtype=np.int64)],
-        users=[user],
-        n_sweeps=n_sweeps,
-        burn_in=burn_in,
-        rng=rng,
-    )

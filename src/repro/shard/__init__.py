@@ -15,9 +15,8 @@ split the graph into user-disjoint shards whose fits barely interact:
   global label space by profile similarity (Hungarian/greedy);
 * :class:`ShardRouter` — the scatter-gather serving facade mirroring
   :class:`repro.serving.ProfileStore`'s query API, with an exact heap
-  k-way merge of per-shard Eq. 19 rankings;
-* :class:`ShardedIngestor` — routes a global event stream onto per-shard
-  streaming pipelines so hot-swap stays shard-local.
+  k-way merge of per-shard Eq. 19 rankings; one shard's store can be
+  hot-swapped (:meth:`ShardRouter.hot_swap_shard`) while the others serve.
 """
 
 from .align import (
@@ -37,7 +36,6 @@ from .partition import (
 )
 from .health import CircuitBreaker
 from .router import DegradedError, GatherResult, ShardRouter, build_manifest
-from .stream import ShardedIngestor
 
 __all__ = [
     "CircuitBreaker",
@@ -50,7 +48,6 @@ __all__ = [
     "ShardPlan",
     "ShardRouter",
     "ShardedFit",
-    "ShardedIngestor",
     "SpillSet",
     "aligned_user_labels",
     "build_manifest",

@@ -23,9 +23,8 @@ caches are preserved, and a router-level LRU memoises the merged
 rankings on top; :meth:`cache_info` aggregates the shard counters and
 reports the router's own.
 
-Shard stores stay individually hot-swappable: the streaming pipeline runs
-one ingestor/snapshotter per shard and calls :meth:`hot_swap_shard`, which
-delegates to that store and drops only the router-level gathered memos.
+Shard stores stay individually hot-swappable: :meth:`hot_swap_shard`
+delegates to one store and drops only the router-level gathered memos.
 
 **Degraded serving.** Scatter calls are guarded: each shard gets a
 deadline (checked post-hoc — in-process calls cannot be preempted), a
@@ -59,11 +58,9 @@ from ..core.io import (
 )
 from ..core.result import CPDResult
 from .. import obs
-from ..graph.vocabulary import Vocabulary
 from ..resilience.faults import InjectedFault, firing as _fault_firing
 from ..serving.cache import LRUCache, merge_cache_infos
 from ..serving.store import ProfileStore
-from ..serving.summary import GraphSummary
 from .align import ShardAlignment
 from .health import (
     DEFAULT_HALF_OPEN_PROBES,
@@ -775,13 +772,7 @@ class ShardRouter:
             self._representative = None
             self._query_terms = None
 
-    def hot_swap_shard(
-        self,
-        shard_id: int,
-        result: CPDResult,
-        summary: GraphSummary | None = None,
-        vocabulary: Vocabulary | None = None,
-    ) -> None:
+    def hot_swap_shard(self, shard_id: int, result: CPDResult) -> None:
         """Swap a newer result into one shard's store; the router survives.
 
         The shard's own :meth:`ProfileStore.hot_swap` validation applies;
@@ -803,9 +794,7 @@ class ShardRouter:
                 "alignment instead of hot-swapping"
             )
         with self._lock:
-            self.stores[shard_id].hot_swap(
-                result, summary=summary, vocabulary=vocabulary
-            )
+            self.stores[shard_id].hot_swap(result)
             self.breakers[shard_id].reset()
             for stale_key in [k for k in self._stale if k[0] == shard_id]:
                 del self._stale[stale_key]

@@ -21,7 +21,6 @@ from .events import (
     LinkArrival,
     ReplayPlan,
     StreamEvent,
-    iter_event_batches,
     split_for_replay,
 )
 from .ingest import FlushReport, MicroBatchIngestor
@@ -40,6 +39,5 @@ __all__ = [
     "StreamCursor",
     "StreamEvent",
     "extend_summary",
-    "iter_event_batches",
     "split_for_replay",
 ]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -191,19 +191,3 @@ def split_for_replay(graph: SocialGraph, warm_fraction: float = 0.5) -> ReplayPl
         full_graph=full_graph,
         doc_id_map=new_id,
     )
-
-
-def iter_event_batches(
-    events: Iterable[StreamEvent], batch_size: int
-) -> Iterable[list[StreamEvent]]:
-    """Chunk an event stream into micro-batches of ``batch_size``."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-    batch: list[StreamEvent] = []
-    for event in events:
-        batch.append(event)
-        if len(batch) >= batch_size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch

@@ -1,9 +1,8 @@
-"""Tests for likelihood reporting and convergence assessment."""
+"""Tests for convergence assessment and the recorded fit trace."""
 
 import math
 
 import numpy as np
-import pytest
 
 from repro import obs
 from repro.core import (
@@ -11,39 +10,9 @@ from repro.core import (
     CPDModel,
     FitOptions,
     assess_convergence,
-    likelihood_report,
 )
 from repro.core.io import load_result, save_result
 from repro.core.result import CPDResult, IterationTrace
-
-
-class TestLikelihoodReport:
-    def test_report_fields(self, fitted_cpd, twitter_tiny):
-        graph, _ = twitter_tiny
-        report = likelihood_report(fitted_cpd, graph)
-        assert report.content_log_likelihood < 0
-        assert report.content_tokens > 0
-        assert report.friendship_log_likelihood < 0
-        assert report.diffusion_log_likelihood < 0
-        assert report.content_per_token == pytest.approx(
-            report.content_log_likelihood / report.content_tokens
-        )
-
-    def test_fitted_beats_random_profiles(self, fitted_cpd, twitter_tiny):
-        graph, _ = twitter_tiny
-        fitted = likelihood_report(fitted_cpd, graph)
-        rng = np.random.default_rng(0)
-        shuffled = CPDResult(
-            config=fitted_cpd.config,
-            pi=fitted_cpd.pi,
-            theta=fitted_cpd.theta,
-            phi=rng.dirichlet(np.ones(graph.n_words), size=fitted_cpd.n_topics),
-            diffusion=fitted_cpd.diffusion,
-            doc_community=fitted_cpd.doc_community,
-            doc_topic=fitted_cpd.doc_topic,
-        )
-        random = likelihood_report(shuffled, graph)
-        assert fitted.content_per_token > random.content_per_token
 
 
 def _trace(values):
@@ -89,6 +58,14 @@ class TestConvergenceAssessment:
         assessment = assess_convergence(result, window=4, tolerance=0.02)
         assert assessment.converged
         assert assessment.stable_from >= 3
+
+    def test_trace_that_settles_then_drifts_is_not_converged(self, fitted_cpd):
+        # only the last window decides: an early flat stretch does not count
+        values = [0.65] * 6 + [0.7, 0.8, 0.9, 0.95]
+        result = _result_with_trace(fitted_cpd, values)
+        assessment = assess_convergence(result, window=4, tolerance=0.02)
+        assert not assessment.converged
+        assert assessment.stable_from is None
 
     def test_short_trace_not_converged(self, fitted_cpd):
         result = _result_with_trace(fitted_cpd, [0.5, 0.5])

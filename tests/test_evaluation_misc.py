@@ -7,12 +7,10 @@ from repro.evaluation import (
     content_perplexity,
     diffusion_auc_folds,
     friendship_auc_folds,
-    independent_one_tailed_ttest,
     nmi_matrix,
     normalized_mutual_information,
     paired_one_tailed_ttest,
     queries_by_frequency_band,
-    repeated_metric,
     select_queries,
 )
 
@@ -68,13 +66,6 @@ class TestFoldedAUC:
         folded = friendship_auc_folds(graph, oracle, n_folds=5, rng=rng)
         assert folded.mean == 1.0
 
-    def test_repeated_metric(self):
-        mean, std = repeated_metric([0.5, 0.7])
-        assert mean == pytest.approx(0.6)
-        assert std > 0
-        with pytest.raises(ValueError):
-            repeated_metric([])
-
 
 class TestSignificance:
     def test_paired_detects_improvement(self, rng):
@@ -89,11 +80,6 @@ class TestSignificance:
         ours = baseline - 0.05 + rng.normal(0.0, 0.005, size=10)
         result = paired_one_tailed_ttest(ours, baseline)
         assert not result.significant(0.05)
-
-    def test_independent(self, rng):
-        a = rng.normal(0.8, 0.01, size=10)
-        b = rng.normal(0.7, 0.01, size=10)
-        assert independent_one_tailed_ttest(a, b).significant(0.01)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -89,7 +89,7 @@ def test_every_public_name_resolves_to_its_home_object():
         "    is not getattr(repro, n)]\n"
         "print(json.dumps([bad, len(names)]))"
     )
-    assert mismatched == [[], 39]
+    assert mismatched == [[], 38]
 
 
 def test_star_import_binds_every_public_name():
@@ -144,6 +144,14 @@ def test_artifact_save_and_load_load_only_the_fault_hook(tmp_path):
 @pytest.mark.parametrize("package", ["repro.core", "repro.gateway", "repro.cli"])
 def test_entry_points_load_no_scipy(package):
     assert _scipy(_loaded_after(f"import {package}")) == []
+
+
+@pytest.mark.parametrize("package", ["repro.shard", "repro.gateway"])
+def test_router_and_gateway_load_no_streaming_layer(package):
+    # a router swaps one shard's store in place; it runs no ingestor,
+    # refresher or snapshotter of its own
+    loaded = _loaded_after(f"import {package}")
+    assert sorted(m for m in loaded if m.split(".")[:2] == ["repro", "stream"]) == []
 
 
 @needs_compiled

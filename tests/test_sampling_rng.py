@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sampling import SeedSequenceFactory, derive_seed, ensure_rng, spawn_rngs
+from repro.sampling import ensure_rng
 
 
 class TestEnsureRng:
@@ -28,56 +28,3 @@ class TestEnsureRng:
     def test_rejects_bad_type(self):
         with pytest.raises(TypeError):
             ensure_rng("seed")
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 4)) == 4
-
-    def test_children_independent(self):
-        children = spawn_rngs(0, 2)
-        assert not np.allclose(children[0].random(10), children[1].random(10))
-
-    def test_deterministic_from_seed(self):
-        a = [g.random() for g in spawn_rngs(5, 3)]
-        b = [g.random() for g in spawn_rngs(5, 3)]
-        assert a == b
-
-    def test_zero_children(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-
-class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(9, salt=1) == derive_seed(9, salt=1)
-
-    def test_salt_changes_seed(self):
-        assert derive_seed(9, salt=1) != derive_seed(9, salt=2)
-
-
-class TestSeedSequenceFactory:
-    def test_same_name_same_seed(self):
-        factory = SeedSequenceFactory(0)
-        assert factory.seed_for("gibbs") == factory.seed_for("gibbs")
-
-    def test_different_names_differ(self):
-        factory = SeedSequenceFactory(0)
-        assert factory.seed_for("gibbs") != factory.seed_for("dataset")
-
-    def test_rng_for_is_seeded(self):
-        factory = SeedSequenceFactory(3)
-        a = factory.rng_for("x").random(3)
-        b = factory.rng_for("x").random(3)
-        np.testing.assert_array_equal(a, b)
-
-    def test_root_seed_controls_everything(self):
-        assert (
-            SeedSequenceFactory(1).seed_for("a") == SeedSequenceFactory(1).seed_for("a")
-        )
-        assert (
-            SeedSequenceFactory(1).seed_for("a") != SeedSequenceFactory(2).seed_for("a")
-        )

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serving import fold_in_document, fold_in_documents
+from repro.serving import fold_in_documents
 
 
 class TestFoldInAgreement:
@@ -106,14 +106,6 @@ class TestFoldInMechanics:
             fold_in_documents(fitted_cpd, [], n_sweeps=0)
         with pytest.raises(ValueError):
             fold_in_documents(fitted_cpd, [], n_sweeps=5, burn_in=5)
-
-    def test_single_document_wrapper(self, fitted_cpd, twitter_tiny):
-        graph, _ = twitter_tiny
-        doc = graph.documents[3]
-        fold = fold_in_document(fitted_cpd, doc.words, user=doc.user_id, rng=8)
-        assert len(fold) == 1
-        assert 0 <= int(fold.communities[0]) < fitted_cpd.n_communities
-
 
 class TestStoreFoldIn:
     def test_token_documents_are_encoded(self, fitted_cpd, twitter_tiny):

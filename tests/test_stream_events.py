@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.stream import DocumentArrival, LinkArrival, iter_event_batches, split_for_replay
+from repro.stream import DocumentArrival, LinkArrival, split_for_replay
 
 
 @pytest.fixture(scope="module")
@@ -99,16 +99,3 @@ class TestSplitForReplay:
         graph, _ = twitter_tiny
         with pytest.raises(ValueError):
             split_for_replay(graph, warm_fraction=0.0)
-
-
-class TestEventBatches:
-    def test_chunks_preserve_order_and_cover_all(self, plan):
-        batches = list(iter_event_batches(plan.events, 7))
-        assert sum(len(b) for b in batches) == len(plan.events)
-        flattened = [event for batch in batches for event in batch]
-        assert flattened == plan.events
-        assert all(len(b) == 7 for b in batches[:-1])
-
-    def test_batch_size_must_be_positive(self, plan):
-        with pytest.raises(ValueError):
-            list(iter_event_batches(plan.events, 0))
