@@ -15,13 +15,13 @@ one-time warning on fallback (DESIGN.md §10).
 
 The C code reads and mutates the *same* buffers ``CPDState`` owns — count
 matrices, assignment vectors, the ``pi_hat`` / ``theta_hat`` caches and the
-popularity table — and reads the kernel's count-log tables
-(``cpd_log_table`` fills them with the sweep's own libm ``log``) through a
-pointer struct (:data:`_CTX_FIELDS`). ``CompiledKernel`` keeps one struct
-per sampler and re-points a field only when the sampler swapped its
-array (:func:`set_pointer`). The struct layout is generated from one
-field spec for both the C source and the ctypes mirror, so the two can
-never drift.
+popularity table — through a pointer struct (:data:`_CTX_FIELDS`), which
+also carries the kernel's scratch: among it the Eq. 14 friendship
+statistics of the user being swept, rebuilt when the user changes.
+``CompiledKernel`` keeps one struct per sampler and re-points a field only
+when the sampler swapped its array (:func:`set_pointer`). The struct
+layout is generated from one field spec for both the C source and the
+ctypes mirror, so the two can never drift.
 
 The same struct feeds ``cpd_link_tilts`` and ``cpd_link_components`` (the
 Eq. 15/16 Pólya-Gamma tilts and the Eq. 5 components of any link batch).
@@ -157,12 +157,10 @@ _CTX_FIELDS: tuple[tuple[str, str], ...] = (
     ("scratch_base", "p_f64"),
     ("scratch_cum", "p_f64"),
     ("scratch_eta", "p_f64"),  # [z][k][d] Eq. 5 fold, C * C * Z
-    # kernel-owned count-log tables (NULL -> libm, see count_log)
-    ("log_beta_table", "p_f64"),   # [n] = log(n + beta), n < log_beta_size
-    ("log_beta_size", "i64"),
-    ("log_alpha_table", "p_f64"),  # [n] = log(n + alpha), n < log_alpha_size
-    ("log_alpha_size", "i64"),
-    ("lgamma_cache", "p_f64"),     # [z] last lgamma argument, [Z + z] its value
+    # Eq. 14 friendship statistics of user friend_user (-1: none held)
+    ("friend_user", "i64"),
+    ("scratch_friend_sum", "p_f64"),   # S = sum_v pi_v, C
+    ("scratch_friend_gram", "p_f64"),  # Lambda = sum_v lambda_v pi_v pi_v^T, C * C
 )
 
 _C_TYPES = {
@@ -223,10 +221,11 @@ _STRUCT_BODY = "\n".join(
 )
 
 # The arithmetic is the reference conditionals' up to reassociation (the
-# ascending factorials as lgamma differences, the link factors folded), so
-# the compiled conditionals agree to the reference within floating-point
-# noise (~1e-10 pinned, DESIGN.md §4), and a matched-seed sweep consumes
-# one uniform per draw in the same order.
+# word likelihood as one product per topic, the friendship factors from
+# per-user statistics, the link factors folded), so the compiled
+# conditionals agree to the reference within floating-point noise (~1e-10
+# pinned, DESIGN.md §4), and a matched-seed sweep consumes one uniform per
+# draw in the same order.
 # Compiled without -ffast-math: IEEE semantics are part of the parity
 # contract.
 _C_SOURCE = """
@@ -273,66 +272,45 @@ static double pop_cell(const CpdCtx *c, int64_t t, int64_t z, double denom) {
     return c->pop_table_weight * log1p(count);
 }
 
-/* Count-log tables: cpd_log_table fills table[i] = log(i + offset), and
-   count_log reads log(count + offset) from it when the count is a
-   non-negative integer inside the table. An entry is the same libm call on
-   the same double, so both paths agree bit for bit; a NULL table, a count
-   past its end or a non-integral count goes to libm. */
-void cpd_log_table(double *out, int64_t n, double offset) {
-    for (int64_t i = 0; i < n; ++i) out[i] = log((double)i + offset);
+/* A running product of ratios stays inside [CPD_RANGE, 1 / CPD_RANGE], so
+   the product of it and one in-range ratio is still a normal double. */
+#define CPD_RANGE 0x1p-511
+
+/* product * (num / den), or 1 with the logs of product, num and den moved
+   into *logs when that would leave the range (a ratio that under- or
+   overflows on its own is taken by its two logs, so it stays exact). */
+static inline double product_step(double product, double num, double den, double *logs) {
+    const double next = product * (num / den);
+    if (next >= CPD_RANGE && next <= 1.0 / CPD_RANGE) return next;
+    *logs += log(product) + (log(num) - log(den));
+    return 1.0;
 }
 
-static inline double count_log(const double *table, int64_t size, double count,
-                               double offset) {
-    if (table && count >= 0.0 && count < (double)size) {
-        const int64_t index = (int64_t)count;
-        if ((double)index == count) return table[index];
-    }
-    return log(count + offset);
-}
-
-/* lgamma(total) for topic z's denominator, memoised per topic on the exact
-   argument: at most two topic totals move per document. */
-static double lgamma_total(CpdCtx *c, int64_t z, double total) {
-    double *cache = c->lgamma_cache;
-    if (!cache) return lgamma(total);
-    if (cache[z] != total) {
-        cache[z] = total;
-        cache[c->n_topics + z] = lgamma(total);
-    }
-    return cache[c->n_topics + z];
-}
-
-/* Eq. 13 log-weights over all Z topics (kernel.py topic_log_weights). */
+/* Eq. 13 log-weights over all Z topics (kernel.py topic_log_weights). The
+   word likelihood sum_w sum_{i<m_w} log(n_zw + beta + i) - sum_{j<L}
+   log(n_z + W beta + j) is the log of one product: the j-th numerator
+   factor over the j-th denominator factor, times (n_cz + alpha), with a
+   log only when the product would leave the range. */
 void cpd_topic_log_weights(CpdCtx *c, int64_t doc, int64_t community, double *out) {
     const int64_t Z = c->n_topics, C = c->n_communities, W = c->n_words;
-    const double beta = c->beta;
-    const double *beta_table = c->log_beta_table;
-    const int64_t beta_size = c->log_beta_size;
-
+    const double beta = c->beta, length = c->doc_lengths[doc];
+    const int64_t ws_start = c->ws_indptr[doc], ws_end = c->ws_indptr[doc + 1];
+    const int64_t wm_start = c->wm_indptr[doc], wm_end = c->wm_indptr[doc + 1];
     const double *ct = c->community_topic + community * Z;
-    for (int64_t z = 0; z < Z; ++z)
-        out[z] = count_log(c->log_alpha_table, c->log_alpha_size, ct[z], c->alpha);
-
-    for (int64_t p = c->ws_indptr[doc]; p < c->ws_indptr[doc + 1]; ++p) {
-        const double *col = c->topic_word + c->ws_words[p];
-        for (int64_t z = 0; z < Z; ++z)
-            out[z] += count_log(beta_table, beta_size, col[z * W], beta);
-    }
-    for (int64_t p = c->wm_indptr[doc]; p < c->wm_indptr[doc + 1]; ++p) {
-        const double *col = c->topic_word + c->wm_words[p];
-        const double count = c->wm_counts[p];
-        for (int64_t z = 0; z < Z; ++z) {
-            const double gathered = col[z * W] + beta;
-            out[z] += lgamma(gathered + count) - lgamma(gathered);
+    for (int64_t z = 0; z < Z; ++z) {
+        const double *tw = c->topic_word + z * W;
+        const double total = c->topic_totals[z] + c->words_beta;
+        double logs = 0.0, j = 0.0;
+        double product = product_step(1.0, ct[z] + c->alpha, 1.0, &logs);
+        for (int64_t p = ws_start; p < ws_end; ++p, j += 1.0)
+            product = product_step(product, tw[c->ws_words[p]] + beta, total + j, &logs);
+        for (int64_t p = wm_start; p < wm_end; ++p) {
+            const double gathered = tw[c->wm_words[p]] + beta, count = c->wm_counts[p];
+            for (double i = 0.0; i < count; i += 1.0, j += 1.0)
+                product = product_step(product, gathered + i, total + j, &logs);
         }
-    }
-    const double length = c->doc_lengths[doc];
-    if (length > 0.0) {
-        for (int64_t z = 0; z < Z; ++z) {
-            const double total = c->topic_totals[z] + c->words_beta;
-            out[z] -= lgamma(total + length) - lgamma_total(c, z, total);
-        }
+        for (; j < length; j += 1.0) product = product_step(product, 1.0, total + j, &logs);
+        out[z] = logs + log(product);
     }
 
     if (!c->profile_mode) return;
@@ -377,8 +355,31 @@ void cpd_topic_log_weights(CpdCtx *c, int64_t doc, int64_t community, double *ou
     }
 }
 
-/* Eq. 14 log-weights over all C communities (kernel.py community_log_weights). */
-void cpd_community_log_weights(CpdCtx *c, int64_t doc, int64_t topic, double *out) {
+/* Eq. 14 friendship statistics of one user, over its friendship links:
+   S = sum_v pi_v and Lambda = sum_v lambda_v pi_v pi_v^T. */
+static void build_friend_stats(CpdCtx *c, int64_t user) {
+    const int64_t C = c->n_communities;
+    double *sum = c->scratch_friend_sum, *gram = c->scratch_friend_gram;
+    for (int64_t k = 0; k < C; ++k) sum[k] = 0.0;
+    for (int64_t k = 0; k < C * C; ++k) gram[k] = 0.0;
+    for (int64_t p = c->f_indptr[user]; p < c->f_indptr[user + 1]; ++p) {
+        const double *pi_v = c->pi_cache + c->f_neighbor[p] * C;
+        const double lambda = c->f_lambdas[p];
+        for (int64_t k = 0; k < C; ++k) {
+            const double weighted = lambda * pi_v[k];
+            double *row = gram + k * C;
+            sum[k] += pi_v[k];
+            for (int64_t d = 0; d < C; ++d) row[d] += weighted * pi_v[d];
+        }
+    }
+    c->friend_user = user;
+}
+
+/* Eq. 14 log-weights over all C communities (kernel.py community_log_weights).
+   The friendship statistics are reused while friend_user is the document's
+   user: no friend's pi row moves while that user's documents are resampled
+   (no self-loops) and lambda is fixed during a sweep. */
+static void community_log_weights(CpdCtx *c, int64_t doc, int64_t topic, double *out) {
     const int64_t C = c->n_communities, Z = c->n_topics;
     const int64_t user = c->doc_user[doc];
     double *base = c->scratch_base;
@@ -395,16 +396,25 @@ void cpd_community_log_weights(CpdCtx *c, int64_t doc, int64_t topic, double *ou
     }
 
     if (c->model_friendship) {
-        for (int64_t p = c->f_indptr[user]; p < c->f_indptr[user + 1]; ++p) {
-            const double *pi_v = c->pi_cache + c->f_neighbor[p] * C;
-            const double lambda = c->f_lambdas[p];
-            double dot = 0.0;
-            for (int64_t k = 0; k < C; ++k) dot += pi_v[k] * base[k];
-            for (int64_t k = 0; k < C; ++k) {
-                const double w = (dot + pi_v[k]) / denom;
-                out[k] += 0.5 * (w - lambda * (w * w));
-            }
+        /* sum_v 0.5 (w_vk - lambda_v w_vk^2) with w_vk = (pi_v . b + pi_vk) / D
+           is 0.5 [(S . b + S_k) / D - (b Lambda b + 2 (Lambda b)_k
+           + Lambda_kk) / D^2]; (Lambda b) goes through scratch_q */
+        if (c->friend_user != user) build_friend_stats(c, user);
+        const double *sum = c->scratch_friend_sum, *gram = c->scratch_friend_gram;
+        double *gram_b = c->scratch_q;
+        double sum_b = 0.0, quad = 0.0;
+        for (int64_t k = 0; k < C; ++k) {
+            const double *row = gram + k * C;
+            double acc = 0.0;
+            for (int64_t d = 0; d < C; ++d) acc += row[d] * base[d];
+            gram_b[k] = acc;
+            sum_b += sum[k] * base[k];
+            quad += base[k] * acc;
         }
+        const double denom_sq = denom * denom;
+        for (int64_t k = 0; k < C; ++k)
+            out[k] += 0.5 * ((sum_b + sum[k]) / denom
+                             - (quad + 2.0 * gram_b[k] + gram[k * C + k]) / denom_sq);
     }
 
     const int64_t start = c->d_indptr[doc], end = c->d_indptr[doc + 1];
@@ -452,6 +462,11 @@ void cpd_community_log_weights(CpdCtx *c, int64_t doc, int64_t topic, double *ou
             }
         }
     }
+}
+
+void cpd_community_log_weights(CpdCtx *c, int64_t doc, int64_t topic, double *out) {
+    c->friend_user = -1; /* a standalone call builds the statistics fresh */
+    community_log_weights(c, doc, topic, out);
 }
 
 /* The trusted log-categorical draw: the C form of sampling/categorical.py
@@ -535,6 +550,7 @@ static void assign_doc(CpdCtx *c, int64_t doc, int64_t community, int64_t topic)
 int64_t cpd_sweep_docs(CpdCtx *c, const int64_t *doc_ids, int64_t n,
                        const double *uniforms) {
     int64_t consumed = 0;
+    c->friend_user = -1;
     for (int64_t i = 0; i < n; ++i) {
         const int64_t doc = doc_ids[i];
         int64_t old_community, old_topic;
@@ -546,7 +562,7 @@ int64_t cpd_sweep_docs(CpdCtx *c, const int64_t *doc_ids, int64_t n,
         if (c->has_fixed) {
             community = c->fixed_communities[doc];
         } else {
-            cpd_community_log_weights(c, doc, topic, c->scratch_c);
+            community_log_weights(c, doc, topic, c->scratch_c);
             community = draw_cat(c->scratch_c, c->n_communities,
                                  uniforms[consumed++], c->scratch_cum);
         }
@@ -1127,6 +1143,10 @@ void cpd_link_tilts(CpdCtx *c, int64_t which, int64_t start, int64_t stop, doubl
 
 # ---------------------------------------------------------------- building
 
+#: the compile command after the compiler, part of the cache key; no
+#: -ffast-math: IEEE arithmetic is part of the parity contract
+_CC_ARGS = ("-O3", "-fPIC", "-shared", "-std=c99", "{source}", "-o", "{output}", "-lm")
+
 _LOCK = threading.Lock()
 _LIB: ctypes.CDLL | None = None
 _LIB_ERROR: str | None = None
@@ -1154,30 +1174,30 @@ def _cache_dir() -> str:
     return os.path.join(tempfile.gettempdir(), f"repro-cc-{uid}")
 
 
+def _library_path(compiler: str) -> str:
+    """The cached shared object's path, keyed by source, compiler and flags."""
+    key = "\x00".join((_C_SOURCE, compiler, *_CC_ARGS))
+    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()[:16]
+    return os.path.join(_cache_dir(), f"cpd_sweep_{digest}.so")
+
+
 def _build_library_path() -> str:
     """Compile (or reuse) the shared object; returns its path."""
     compiler = _find_compiler()
-    digest = hashlib.sha256(
-        (_C_SOURCE + "\x00" + compiler).encode("utf-8")
-    ).hexdigest()[:16]
-    cache_dir = _cache_dir()
-    library = os.path.join(cache_dir, f"cpd_sweep_{digest}.so")
+    library = _library_path(compiler)
     if os.path.exists(library):
         return library
+    cache_dir = os.path.dirname(library)
     try:
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as error:
         raise CompiledBackendUnavailable(f"cannot create cache dir: {error}") from error
-    source = os.path.join(cache_dir, f"cpd_sweep_{digest}.c")
+    source = os.path.splitext(library)[0] + ".c"
     scratch = f"{library}.{os.getpid()}.tmp"
     try:
         with open(source, "w", encoding="utf-8") as handle:
             handle.write(_C_SOURCE)
-        # no -ffast-math: IEEE arithmetic is part of the parity contract
-        command = [
-            compiler, "-O3", "-fPIC", "-shared", "-std=c99",
-            source, "-o", scratch, "-lm",
-        ]
+        command = [compiler] + [arg.format(source=source, output=scratch) for arg in _CC_ARGS]
         completed = subprocess.run(
             command, capture_output=True, text=True, timeout=120
         )
@@ -1210,8 +1230,6 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     library.cpd_sweep_docs.restype = ctypes.c_int64
     library.cpd_draw_log_categorical.argtypes = [f64_p, ctypes.c_int64, ctypes.c_double, f64_p]
     library.cpd_draw_log_categorical.restype = ctypes.c_int64
-    library.cpd_log_table.argtypes = [f64_p, ctypes.c_int64, ctypes.c_double]
-    library.cpd_log_table.restype = None
     # raw addresses: pg1_rounds checks dtypes once per draw, not per round
     void_p = ctypes.c_void_p
     library.cpd_pg1.argtypes = [

@@ -211,14 +211,9 @@ _CTX_SOURCES = (
     ("dout_deltas", "_dout_deltas"),
     ("dout_feature", "_dout_feature"),
     ("eta_oriented", "_eta_oriented_flat"),
-    ("log_beta_table", "_log_beta_table"),
-    ("log_alpha_table", "_log_alpha_table"),
-    ("lgamma_cache", "_lgamma_cache"),
 )
 #: every pointer field _sync keeps current, in the order it reads them
 _CTX_POINTED = tuple(name for name, _ in _CTX_SOURCES) + ("pi_cache", "theta_cache")
-#: table fields whose length the ctx carries next to the pointer
-_CTX_SIZES = {"log_beta_table": "log_beta_size", "log_alpha_table": "log_alpha_size"}
 _UNBOUND = object()
 
 
@@ -242,9 +237,11 @@ class CompiledKernel:
     reference kernel draw for draw; the PG draws read the same uniform
     blocks as ``sample_pg_array``.
 
-    The kernel also owns the count-log tables and the per-topic ``lgamma``
-    memo the C topic conditional reads (:meth:`_build_count_tables`); they
-    return the same bits as the libm calls they replace.
+    The C conditionals are exact rewrites of the reference loops: Eq. 13's
+    word likelihood as one running product per topic (a ``log`` only when
+    it would leave the normal range), Eq. 14's friendship factors from the
+    swept user's friendship statistics, which the ctx holds in kernel-owned
+    scratch and rebuilds when the user changes (DESIGN.md §4, §10).
     """
 
     name = "compiled"
@@ -282,11 +279,9 @@ class CompiledKernel:
             "scratch_base": np.empty(n_communities),
             "scratch_cum": np.empty(max(n_topics, n_communities)),
             "scratch_eta": np.empty(n_communities * n_communities * n_topics),
+            "scratch_friend_sum": np.empty(n_communities),
+            "scratch_friend_gram": np.empty(n_communities * n_communities),
         }
-        # lgamma(topic_totals[z] + W beta) memo, keyed by its exact argument
-        # (so it never goes stale); NaN keys match nothing
-        self._lgamma_cache = np.full(2 * n_topics, np.nan)
-        self._build_count_tables()
 
         # the persistent ctx: config- and prior-derived fields are fixed
         # for the sampler's life; _sync keeps the rest current
@@ -328,8 +323,8 @@ class CompiledKernel:
         """CSR doc -> (word, count) layout, split by multiplicity.
 
         Words occurring once in a document (the dominant case in short
-        social-media posts) take a count-log lookup; repeated words take
-        the two-``lgamma`` ascending-factorial form.
+        social-media posts) contribute one factor to the Eq. 13 product
+        with no inner loop; repeated words one factor per occurrence.
         """
         state = sampler.state
         split = split_word_multiplicity(
@@ -383,7 +378,6 @@ class CompiledKernel:
             [self.wm_indptr, split["wm_indptr"][1:] + self.wm_indptr[-1]]
         )
         self._doc_lengths_f64 = np.ascontiguousarray(sampler._doc_lengths, dtype=np.float64)
-        self._build_count_tables()
 
     def rebuild_link_layout(self) -> None:
         """Re-derive the link layout after the sampler appended links.
@@ -442,31 +436,6 @@ class CompiledKernel:
             self._d_deltas = sampler.deltas[sampler.d_csr_link]
             self._dout_deltas = sampler.deltas[sampler.dout_csr_link]
 
-    # ------------------------------------------------------------ count logs
-
-    def _build_count_tables(self) -> None:
-        """``log(n + beta)`` / ``log(n + alpha)`` tables for the Eq. 13 counts.
-
-        A ``topic_word`` cell never exceeds the corpus token count and a
-        ``community_topic`` cell never exceeds ``n_docs``, so the tables
-        cover every count the sweep reads; C fills them with the sweep's own
-        libm ``log`` and falls back to it for anything outside (DESIGN.md
-        §10, "Count-log tables"). Rebuilt when documents are appended.
-        """
-        n_tokens = int(self._doc_lengths_f64.sum())
-        state = self.state
-        self._log_beta_table = self._log_table(n_tokens + 1, state.beta)
-        self._log_alpha_table = self._log_table(state.n_docs + 1, state.alpha)
-
-    def _log_table(self, size: int, offset: float) -> np.ndarray:
-        table = np.empty(size)
-        self._lib.cpd_log_table(
-            table.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-            ctypes.c_int64(size),
-            ctypes.c_double(offset),
-        )
-        return table
-
     # ------------------------------------------------------------------- ctx
 
     def _sync(self):
@@ -506,8 +475,6 @@ class CompiledKernel:
         """Point ctx field ``_CTX_POINTED[index]`` at ``source``."""
         name = _CTX_POINTED[index]
         _compiled.set_pointer(self._ctx, name, source)
-        if name in _CTX_SIZES:
-            setattr(self._ctx, _CTX_SIZES[name], 0 if source is None else len(source))
         self._bound[index] = source
 
     # ----------------------------------------------------------- conditionals

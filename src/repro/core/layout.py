@@ -14,9 +14,9 @@ def split_word_multiplicity(
 
     Takes the per-document unique-word CSR (``CPDState._unique_*``, see
     :func:`repro.core.state.unique_word_csr`). Words occurring once in a
-    document (the dominant case in short social-media posts) take one
-    count-log lookup in the C topic conditional; repeated words take the
-    two-``lgamma`` ascending-factorial form. Used by
+    document (the dominant case in short social-media posts) are one
+    factor of the C topic conditional's product with no inner loop;
+    repeated words loop over their occurrences. Used by
     :class:`repro.core.kernel.CompiledKernel` at construction and for
     streamed-in documents.
     """

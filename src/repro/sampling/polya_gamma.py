@@ -312,8 +312,10 @@ def sample_pg_array(
         # deferred import: repro.core pulls this module in at package import
         from ..core import _compiled
 
-        if _compiled.backend_status()[0]:
+        try:
             draw_round = _compiled.pg1_rounds(flat, pending, branch, out)
+        except _compiled.CompiledBackendUnavailable:
+            pass
     n_pending = flat.shape[0]
     while n_pending:
         n_pending = draw_round(generator.random((n_pending, _SLOTS)))

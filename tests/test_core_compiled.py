@@ -3,12 +3,14 @@
 Kernel-vs-kernel *parity* lives in ``test_core_kernel.py`` (the compiled
 kernel rides its matrices); this file pins the machinery around the
 backend — graceful degradation to the reference kernel without a C
-toolchain, the ``REPRO_COMPILED_DISABLE`` switch, and the cross-language
-RNG contracts (DESIGN.md §10). Every test here must pass whether or not
-the host can actually compile.
+toolchain, the ``REPRO_COMPILED_DISABLE`` switch, the cross-language
+RNG contracts and the exact rewrites inside the C conditionals
+(DESIGN.md §10). Every test here must pass whether or not the host can
+actually compile.
 """
 
 import ctypes
+import math
 import warnings
 
 import numpy as np
@@ -109,6 +111,21 @@ class TestEnvironmentSwitches:
         assert _compiled.DISABLE_ENV in reason
         with pytest.raises(_compiled.CompiledBackendUnavailable):
             _compiled.load_library()
+
+    def test_compile_flags_key_the_library_path(self, monkeypatch):
+        # a flag change must not reuse a shared object built with old flags
+        path = _compiled._library_path("/usr/bin/cc")
+        assert _compiled._library_path("/usr/bin/cc") == path
+        flags = tuple("-O2" if arg == "-O3" else arg for arg in _compiled._CC_ARGS)
+        assert flags != _compiled._CC_ARGS
+        monkeypatch.setattr(_compiled, "_CC_ARGS", flags)
+        assert _compiled._library_path("/usr/bin/cc") != path
+
+    def test_disabled_backend_pg_draws_fall_back_to_numpy(self, monkeypatch):
+        monkeypatch.setenv(_compiled.DISABLE_ENV, "1")
+        z = np.linspace(-3.0, 3.0, 11)
+        fused = sample_pg_array(z, np.random.default_rng(4), compiled=True)
+        np.testing.assert_array_equal(fused, sample_pg_array(z, np.random.default_rng(4)))
 
     def test_disable_env_zero_or_empty_is_off(self, monkeypatch):
         # "0"/"" must not disable — only the probe outcome decides
@@ -290,109 +307,186 @@ class TestCompiledSweepMachinery:
         )
 
 
-def _tables_off(kernel):
-    """Route every count log back through libm (the NULL-pointer path)."""
-    kernel._log_beta_table = kernel._log_alpha_table = kernel._lgamma_cache = None
+def _exact_topic_weights(state, doc, community, length):
+    """Eq. 13's content part per topic: the spec's log factors, ``fsum``-ed."""
+    weights = np.empty(state.n_topics)
+    words_beta = state.n_words * state.beta
+    for z in range(state.n_topics):
+        terms = [math.log(state.community_topic[community, z] + state.alpha)]
+        for word, count in zip(state._doc_unique_words[doc], state._doc_unique_counts[doc]):
+            gathered = state.topic_word[z, word] + state.beta
+            terms += [math.log(gathered + i) for i in range(int(count))]
+        total = state.topic_totals[z] + words_beta
+        terms += [-math.log(total + j) for j in range(int(length))]
+        weights[z] = math.fsum(terms)
+    return weights
 
 
 @needs_backend
-class TestCountLogTables:
-    """The count-log tables change no bit of the Eq. 13 weights (DESIGN.md §10)."""
+class TestProductFormEq13:
+    """The one-log-per-topic word likelihood equals the log sums it replaces."""
 
     @staticmethod
-    def _weights_without_tables(kernel, doc, community):
-        saved = (kernel._log_beta_table, kernel._log_alpha_table, kernel._lgamma_cache)
-        _tables_off(kernel)
-        try:
-            return kernel.topic_log_weights(doc, community)
-        finally:
-            kernel._log_beta_table, kernel._log_alpha_table, kernel._lgamma_cache = saved
+    def _sampler(graph, rng, **overrides):
+        # no diffusion: Eq. 13 is then exactly its content part
+        return _tiny_sampler(graph, rng=rng, model_diffusion=False, **overrides)
 
-    def _assert_table_path_exact(self, sampler, docs):
-        kernel = sampler.kernel
-        for doc in docs:
-            community = int(sampler.state.doc_community[doc])
-            first = kernel.topic_log_weights(doc, community)  # fills the lgamma cache
-            second = kernel.topic_log_weights(doc, community)  # reads it
-            expected = self._weights_without_tables(kernel, doc, community)
-            np.testing.assert_array_equal(first, expected)
-            np.testing.assert_array_equal(second, expected)
+    @staticmethod
+    def _assert_exact(sampler, docs):
+        """Max-shifted weights agree to 1e-12, or 16 ulps of the largest
+        weight when the weights are that large (a tiny beta puts every
+        unseen word at ~ -690); the output is finite."""
+        for doc, community in docs:
+            fast = sampler.kernel.topic_log_weights(doc, community)
+            exact = _exact_topic_weights(
+                sampler.state, doc, community, sampler._doc_lengths[doc]
+            )
+            assert np.isfinite(fast).all()
+            tolerance = max(1e-12, 16 * np.spacing(np.abs(exact).max()))
+            np.testing.assert_allclose(
+                fast - fast.max(), exact - exact.max(), rtol=0, atol=tolerance
+            )
 
-    def test_tables_match_libm_bitwise(self, twitter_tiny):
+    @staticmethod
+    def _assigned(sampler, docs):
+        return [(doc, int(sampler.state.doc_community[doc])) for doc in docs]
+
+    def test_matches_exact_log_sums(self, twitter_tiny):
         graph, _ = twitter_tiny
-        sampler = _tiny_sampler(graph, rng=4)
+        sampler = self._sampler(graph, rng=4)
         sampler.sweep_documents()
-        kernel = sampler.kernel
-        assert kernel._log_beta_table is not None
-        assert kernel._log_alpha_table.shape == (graph.n_documents + 1,)
-        self._assert_table_path_exact(sampler, range(0, graph.n_documents, 5))
+        self._assert_exact(sampler, self._assigned(sampler, range(0, graph.n_documents, 3)))
         # with the document unassigned, as the sweep evaluates it
         for doc in range(0, graph.n_documents, 11):
-            community = int(sampler.state.doc_community[doc])
-            topic = int(sampler.state.doc_topic[doc])
-            sampler.state.unassign(doc)
-            np.testing.assert_array_equal(
-                kernel.topic_log_weights(doc, community),
-                self._weights_without_tables(kernel, doc, community),
-            )
+            community, topic = sampler.state.unassign(doc)
+            self._assert_exact(sampler, [(doc, community)])
             sampler.state.assign(doc, community, topic)
 
-    def test_matched_seed_sweeps_identical(self, twitter_tiny):
+    @pytest.mark.parametrize("beta", (1e-300, 1e3))
+    def test_extreme_beta(self, twitter_tiny, beta):
         graph, _ = twitter_tiny
-        samplers = [_tiny_sampler(graph, rng=17) for _ in range(2)]
-        _tables_off(samplers[1].kernel)
-        for _ in range(5):
-            for sampler in samplers:
-                sampler.sweep_documents()
-            np.testing.assert_array_equal(
-                samplers[0].state.doc_topic, samplers[1].state.doc_topic
-            )
-            np.testing.assert_array_equal(
-                samplers[0].state.doc_community, samplers[1].state.doc_community
-            )
-        assert (
-            samplers[0].rng.bit_generator.state == samplers[1].rng.bit_generator.state
-        )
+        sampler = self._sampler(graph, rng=5, beta=beta)
+        sampler.sweep_documents()
+        self._assert_exact(sampler, self._assigned(sampler, range(0, graph.n_documents, 3)))
 
-    def test_count_past_the_table_falls_back_exactly(self, twitter_tiny):
+    def test_word_repeated_500_times(self, twitter_tiny):
         graph, _ = twitter_tiny
-        sampler = _tiny_sampler(graph, rng=8)
-        kernel = sampler.kernel
-        stale_table = kernel._log_beta_table
-        doc = next(
-            d for d in range(graph.n_documents)
-            if kernel.ws_indptr[d + 1] > kernel.ws_indptr[d]
-        )
-        word = int(kernel.ws_words[kernel.ws_indptr[doc]])
-        # one appended document repeating the word more often than the
-        # whole corpus held tokens at construction
-        sampler.append_documents(
-            [np.full(len(stale_table) + 5, word)],
+        sampler = self._sampler(graph, rng=8)
+        word = int(graph.documents[0].words[0])
+        (doc,) = sampler.append_documents(
+            [np.full(500, word)],
             users=np.array([0]),
             timestamps=np.array([0]),
             communities=np.array([0]),
             topics=np.array([0]),
         )
-        cell = sampler.state.topic_word[0, word]
-        assert cell >= len(stale_table)
-        assert cell < len(kernel._log_beta_table)  # the append hook rebuilt it
-        self._assert_table_path_exact(sampler, [doc])
-        kernel._log_beta_table = stale_table
-        self._assert_table_path_exact(sampler, [doc])
+        assert sampler.kernel.wm_counts[-1] == 500
+        self._assert_exact(sampler, self._assigned(sampler, [doc, 0]))
+        sampler.sweep_documents()
+        self._assert_exact(sampler, self._assigned(sampler, [doc, 0]))
 
-    def test_non_integral_counts_fall_back_exactly(self, twitter_tiny):
+    def test_tiny_ratio_after_a_long_product(self, twitter_tiny):
+        """At beta = 1e-300 an unseen word's first factor is ~1e-300 / n_z on
+        its own; after 500 factors have shrunk the running product, it must
+        still be taken exactly rather than multiplied into an underflow."""
         graph, _ = twitter_tiny
-        sampler = _tiny_sampler(graph, rng=9)
-        kernel = sampler.kernel
+        sampler = self._sampler(graph, rng=8, beta=1e-300)
+        repeated, unseen = 0, sampler.state.n_words - 1  # unseen is last in the CSR
+        (doc,) = sampler.append_documents(
+            [np.r_[np.full(500, repeated), np.full(2, unseen)]],
+            users=np.array([0]),
+            timestamps=np.array([0]),
+        )
+        sampler.state.topic_word[:, unseen] = 0.0
+        self._assert_exact(sampler, [(doc, community) for community in range(4)])
+
+    def test_non_integral_counts(self, twitter_tiny):
+        graph, _ = twitter_tiny
+        sampler = self._sampler(graph, rng=9)
         doc = next(
             d for d in range(graph.n_documents)
-            if kernel.ws_indptr[d + 1] > kernel.ws_indptr[d]
+            if sampler.kernel.wm_indptr[d + 1] > sampler.kernel.wm_indptr[d]
         )
-        word = int(kernel.ws_words[kernel.ws_indptr[doc]])
         community = int(sampler.state.doc_community[doc])
-        self._assert_table_path_exact(sampler, [doc])  # warm the lgamma cache
         state = sampler.state
-        state.topic_word[2, word] += 0.5
+        for word in (
+            int(sampler.kernel.ws_words[sampler.kernel.ws_indptr[doc]]),
+            int(sampler.kernel.wm_words[sampler.kernel.wm_indptr[doc]]),
+        ):
+            state.topic_word[2, word] += 0.5
+            state.topic_word[5, word] += 1.25
         state.community_topic[community, 3] += 0.25
-        state.topic_totals[1] += 0.5  # moves one lgamma cache key
-        self._assert_table_path_exact(sampler, [doc])
+        state.topic_totals[1] += 0.5
+        self._assert_exact(sampler, [(doc, community)])
+
+
+@needs_backend
+class TestFriendshipStatistics:
+    """Eq. 14's per-user friendship statistics follow the user being swept."""
+
+    @pytest.mark.parametrize("order", ("reversed", "shuffled"))
+    def test_sweep_order_draws_like_reference(self, twitter_tiny, order):
+        graph, _ = twitter_tiny
+        ids = np.arange(graph.n_documents, dtype=np.int64)[::-1]
+        if order == "shuffled":  # the user changes on almost every document
+            ids = np.random.default_rng(3).permutation(graph.n_documents)
+        samplers = [
+            _tiny_sampler(graph, sweep_kernel=kernel, rng=23)
+            for kernel in ("reference", "compiled")
+        ]
+        for _ in range(3):
+            for sampler in samplers:
+                sampler.kernel.sweep(ids)
+                sampler.sample_lambdas()
+            np.testing.assert_array_equal(
+                samplers[0].state.doc_community, samplers[1].state.doc_community
+            )
+            np.testing.assert_array_equal(
+                samplers[0].state.doc_topic, samplers[1].state.doc_topic
+            )
+
+    def test_standalone_call_builds_fresh(self, twitter_tiny):
+        graph, _ = twitter_tiny
+        sampler = _tiny_sampler(graph, rng=6)
+        sampler.sweep_documents()
+        sampler.sample_lambdas()
+        state = sampler.state
+        users = sampler._doc_user
+        doc = int(np.argmax(np.diff(sampler.f_csr_indptr)[users]))
+        user = int(users[doc])
+        sampler.kernel.sweep(np.array([doc]))  # leaves this user's statistics
+        # move a friend's document, so statistics held over would be stale
+        friend = int(sampler.f_csr_neighbor[sampler.f_csr_indptr[user]])
+        friend_doc = int(np.flatnonzero(users == friend)[0])
+        old_community, topic = state.unassign(friend_doc)
+        state.assign(friend_doc, (old_community + 1) % state.n_communities, topic)
+        for candidate in range(state.n_topics):
+            np.testing.assert_allclose(
+                sampler.kernel.community_log_weights(doc, candidate),
+                sampler.reference_community_log_weights(doc, candidate),
+                rtol=1e-10,
+                atol=1e-10,
+            )
+
+    def test_two_worker_runner_draws_like_reference(self, twitter_tiny, monkeypatch):
+        from repro.core import CPDModel, FitOptions
+        from repro.parallel import ParallelEStepRunner
+        from repro.parallel import runner as runner_module
+        from repro.parallel.scheduler import WorkloadModel
+
+        # a timed workload model would let the document split vary run to run
+        fixed = WorkloadModel(1e-4, 1e-6, 1e-6)
+        monkeypatch.setattr(runner_module, "measure_workload_model", lambda _sampler: fixed)
+        graph, _ = twitter_tiny
+        config = CPDConfig(n_communities=4, n_topics=8, n_iterations=4, rho=0.5, alpha=0.5)
+        results = []
+        for kernel in ("reference", "compiled"):
+            kernel_config = config.with_overrides(sweep_kernel=kernel)
+            with ParallelEStepRunner(graph, kernel_config, n_workers=2, rng=0) as runner:
+                results.append(
+                    CPDModel(kernel_config, rng=5).fit(
+                        graph, FitOptions(document_sweeper=runner)
+                    )
+                )
+        np.testing.assert_array_equal(results[0].doc_community, results[1].doc_community)
+        np.testing.assert_array_equal(results[0].doc_topic, results[1].doc_topic)
