@@ -3,8 +3,10 @@
 Times one full E-step document sweep (Alg. 1 steps 3-6) on the Fig. 10(a)
 twitter scenario at full fraction for every value of
 ``CPDConfig.sweep_kernel`` and reports docs/sec plus the speedup. The
-kernels are measured interleaved and summarised by their best round so
-background load on the machine cannot bias the ratios. The compiled
+kernels are measured interleaved, a block of compiled sweeps after each
+reference sweep, and each kernel's time is the median of its sweeps, with
+the quartiles recorded beside it: a compiled sweep takes ~1 ms, so a best
+of 8 moved by ±25% between runs on a shared host. The compiled
 kernel's warm-up sweep — shared-object build/load plus first ctx marshal —
 is timed separately from the steady state, because it is a one-off cost
 per process while the steady-state rate is what an EM fit pays per
@@ -13,6 +15,7 @@ perf trajectory record — to ``BENCH_sweep.json`` at the repository root.
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -22,7 +25,10 @@ from repro.core import _compiled
 from repro.core.gibbs import CPDSampler
 
 N_COMMUNITIES = 6
+#: reference sweeps timed (~0.3 s each), one per round
 MEASURE_ROUNDS = 8
+#: compiled sweeps timed after each reference sweep
+COMPILED_PER_ROUND = 32
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
@@ -37,46 +43,65 @@ def _build_sampler(graph, kernel: str) -> tuple[CPDSampler, float]:
     return sampler, time.perf_counter() - started
 
 
-def _measure(graph) -> tuple[dict, dict]:
+def _timed_sweep(sampler: CPDSampler) -> float:
+    started = time.perf_counter()
+    sampler.sweep_documents()
+    return time.perf_counter() - started
+
+
+def _measure(graph) -> tuple[dict, dict, dict]:
+    """``(median seconds, quartiles, warm-up seconds)`` per kernel."""
     compiled_available, _reason = _compiled.backend_status()
     kernels = ["reference"] + (["compiled"] if compiled_available else [])
     samplers = {}
     warm_up = {}
     for name in kernels:
         samplers[name], warm_up[name] = _build_sampler(graph, name)
-    best = {name: float("inf") for name in samplers}
+    seconds = {name: [] for name in samplers}
     for _ in range(MEASURE_ROUNDS):
-        for name, sampler in samplers.items():
-            started = time.perf_counter()
-            sampler.sweep_documents()
-            best[name] = min(best[name], time.perf_counter() - started)
-    return best, warm_up
+        seconds["reference"].append(_timed_sweep(samplers["reference"]))
+        if compiled_available:
+            for _ in range(COMPILED_PER_ROUND):
+                seconds["compiled"].append(_timed_sweep(samplers["compiled"]))
+    median = {name: statistics.median(values) for name, values in seconds.items()}
+    quartiles = {
+        name: [float(q) for q in statistics.quantiles(values, n=4)]
+        for name, values in seconds.items()
+    }
+    return median, quartiles, warm_up
 
 
 def test_sweep_hotpath_speedup(benchmark):
     graph, _ = get_scenario("twitter")
-    best, warm_up = benchmark.pedantic(_measure, args=(graph,), rounds=1, iterations=1)
-    compiled_available = "compiled" in best
+    median, quartiles, warm_up = benchmark.pedantic(
+        _measure, args=(graph,), rounds=1, iterations=1
+    )
+    compiled_available = "compiled" in median
     payload = {
         "scenario": "twitter_small_full_fraction",
         "n_documents": graph.n_documents,
         "n_friendship_links": graph.n_friendship_links,
         "n_diffusion_links": graph.n_diffusion_links,
-        "reference_sweep_seconds": best["reference"],
-        "reference_docs_per_second": graph.n_documents / best["reference"],
+        "reference_sweep_seconds": median["reference"],
+        "reference_docs_per_second": graph.n_documents / median["reference"],
         "measure_rounds": MEASURE_ROUNDS,
+        "timing": (
+            f"median of {MEASURE_ROUNDS} reference sweeps, each followed by "
+            f"{COMPILED_PER_ROUND} compiled sweeps"
+        ),
+        "sweep_seconds_quartiles": quartiles,
         "compiled_available": compiled_available,
     }
     rows = [
-        [name, best[name], graph.n_documents / best[name]]
-        for name in best
+        [name, median[name], graph.n_documents / median[name]]
+        for name in median
     ]
     if compiled_available:
-        speedup = best["reference"] / best["compiled"]
+        speedup = median["reference"] / median["compiled"]
         payload.update(
             {
-                "compiled_sweep_seconds": best["compiled"],
-                "compiled_docs_per_second": graph.n_documents / best["compiled"],
+                "compiled_sweep_seconds": median["compiled"],
+                "compiled_docs_per_second": graph.n_documents / median["compiled"],
                 "compiled_warm_up_seconds": warm_up["compiled"],
                 "compiled_speedup_vs_reference": speedup,
             }

@@ -147,9 +147,7 @@ class CRM(BaselineModel):
             ]
         )
         labels = np.concatenate([np.ones(len(pos_src)), np.zeros(len(negatives))])
-        trainer = LogisticTrainer(
-            LogisticTrainerConfig(n_iterations=self.lr_iterations, standardize=True)
-        )
+        trainer = LogisticTrainer(LogisticTrainerConfig(n_iterations=self.lr_iterations))
         self._fit_result = trainer.fit(design, labels)
 
     def _pair_design(self, source_docs: np.ndarray, target_docs: np.ndarray) -> np.ndarray:

@@ -101,9 +101,7 @@ class WTM(BaselineModel):
             ]
         )
         labels = np.concatenate([np.ones(len(pos_src)), np.zeros(len(negatives))])
-        trainer = LogisticTrainer(
-            LogisticTrainerConfig(n_iterations=self.lr_iterations, standardize=True)
-        )
+        trainer = LogisticTrainer(LogisticTrainerConfig(n_iterations=self.lr_iterations))
         self._fit_result = trainer.fit(design, labels)
         return self
 

@@ -849,101 +849,8 @@ def run_visualize(args, out=None) -> int:
     return 0
 
 
-def _print_artifact_info(path, out) -> None:
-    artifact = load_artifact(path)
-    result = artifact.result
-    print(f"artifact        : {path}", file=out)
-    print(
-        f"format version  : {artifact.format_version}"
-        + (" (self-contained)" if artifact.self_contained else ""),
-        file=out,
-    )
-    print(f"graph           : {result.graph_name or 'unnamed'}", file=out)
-    print(
-        f"dims            : {result.n_users} users  {len(result.doc_community)} docs  "
-        f"{result.n_communities} communities  {result.n_topics} topics  "
-        f"{result.n_words} words",
-        file=out,
-    )
-    print(f"sweep kernel    : {result.config.sweep_kernel}", file=out)
-    if result.trace:
-        seconds = sum(entry.seconds for entry in result.trace)
-        print(
-            f"fit trace       : {len(result.trace)} EM iterations in {seconds:.2f}s "
-            f"(last diffusion prob {result.trace[-1].mean_diffusion_probability:.3f})",
-            file=out,
-        )
-    else:
-        print("fit trace       : absent", file=out)
-    if artifact.vocabulary is not None:
-        print(f"vocabulary      : embedded ({len(artifact.vocabulary)} terms)", file=out)
-    else:
-        print("vocabulary      : absent (pass --graph to serving commands)", file=out)
-    if artifact.graph_summary is not None:
-        n_queries = len(artifact.graph_summary.get("queries", []))
-        print(f"graph summary   : embedded ({n_queries} queries indexed)", file=out)
-    else:
-        print("graph summary   : absent", file=out)
-    if artifact.stream_cursor is not None:
-        cursor = artifact.stream_cursor
-        print(
-            "stream cursor   : "
-            f"{cursor.get('documents_appended', 0)} docs + "
-            f"{cursor.get('links_appended', 0)} links appended, "
-            f"{cursor.get('refreshes', 0)} refreshes, "
-            f"last timestamp {cursor.get('last_timestamp', 0)}",
-            file=out,
-        )
-        base_docs = len(result.doc_community) - cursor.get("documents_appended", 0)
-        print(
-            f"snapshot        : stream snapshot over a {base_docs}-doc offline base "
-            f"(snapshot covers {len(result.doc_community)} docs total)",
-            file=out,
-        )
-    else:
-        print("stream cursor   : absent (offline fit)", file=out)
-
-
-def _print_manifest_info(path, out) -> None:
-    manifest = load_shard_manifest(path)
-    print(f"shard manifest  : {path} (v{manifest.manifest_version})", file=out)
-    print(f"graph           : {manifest.graph_name or 'unnamed'}", file=out)
-    print(
-        f"partition       : {manifest.n_shards} shards, strategy "
-        f"{manifest.strategy!r}, {manifest.n_users} users, "
-        f"{manifest.n_documents} documents",
-        file=out,
-    )
-    for entry in manifest.shards:
-        print(
-            f"  shard {entry.shard_id}       : {entry.path}  "
-            f"({entry.n_users} users, {entry.n_documents} docs)",
-            file=out,
-        )
-    if manifest.spill is not None:
-        n_friend = len(manifest.spill.get("friendship", []))
-        n_diff = len(manifest.spill.get("diffusion", []))
-        print(
-            f"spill set       : {n_friend} friendship + {n_diff} diffusion "
-            "cross-shard links",
-            file=out,
-        )
-    else:
-        print("spill set       : absent", file=out)
-    if manifest.alignment is not None:
-        alignment = manifest.alignment
-        print(
-            f"alignment       : {alignment.get('n_global')} global communities "
-            f"({alignment.get('method')} on {alignment.get('feature')} profiles, "
-            f"min similarity {alignment.get('min_similarity')})",
-            file=out,
-        )
-    else:
-        print("alignment       : absent (router cannot open this manifest)", file=out)
-
-
 def _artifact_info_payload(path) -> dict:
-    """The machine-readable twin of :func:`_print_artifact_info`."""
+    """What ``repro info`` reports about a CPD artifact."""
     artifact = load_artifact(path)
     result = artifact.result
     payload = {
@@ -981,8 +888,57 @@ def _artifact_info_payload(path) -> dict:
     return payload
 
 
+def _artifact_info_lines(payload: dict) -> list[str]:
+    """The text readout of :func:`_artifact_info_payload`."""
+    dims = payload["dims"]
+    lines = [
+        f"artifact        : {payload['path']}",
+        f"format version  : {payload['format_version']}"
+        + (" (self-contained)" if payload["self_contained"] else ""),
+        f"graph           : {payload['graph'] or 'unnamed'}",
+        f"dims            : {dims['users']} users  {dims['documents']} docs  "
+        f"{dims['communities']} communities  {dims['topics']} topics  "
+        f"{dims['words']} words",
+        f"sweep kernel    : {payload['sweep_kernel']}",
+    ]
+    trace = payload["fit_trace"]
+    if trace is not None:
+        lines.append(
+            f"fit trace       : {trace['iterations']} EM iterations in "
+            f"{trace['seconds']:.2f}s (last diffusion prob "
+            f"{trace['last_diffusion_probability']:.3f})"
+        )
+    else:
+        lines.append("fit trace       : absent")
+    if payload["vocabulary_terms"] is not None:
+        lines.append(f"vocabulary      : embedded ({payload['vocabulary_terms']} terms)")
+    else:
+        lines.append("vocabulary      : absent (pass --graph to serving commands)")
+    if payload["indexed_queries"] is not None:
+        lines.append(
+            f"graph summary   : embedded ({payload['indexed_queries']} queries indexed)"
+        )
+    else:
+        lines.append("graph summary   : absent")
+    cursor = payload["stream_cursor"]
+    if cursor is not None:
+        base_docs = dims["documents"] - cursor.get("documents_appended", 0)
+        lines += [
+            "stream cursor   : "
+            f"{cursor.get('documents_appended', 0)} docs + "
+            f"{cursor.get('links_appended', 0)} links appended, "
+            f"{cursor.get('refreshes', 0)} refreshes, "
+            f"last timestamp {cursor.get('last_timestamp', 0)}",
+            f"snapshot        : stream snapshot over a {base_docs}-doc offline base "
+            f"(snapshot covers {dims['documents']} docs total)",
+        ]
+    else:
+        lines.append("stream cursor   : absent (offline fit)")
+    return lines
+
+
 def _manifest_info_payload(path) -> dict:
-    """The machine-readable twin of :func:`_print_manifest_info`."""
+    """What ``repro info`` reports about a shard manifest."""
     manifest = load_shard_manifest(path)
     return {
         "kind": "shard_manifest",
@@ -1014,20 +970,52 @@ def _manifest_info_payload(path) -> dict:
     }
 
 
+def _manifest_info_lines(payload: dict) -> list[str]:
+    """The text readout of :func:`_manifest_info_payload`."""
+    lines = [
+        f"shard manifest  : {payload['path']} (v{payload['manifest_version']})",
+        f"graph           : {payload['graph'] or 'unnamed'}",
+        f"partition       : {payload['n_shards']} shards, strategy "
+        f"{payload['strategy']!r}, {payload['n_users']} users, "
+        f"{payload['n_documents']} documents",
+    ]
+    for entry in payload["shards"]:
+        lines.append(
+            f"  shard {entry['shard_id']}       : {entry['path']}  "
+            f"({entry['n_users']} users, {entry['n_documents']} docs)"
+        )
+    spill = payload["spill"]
+    if spill is not None:
+        lines.append(
+            f"spill set       : {spill['friendship']} friendship + "
+            f"{spill['diffusion']} diffusion cross-shard links"
+        )
+    else:
+        lines.append("spill set       : absent")
+    alignment = payload["alignment"]
+    if alignment is not None:
+        lines.append(
+            f"alignment       : {alignment.get('n_global')} global communities "
+            f"({alignment.get('method')} on {alignment.get('feature')} profiles, "
+            f"min similarity {alignment.get('min_similarity')})"
+        )
+    else:
+        lines.append("alignment       : absent (router cannot open this manifest)")
+    return lines
+
+
 def run_info(args, out=None) -> int:
     out = out or sys.stdout
-    if getattr(args, "json", False):
-        payload = (
-            _manifest_info_payload(args.model)
-            if is_shard_manifest(args.model)
-            else _artifact_info_payload(args.model)
-        )
-        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
-        return 0
     if is_shard_manifest(args.model):
-        _print_manifest_info(args.model, out)
+        payload = _manifest_info_payload(args.model)
+        lines = _manifest_info_lines
     else:
-        _print_artifact_info(args.model, out)
+        payload = _artifact_info_payload(args.model)
+        lines = _artifact_info_lines
+    if getattr(args, "json", False):
+        print(json.dumps(payload, indent=2, sort_keys=True), file=out)
+    else:
+        print("\n".join(lines(payload)), file=out)
     return 0
 
 

@@ -81,7 +81,6 @@ _CTX_FIELDS: tuple[tuple[str, str], ...] = (
     ("use_individual_factor", "i64"),
     ("community_uses_content", "i64"),
     ("has_fixed", "i64"),
-    ("pop_mode", "i64"),  # 0 raw, 1 proportion, 2 log
     ("n_time_buckets", "i64"),
     # priors and derived constants
     ("alpha", "f64"),
@@ -96,7 +95,6 @@ _CTX_FIELDS: tuple[tuple[str, str], ...] = (
     ("comm_weight", "f64"),
     ("pop_weight", "f64"),
     ("bias", "f64"),
-    ("pop_table_weight", "f64"),
     # per-document scalars and assignments
     ("doc_user", "p_i64"),
     ("doc_time", "p_i64"),
@@ -255,8 +253,7 @@ static void refresh_theta_row(CpdCtx *c, int64_t community) {
     for (int64_t z = 0; z < Z; ++z) row[z] = (counts[z] + c->alpha) / denom;
 }
 
-/* popularity transform (diffusion/popularity.py _transform_row):
-   raw -> w * n, proportion -> w * n / max(row sum, 1), log -> w * log1p(n) */
+/* popularity term (diffusion/popularity.py): n / max(row sum, 1) */
 static double pop_row_denom(const CpdCtx *c, int64_t t) {
     const int64_t Z = c->n_topics;
     const double *row = c->pop_counts + t * Z;
@@ -266,10 +263,7 @@ static double pop_row_denom(const CpdCtx *c, int64_t t) {
 }
 
 static double pop_cell(const CpdCtx *c, int64_t t, int64_t z, double denom) {
-    const double count = c->pop_counts[t * c->n_topics + z];
-    if (c->pop_mode == 0) return c->pop_table_weight * count;
-    if (c->pop_mode == 1) return c->pop_table_weight * (count / denom);
-    return c->pop_table_weight * log1p(count);
+    return c->pop_counts[t * c->n_topics + z] / denom;
 }
 
 /* A running product of ratios stays inside [CPD_RANGE, 1 / CPD_RANGE], so
@@ -341,8 +335,7 @@ void cpd_topic_log_weights(CpdCtx *c, int64_t doc, int64_t community, double *ou
         const double *pi_v = c->pi_cache + c->dout_target_user[p] * C;
         const double delta = c->dout_deltas[p];
         const int64_t t = c->dout_time[p];
-        double denom = 1.0;
-        if (c->use_topic_factor && c->pop_mode == 1) denom = pop_row_denom(c, t);
+        const double denom = c->use_topic_factor ? pop_row_denom(c, t) : 1.0;
         for (int64_t z = 0; z < Z; ++z) {
             const double *fz = folded + z * C;
             double bilinear = 0.0;
@@ -440,8 +433,7 @@ static void community_log_weights(CpdCtx *c, int64_t doc, int64_t topic, double 
             double constant = c->bias;
             if (c->use_topic_factor) {
                 const int64_t t = c->d_time[p];
-                const double pden = (c->pop_mode == 1) ? pop_row_denom(c, t) : 1.0;
-                constant += c->pop_weight * pop_cell(c, t, lz, pden);
+                constant += c->pop_weight * pop_cell(c, t, lz, pop_row_denom(c, t));
             }
             if (c->use_individual_factor) constant += c->d_feature[p];
             const double delta = c->d_deltas[p];
@@ -784,7 +776,7 @@ void cpd_lda_sweep(int64_t n_docs, int64_t n_topics, int64_t n_words, double alp
     }
 }
 
-/* Offset logistic regression by projected Newton: the C twin of
+/* Logistic regression by projected Newton: the C twin of
    diffusion/logistic.py LogisticTrainer.fit, step for step (standardise,
    active set with its re-solve, Newton step on the free block, Armijo
    backtracking along the projected arc, the same tolerance and step cap).
@@ -822,10 +814,10 @@ static double lr_dot(const double *a, const double *b, const double *c, int64_t 
     return (s0 + s1) + (s2 + s3);
 }
 
-/* logits = design @ params + offsets, design column-major (P columns of n) */
+/* logits = design @ params, design column-major (P columns of n) */
 static void lr_logits(const double *design, int64_t n, int64_t P, const double *params,
-                      const double *offsets, double *out) {
-    for (int64_t i = 0; i < n; ++i) out[i] = offsets ? offsets[i] : 0.0;
+                      double *out) {
+    for (int64_t i = 0; i < n; ++i) out[i] = 0.0;
     for (int64_t j = 0; j < P; ++j) {
         const double *column = design + j * n;
         for (int64_t i = 0; i < n; ++i) out[i] += column[i] * params[j];
@@ -882,14 +874,13 @@ static int lr_solve_free(const double *hessian, const double *penalty,
     return 0;
 }
 
-/* features (n, p) row-major, labels (n,), offsets (n,) or NULL, clamped
-   (p + 1,) flags over the weights then the bias, initial_weights (p,) or
-   NULL. Writes the raw weights then the raw bias to out (p + 1,) and the
-   loss to *final_loss; returns the Newton steps taken, or -1. */
-int64_t cpd_logistic_newton(const double *features, const double *labels,
-                            const double *offsets, int64_t n, int64_t p,
-                            const int8_t *clamped, int64_t fit_bias, int64_t standardize,
-                            double l2_penalty, double tolerance, int64_t max_steps,
+/* features (n, p) row-major, labels (n,), clamped (p + 1,) flags over the
+   weights then the bias, initial_weights (p,) or NULL. Writes the raw
+   weights then the raw bias to out (p + 1,) and the loss to *final_loss;
+   returns the Newton steps taken, or -1. */
+int64_t cpd_logistic_newton(const double *features, const double *labels, int64_t n,
+                            int64_t p, const int8_t *clamped, double l2_penalty,
+                            double tolerance, int64_t max_steps,
                             const double *initial_weights, double initial_bias,
                             double *out, double *final_loss) {
     const int64_t P = p + 1;
@@ -907,21 +898,18 @@ int64_t cpd_logistic_newton(const double *features, const double *labels,
 
     /* z-score columns as numpy's mean/std do (row-sequential sums over axis
        0), then the constant bias column; the design is column-major */
-    for (int64_t j = 0; j < p; ++j) { means[j] = 0.0; stds[j] = 1.0; }
-    if (standardize) {
-        for (int64_t j = 0; j < p; ++j) spread[j] = 0.0;
-        for (int64_t i = 0; i < n; ++i)
-            for (int64_t j = 0; j < p; ++j) means[j] += features[i * p + j];
-        for (int64_t j = 0; j < p; ++j) means[j] /= (double)n;
-        for (int64_t i = 0; i < n; ++i)
-            for (int64_t j = 0; j < p; ++j) {
-                const double d = features[i * p + j] - means[j];
-                spread[j] += d * d;
-            }
+    for (int64_t j = 0; j < p; ++j) { means[j] = 0.0; spread[j] = 0.0; }
+    for (int64_t i = 0; i < n; ++i)
+        for (int64_t j = 0; j < p; ++j) means[j] += features[i * p + j];
+    for (int64_t j = 0; j < p; ++j) means[j] /= (double)n;
+    for (int64_t i = 0; i < n; ++i)
         for (int64_t j = 0; j < p; ++j) {
-            const double sd = sqrt(spread[j] / (double)n);
-            stds[j] = sd > 1e-8 ? sd : 1.0;
+            const double d = features[i * p + j] - means[j];
+            spread[j] += d * d;
         }
+    for (int64_t j = 0; j < p; ++j) {
+        const double sd = sqrt(spread[j] / (double)n);
+        stds[j] = sd > 1e-8 ? sd : 1.0;
     }
     for (int64_t j = 0; j < p; ++j)
         for (int64_t i = 0; i < n; ++i)
@@ -943,7 +931,7 @@ int64_t cpd_logistic_newton(const double *features, const double *labels,
     for (int64_t j = 0; j < P; ++j)
         if (clamped[j] && params[j] < 0.0) params[j] = 0.0;
 
-    lr_logits(design, n, P, params, offsets, logits);
+    lr_logits(design, n, P, params, logits);
     double loss = lr_loss(logits, labels, n, params, penalty, P, exps);
     int64_t steps = 0;
     while (steps < max_steps) {
@@ -963,8 +951,7 @@ int64_t cpd_logistic_newton(const double *features, const double *labels,
                 hessian[a * P + b] = lr_dot(column, design + b * n, curvature, n);
             /* active set: a clamped weight at 0 the gradient pushes further
                down stays put this step */
-            fixed[a] = (a == p && !fit_bias)
-                       || (clamped[a] && params[a] <= 0.0 && gradient[a] > 0.0);
+            fixed[a] = clamped[a] && params[a] <= 0.0 && gradient[a] > 0.0;
         }
         for (;;) {
             int64_t m = 0;
@@ -991,7 +978,7 @@ int64_t cpd_logistic_newton(const double *features, const double *labels,
                 cand[j] = params[j] + fraction * step[j];
                 if (clamped[j] && cand[j] < 0.0) cand[j] = 0.0;
             }
-            lr_logits(design, n, P, cand, offsets, cand_logits);
+            lr_logits(design, n, P, cand, cand_logits);
             cand_loss = lr_loss(cand_logits, labels, n, cand, penalty, P, cand_exps);
             for (int64_t j = 0; j < P; ++j) decrease += gradient[j] * (cand[j] - params[j]);
             if (cand_loss <= loss + LR_ARMIJO * decrease) break;
@@ -1037,10 +1024,10 @@ cleanup:
 /* Per-call tables for a link batch: scratch_eta[z][k][d] = (eta[k,d,z]
    theta[k,z]) theta[d,z], so a link's community term is
    sum_d pi_v[d] sum_k pi_u[k] scratch_eta[z][k][d]; and, returned, each
-   time bucket's popularity row total in proportion mode (integer counts,
-   so any summation order gives numpy's total). The caller frees it; NULL
-   when there is nothing to hold or the allocation failed, and
-   pop_row_denom then runs per link. */
+   time bucket's popularity row total (integer counts, so any summation
+   order gives numpy's total). The caller frees it; NULL when there is
+   nothing to hold or the allocation failed, and pop_row_denom then runs
+   per link. */
 static double *link_tables(CpdCtx *c) {
     const int64_t C = c->n_communities, Z = c->n_topics;
     if (!c->similarity_mode) {
@@ -1053,7 +1040,7 @@ static double *link_tables(CpdCtx *c) {
                     out[k * C + d] = (eta_z[k * C + d] * theta[k * Z + z]) * theta[d * Z + z];
         }
     }
-    if (!(c->use_topic_factor && c->pop_mode == 1 && c->n_time_buckets > 0)) return NULL;
+    if (!(c->use_topic_factor && c->n_time_buckets > 0)) return NULL;
     double *pop_denom = malloc(sizeof(double) * (size_t)c->n_time_buckets);
     if (pop_denom)
         for (int64_t t = 0; t < c->n_time_buckets; ++t) pop_denom[t] = pop_row_denom(c, t);
@@ -1084,11 +1071,8 @@ static void link_terms(CpdCtx *c, const double *pop_denom, int64_t src, int64_t 
         *community = lr_dot(acc, pi_v, NULL, C);
     }
     *popularity = 0.0;
-    if (c->use_topic_factor) {
-        double denom = 1.0;
-        if (c->pop_mode == 1) denom = pop_denom ? pop_denom[t] : pop_row_denom(c, t);
-        *popularity = pop_cell(c, t, z, denom);
-    }
+    if (c->use_topic_factor)
+        *popularity = pop_cell(c, t, z, pop_denom ? pop_denom[t] : pop_row_denom(c, t));
 }
 
 /* Community and popularity components for any batch of links. Returns -1,
@@ -1247,9 +1231,9 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     ]
     library.cpd_lda_sweep.restype = None
     library.cpd_logistic_newton.argtypes = [
-        void_p, void_p, void_p, ctypes.c_int64, ctypes.c_int64, void_p, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_double, ctypes.c_double, ctypes.c_int64, void_p,
-        ctypes.c_double, void_p, ctypes.POINTER(ctypes.c_double),
+        void_p, void_p, ctypes.c_int64, ctypes.c_int64, void_p, ctypes.c_double,
+        ctypes.c_double, ctypes.c_int64, void_p, ctypes.c_double, void_p,
+        ctypes.POINTER(ctypes.c_double),
     ]
     library.cpd_logistic_newton.restype = ctypes.c_int64
     return library
@@ -1388,14 +1372,11 @@ def lda_sweep(
 def logistic_newton(
     features: np.ndarray,
     labels: np.ndarray,
-    offsets: np.ndarray | None,
     clamped: np.ndarray,
     initial_weights: np.ndarray | None,
     initial_bias: float,
     *,
     l2_penalty: float,
-    fit_bias: bool,
-    standardize: bool,
     tolerance: float,
     max_steps: int,
 ) -> tuple[np.ndarray, float, int, float] | None:
@@ -1423,15 +1404,14 @@ def logistic_newton(
 
     # the arrays are bound to names so they outlive the call
     labels, labels_p = address(labels, (n,))
-    offsets, offsets_p = address(offsets, (n,))
     clamped, clamped_p = address(clamped, (p + 1,), np.int8)
     initial_weights, initial_p = address(initial_weights, (p,))
     out = np.empty(p + 1)
     loss = ctypes.c_double()
     steps = library.cpd_logistic_newton(
-        features.ctypes.data, labels_p, offsets_p, n, p, clamped_p, int(fit_bias),
-        int(standardize), float(l2_penalty), float(tolerance), int(max_steps),
-        initial_p, float(initial_bias), out.ctypes.data, ctypes.byref(loss),
+        features.ctypes.data, labels_p, n, p, clamped_p, float(l2_penalty),
+        float(tolerance), int(max_steps), initial_p, float(initial_bias),
+        out.ctypes.data, ctypes.byref(loss),
     )
     if steps < 0:
         return None

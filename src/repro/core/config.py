@@ -52,9 +52,6 @@ class CPDConfig:
     community_uses_content: bool = True
 
     # --- diffusion-factor numerics ---
-    #: topic-popularity transform: "proportion" (bounded, default), "log", "raw"
-    popularity_mode: str = "proportion"
-    popularity_weight: float = 1.0
     #: additive smoothing for the eta aggregation M-step
     eta_smoothing: float = 0.01
     #: negatives per observed diffusion link for the nu logistic regression
@@ -83,8 +80,6 @@ class CPDConfig:
             raise ValueError("alpha must be positive")
         if self.rho is not None and self.rho <= 0:
             raise ValueError("rho must be positive")
-        if self.popularity_mode not in ("proportion", "log", "raw"):
-            raise ValueError("popularity_mode must be proportion, log or raw")
         if self.negative_ratio <= 0:
             raise ValueError("negative_ratio must be positive")
         if self.eta_smoothing <= 0:

@@ -175,10 +175,7 @@ class CPDSampler:
         if len(self.e_time):
             n_buckets = max(n_buckets, int(self.e_time.max()) + 1)
         self.popularity = TopicPopularity(
-            n_topics=self.config.n_topics,
-            n_time_buckets=n_buckets,
-            mode=self.config.popularity_mode,
-            weight=self.config.popularity_weight,
+            n_topics=self.config.n_topics, n_time_buckets=n_buckets
         )
         assigned = self.state.doc_topic >= 0
         self.popularity.increment_many(

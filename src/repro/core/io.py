@@ -73,8 +73,16 @@ _META_NAME = "cpd_meta.json"
 _VOCABULARY_NAME = "vocabulary.json"
 _SUMMARY_NAME = "graph_summary.json"
 #: CPDConfig fields that older artifacts still carry but the model no longer
-#: reads; dropped on load. Any other unknown field still fails the load.
-_RETIRED_CONFIG_KEYS = frozenset({"nu_learning_rate", "pg_terms"})
+#: reads, each with the one value the model still implements (None: any);
+#: dropped on load. A stored value other than that one was fitted under a
+#: different model and fails the load, as does any other unknown field.
+_RETIRED_CONFIG_KEYS = {
+    "nu_learning_rate": None,
+    "pg_terms": None,
+    # the Eq. 5 popularity term is the bounded proportion transform
+    "popularity_mode": "proportion",
+    "popularity_weight": 1.0,
+}
 #: CPDConfig values older artifacts carry that the model no longer accepts,
 #: mapped to their successor on load: the vectorized sweep kernel (the
 #: default until it was retired) draws identically to the compiled one
@@ -350,6 +358,13 @@ def load_artifact(path: PathLike, verify: bool = False) -> CPDArtifact:
                 _read_entry(archive, _SUMMARY_NAME, path).decode("utf-8")
             )
 
+    for key, value in meta["config"].items():
+        implemented = _RETIRED_CONFIG_KEYS.get(key)
+        if implemented is not None and value != implemented:
+            raise ArtifactError(
+                f"CPD artifact {path} was fitted with {key}={value!r}; this "
+                f"model implements only {key}={implemented!r}"
+            )
     config = CPDConfig(
         **{
             key: _RETIRED_CONFIG_VALUES.get((key, value), value)

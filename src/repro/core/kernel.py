@@ -248,8 +248,6 @@ class CompiledKernel:
     #: the nu M-step runs the compiled Newton solver
     uses_compiled_solver = True
 
-    _POP_MODES = {"raw": 0, "proportion": 1, "log": 2}
-
     def __init__(self, sampler: "CPDSampler") -> None:
         # raises CompiledBackendUnavailable before any layout work when the
         # backend cannot load; make_kernel turns that into the fallback
@@ -458,9 +456,7 @@ class CompiledKernel:
         ctx = self._ctx
         ctx.n_docs = state.n_docs
         ctx.has_fixed = sampler.fixed_communities is not None
-        ctx.pop_mode = self._POP_MODES[popularity.mode]
         ctx.n_time_buckets = popularity.n_time_buckets
-        ctx.pop_table_weight = float(popularity.weight)
         ctx.comm_weight = float(params.comm_weight)
         ctx.pop_weight = float(params.pop_weight)
         ctx.bias = float(params.bias)

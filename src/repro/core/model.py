@@ -168,7 +168,6 @@ class CPDModel:
             LogisticTrainerConfig(
                 n_iterations=config.nu_iterations,
                 l2_penalty=config.nu_l2_penalty,
-                standardize=True,
                 nonnegative=(0, 1),  # community and popularity are strengths
             )
         )

@@ -41,11 +41,6 @@ class DiffusionProfile:
     community: int
     strengths: np.ndarray  # (C, Z)
 
-    def to_community(self, target: int, topic: int | None = None) -> float:
-        if topic is None:
-            return float(self.strengths[target].sum())
-        return float(self.strengths[target, topic])
-
     def aggregated(self) -> np.ndarray:
         """Per-target strengths summed over topics (Fig. 7(a) view)."""
         return self.strengths.sum(axis=1)

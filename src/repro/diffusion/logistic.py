@@ -1,10 +1,11 @@
-"""Logistic regression with per-example fixed offsets.
+"""Penalised logistic regression on z-scored features.
 
 The M-step of CPD (paper Sect. 4.2) optimises the individual-preference
 weights ``nu`` by "essentially fitting a logistic regression" over observed
-diffusion links (positives) and sampled non-links (negatives), while the
+diffusion links (positives) and sampled non-links (negatives). The
 community term ``c_bar^T eta_bar`` and the topic-popularity term ``n_tz``
-stay fixed inside the sigmoid — they enter here as per-example offsets.
+enter as two more features whose weights are held non-negative, and the
+bias is free (DESIGN.md §3 item 5).
 """
 
 from __future__ import annotations
@@ -25,36 +26,30 @@ class LogisticFit:
     n_iterations: int
     final_loss: float
 
-    def logits(self, features: np.ndarray, offsets: np.ndarray | None = None) -> np.ndarray:
-        """Linear scores ``offset + bias + features @ weights``."""
-        features = np.asarray(features, dtype=np.float64)
-        scores = features @ self.weights + self.bias
-        if offsets is not None:
-            scores = scores + np.asarray(offsets, dtype=np.float64)
-        return scores
+    def logits(self, features: np.ndarray) -> np.ndarray:
+        """Linear scores ``bias + features @ weights``."""
+        return np.asarray(features, dtype=np.float64) @ self.weights + self.bias
 
-    def predict_proba(
-        self, features: np.ndarray, offsets: np.ndarray | None = None
-    ) -> np.ndarray:
+    def predict_proba(self, features: np.ndarray) -> np.ndarray:
         """Sigmoid probabilities of the positive class."""
-        return sigmoid(self.logits(features, offsets))
+        return sigmoid(self.logits(features))
 
 
 @dataclass
 class LogisticTrainerConfig:
-    """Projected-Newton settings (the paper's inner loop T2)."""
+    """Projected-Newton settings (the paper's inner loop T2).
+
+    Features are z-scored internally and the scaling is folded back into
+    the returned weights. The L2 penalty applies to the standardised
+    weights, so features whose magnitudes differ by orders of magnitude
+    (the probability-normalised community term vs. the log-ratio user
+    features) are shrunk alike.
+    """
 
     #: cap on Newton steps; the solver usually stops on ``tolerance`` first
     n_iterations: int = 100
     l2_penalty: float = 1e-3
-    fit_bias: bool = True
     tolerance: float = 1e-7
-    #: z-score features internally, then fold the scaling back into the
-    #: returned weights. The L2 penalty applies to the standardised weights,
-    #: so features whose magnitudes differ by orders of magnitude (the
-    #: probability-normalised community term vs. the log-ratio user
-    #: features) are shrunk alike.
-    standardize: bool = False
     #: feature indices whose weights are constrained to be >= 0. Used for
     #: factor-*contribution* weights (community, popularity) that are
     #: meaningful only as non-negative strengths; collinear features can
@@ -68,7 +63,7 @@ _MIN_STEP = 1e-10
 
 
 class LogisticTrainer:
-    """Projected Newton for the offset logistic model (DESIGN.md §3 item 5)."""
+    """Projected Newton for the logistic model (DESIGN.md §3 item 5)."""
 
     def __init__(self, config: LogisticTrainerConfig | None = None) -> None:
         self.config = config or LogisticTrainerConfig()
@@ -81,15 +76,13 @@ class LogisticTrainer:
         self,
         features: np.ndarray,
         labels: np.ndarray,
-        offsets: np.ndarray | None = None,
         initial_weights: np.ndarray | None = None,
         initial_bias: float = 0.0,
         compiled: bool = False,
     ) -> LogisticFit:
         """Maximise the penalised Bernoulli log-likelihood.
 
-        ``labels`` must be 0/1; ``offsets`` (if given) are added to every
-        logit but carry no trainable parameter. The bias is unpenalised.
+        ``labels`` must be 0/1. The bias is unpenalised.
 
         With ``compiled=True`` the Newton loop runs in the C backend
         (``cpd_logistic_newton``, DESIGN.md §10) when it loads: the same
@@ -106,10 +99,6 @@ class LogisticTrainer:
             raise ValueError("labels must align with feature rows")
         if not np.all((labels == 0) | (labels == 1)):
             raise ValueError("labels must be binary")
-        if offsets is not None:
-            offsets = np.asarray(offsets, dtype=np.float64)
-            if offsets.shape != (n_examples,):
-                raise ValueError("offsets must align with feature rows")
 
         cfg = self.config
         clamped = np.zeros(n_features + 1, dtype=bool)
@@ -120,9 +109,8 @@ class LogisticTrainer:
 
             if _compiled.backend_status()[0]:
                 solved = _compiled.logistic_newton(
-                    features, labels, offsets, clamped, initial_weights, initial_bias,
-                    l2_penalty=cfg.l2_penalty, fit_bias=cfg.fit_bias,
-                    standardize=cfg.standardize, tolerance=cfg.tolerance,
+                    features, labels, clamped, initial_weights, initial_bias,
+                    l2_penalty=cfg.l2_penalty, tolerance=cfg.tolerance,
                     max_steps=cfg.n_iterations,
                 )
                 if solved is not None:
@@ -130,24 +118,16 @@ class LogisticTrainer:
                     return LogisticFit(
                         weights=weights, bias=bias, n_iterations=steps, final_loss=loss
                     )
-        if offsets is None:
-            offsets = np.zeros(n_examples)
-        if cfg.standardize:
-            means = features.mean(axis=0)
-            stds = features.std(axis=0)
-            stds = np.where(stds > 1e-8, stds, 1.0)
-            features = (features - means) / stds
-        else:
-            means = np.zeros(n_features)
-            stds = np.ones(n_features)
+        means = features.mean(axis=0)
+        stds = features.std(axis=0)
+        stds = np.where(stds > 1e-8, stds, 1.0)
+        features = (features - means) / stds
 
         # one parameter vector: standardised weights, then the bias, which
         # multiplies a constant column and carries no penalty
         design = np.column_stack([features, np.ones(n_examples)])
         penalty = np.full(n_features + 1, cfg.l2_penalty)
         penalty[-1] = 0.0
-        held = np.zeros(n_features + 1, dtype=bool)
-        held[-1] = not cfg.fit_bias
 
         params = np.zeros(n_features + 1)
         params[-1] = float(initial_bias)
@@ -158,7 +138,7 @@ class LogisticTrainer:
         # standardisation keeps stds positive, so signs carry over
         params[clamped] = np.maximum(params[clamped], 0.0)
 
-        logits = design @ params + offsets
+        logits = design @ params
         loss = self._loss(logits, labels, params, penalty)
         iterations_run = 0
         for iterations_run in range(1, cfg.n_iterations + 1):
@@ -166,7 +146,7 @@ class LogisticTrainer:
             gradient = design.T @ (probabilities - labels) / n_examples + penalty * params
             # active set: a clamped weight at 0 that the gradient pushes
             # further down stays put this step
-            fixed = held | (clamped & (params <= 0.0) & (gradient > 0.0))
+            fixed = clamped & (params <= 0.0) & (gradient > 0.0)
             curvature = probabilities * (1.0 - probabilities) / n_examples
             while True:
                 free = ~fixed
@@ -187,7 +167,7 @@ class LogisticTrainer:
             while True:
                 candidate = params + fraction * step
                 candidate[clamped] = np.maximum(candidate[clamped], 0.0)
-                candidate_logits = design @ candidate + offsets
+                candidate_logits = design @ candidate
                 candidate_loss = self._loss(candidate_logits, labels, candidate, penalty)
                 decrease = _ARMIJO * float(gradient @ (candidate - params))
                 if candidate_loss <= loss + decrease:

@@ -44,7 +44,6 @@ class WordDocumentIndex:
     #: document's slice minus the sum before it is its cumulative weight
     word_cum: np.ndarray
     doc_user: np.ndarray
-    doc_time: np.ndarray
     max_time: int
     #: sorted ``source * n_docs + target`` keys of the observed diffusion links
     observed: np.ndarray
@@ -86,7 +85,7 @@ def build_word_document_index(graph: SocialGraph) -> WordDocumentIndex:
     np.cumsum(np.bincount(pair_doc, minlength=n_docs), out=doc_ptr[1:])
     word_ptr = np.zeros(n_words + 1, dtype=np.int64)
     np.cumsum(frequency, out=word_ptr[1:])
-    doc_time = np.asarray([doc.timestamp for doc in graph.documents], dtype=np.int64)
+    max_time = max((doc.timestamp for doc in graph.documents), default=0)
     return WordDocumentIndex(
         word_ptr=word_ptr,
         word_docs=pair_doc[np.argsort(doc_words, kind="stable")],
@@ -94,8 +93,7 @@ def build_word_document_index(graph: SocialGraph) -> WordDocumentIndex:
         doc_words=doc_words,
         word_cum=np.cumsum(1.0 / frequency[doc_words].astype(np.float64) ** 2),
         doc_user=graph.document_user_array(),
-        doc_time=doc_time,
-        max_time=int(doc_time.max()) if n_docs else 0,
+        max_time=int(max_time),
         observed=_pair_keys(graph.diffusion_pairs(), n_docs),
     )
 
@@ -108,7 +106,6 @@ def sample_negative_diffusion_pairs(
     allow_fewer: bool = False,
     hard_fraction: float = 0.5,
     word_index: WordDocumentIndex | None = None,
-    timestamp_mode: str = "uniform",
 ) -> np.ndarray:
     """Sample ``(source_doc, target_doc, timestamp)`` triples absent from E,
     as the rows of an ``(n, 3)`` int64 array.
@@ -116,11 +113,10 @@ def sample_negative_diffusion_pairs(
     Pairs between documents of the same user are rejected (they cannot carry
     a diffusion decision), as are observed pairs and anything in ``exclude``.
 
-    A non-observed link ``E^t_ij = 0`` is a (pair, time) event: with the
-    default ``timestamp_mode="uniform"`` negatives get a uniform random time
-    bucket, so the topic-popularity factor ``n_tz`` can discriminate
-    diffusions (which happen while their topic trends) from non-events.
-    ``timestamp_mode="source"`` stamps the source document's time instead.
+    A non-observed link ``E^t_ij = 0`` is a (pair, time) event: negatives
+    get a uniform random time bucket, so the topic-popularity factor
+    ``n_tz`` can discriminate diffusions (which happen while their topic
+    trends) from non-events.
 
     ``hard_fraction`` of the negatives are *content-plausible*: the two
     documents share at least one word. Purely uniform negatives are almost
@@ -135,8 +131,6 @@ def sample_negative_diffusion_pairs(
     generator = ensure_rng(rng)
     if not 0.0 <= hard_fraction <= 1.0:
         raise ValueError("hard_fraction must lie in [0, 1]")
-    if timestamp_mode not in ("uniform", "source"):
-        raise ValueError("timestamp_mode must be 'uniform' or 'source'")
     n_docs = graph.n_documents
     if n_docs < 2:
         raise ValueError("need at least two documents to sample negatives")
@@ -170,10 +164,7 @@ def sample_negative_diffusion_pairs(
             f"could only sample {len(keys)}/{n_samples} negative diffusion pairs"
         )
     source, target = np.divmod(keys, n_docs)
-    if timestamp_mode == "uniform":
-        timestamps = generator.integers(0, table.max_time + 1, len(keys))
-    else:
-        timestamps = table.doc_time[source]
+    timestamps = generator.integers(0, table.max_time + 1, len(keys))
     return np.column_stack([source, target, timestamps])
 
 

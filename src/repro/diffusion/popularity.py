@@ -3,9 +3,8 @@
 The diffusion sigmoid (Eq. 5) adds the popularity of the link's topic at
 the link's timestamp to the logit. The paper uses the raw count of topic z
 at time t; raw counts grow without bound with corpus size and would
-dominate the logit, so the default here is a bounded transform (proportion
-of time-bucket mass, optionally log-scaled) with ``mode="raw"`` available
-for paper-literal behaviour. See DESIGN.md §3.
+dominate the logit, so the term here is bounded: the topic's proportion of
+its time bucket's documents. See DESIGN.md §3.
 
 Counts are maintained incrementally: the Gibbs sampler moves a document's
 topic, the popularity table moves one count.
@@ -15,27 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-_MODES = ("raw", "proportion", "log")
-
 
 class TopicPopularity:
     """Mutable (time bucket x topic) count table with bounded score lookups."""
 
-    def __init__(
-        self,
-        n_topics: int,
-        n_time_buckets: int,
-        mode: str = "proportion",
-        weight: float = 1.0,
-    ) -> None:
+    def __init__(self, n_topics: int, n_time_buckets: int) -> None:
         if n_topics < 1 or n_time_buckets < 1:
             raise ValueError("need at least one topic and one time bucket")
-        if mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
         self.n_topics = n_topics
         self.n_time_buckets = n_time_buckets
-        self.mode = mode
-        self.weight = weight
         self._counts = np.zeros((n_time_buckets, n_topics), dtype=np.float64)
 
     @classmethod
@@ -45,11 +32,9 @@ class TopicPopularity:
         topics: np.ndarray,
         n_topics: int,
         n_time_buckets: int,
-        mode: str = "proportion",
-        weight: float = 1.0,
     ) -> "TopicPopularity":
         """Build the table from current document topic assignments."""
-        table = cls(n_topics, n_time_buckets, mode=mode, weight=weight)
+        table = cls(n_topics, n_time_buckets)
         table.increment_many(timestamps, topics)
         return table
 
@@ -122,35 +107,16 @@ class TopicPopularity:
 
     def scores(self, timestamp: int) -> np.ndarray:
         """Popularity term for every topic at ``timestamp`` (vectorised)."""
-        return self._transform_row(self._counts[timestamp])
-
-    def _transform_row(self, row: np.ndarray) -> np.ndarray:
-        """Single-row transform with scalar arithmetic."""
-        if self.mode == "raw":
-            transformed = row
-        elif self.mode == "proportion":
-            transformed = row / max(row.sum(), 1.0)
-        else:  # log
-            transformed = np.log1p(row)
-        return self.weight * transformed
-
-    def _transform_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Row-wise transform of a (N, Z) count block."""
-        if self.mode == "raw":
-            transformed = rows
-        elif self.mode == "proportion":
-            transformed = rows / np.maximum(rows.sum(axis=1, keepdims=True), 1.0)
-        else:  # log
-            transformed = np.log1p(rows)
-        return self.weight * transformed
+        return self._proportions(self._counts[timestamp : timestamp + 1])[0]
 
     def score_matrix(self) -> np.ndarray:
         """Popularity term for every (time bucket, topic) cell (vectorised)."""
-        return self._transform_rows(self._counts)
+        return self._proportions(self._counts)
 
-    def totals_per_topic(self) -> np.ndarray:
-        """Column sums — overall topic frequencies, used by case studies."""
-        return self._counts.sum(axis=0)
+    @staticmethod
+    def _proportions(rows: np.ndarray) -> np.ndarray:
+        """Each count over its row's total, a total below 1 read as 1."""
+        return rows / np.maximum(rows.sum(axis=1, keepdims=True), 1.0)
 
     def counts_matrix(self) -> np.ndarray:
         """Copy of the raw (time x topic) counts (Fig. 5(b) case study)."""

@@ -94,16 +94,6 @@ class SocialGraph:
         # deduplicate: u<->v counted once in Lambda_u even if both directions exist
         self._user_friends = [sorted(set(friends)) for friends in self._user_friends]
 
-        self._doc_neighbors: list[list[tuple[int, int, bool]]] = [[] for _ in self.documents]
-        self._out_links: list[list[int]] = [[] for _ in self.documents]
-        self._in_links: list[list[int]] = [[] for _ in self.documents]
-        for index, link in enumerate(self.diffusion_links):
-            i, j, t = link.source_doc, link.target_doc, link.timestamp
-            self._doc_neighbors[i].append((j, t, True))
-            self._doc_neighbors[j].append((i, t, False))
-            self._out_links[i].append(index)
-            self._in_links[j].append(index)
-
         self._user_out_degree = np.zeros(len(self.users), dtype=np.int64)
         self._user_in_degree = np.zeros(len(self.users), dtype=np.int64)
         for link in self.friendship_links:
@@ -157,18 +147,6 @@ class SocialGraph:
     def friendship_neighbors(self, user_id: int) -> list[int]:
         """``Lambda_u``: users linked to ``user_id`` by F in either direction."""
         return self._user_friends[user_id]
-
-    def diffusion_neighbors(self, doc_id: int) -> list[tuple[int, int, bool]]:
-        """``Lambda_i``: ``(other_doc, timestamp, is_outgoing)`` triples for doc ``doc_id``."""
-        return self._doc_neighbors[doc_id]
-
-    def outgoing_diffusions(self, doc_id: int) -> list[int]:
-        """Indexes into ``diffusion_links`` where ``doc_id`` is the source."""
-        return self._out_links[doc_id]
-
-    def incoming_diffusions(self, doc_id: int) -> list[int]:
-        """Indexes into ``diffusion_links`` where ``doc_id`` is the target."""
-        return self._in_links[doc_id]
 
     def friendship_pairs(self) -> set[tuple[int, int]]:
         """Directed (source, target) friendship pairs as a set (negative sampling)."""

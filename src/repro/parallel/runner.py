@@ -51,6 +51,9 @@ from ..sampling.rng import RngLike, ensure_rng
 from .scheduler import Schedule, build_schedule, measure_workload_model, partition_ranges
 from .segmentation import segment_users_by_topic
 
+#: LDA sweeps behind the user segmentation (step 1 above)
+_SEGMENTATION_LDA_ITERATIONS = 15
+
 
 @dataclass
 class ParallelStats:
@@ -118,9 +121,10 @@ class ParallelEStepRunner:
     and of :class:`repro.stream.refresh.IncrementalRefresher` (dirty-subset
     sweeps). ``close()`` (or use as a context manager) stops the helper
     threads. Worker 0 sweeps on the caller's sampler, so it runs that
-    sampler's kernel; ``sweep_kernel`` sets the helpers'. The kernels draw
-    identically, so only speed depends on building the caller's sampler
-    from ``runner.config``.
+    sampler's kernel; the helpers run ``config.sweep_kernel``. The kernels
+    draw identically, so only speed depends on building the caller's
+    sampler from ``runner.config``. Users are segmented by their dominant
+    topic among ``config.n_topics`` LDA topics.
     """
 
     #: the workers own the per-link PG draws and the eta scatter-adds
@@ -132,15 +136,10 @@ class ParallelEStepRunner:
         graph: SocialGraph,
         config: CPDConfig,
         n_workers: int,
-        n_segments: int | None = None,
         rng: RngLike = None,
-        segmentation_lda_iterations: int = 15,
-        sweep_kernel: str | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one worker")
-        if sweep_kernel is not None:
-            config = config.with_overrides(sweep_kernel=sweep_kernel)
         #: the kernel the helpers actually run (compiled may fall back)
         self.worker_sweep_kernel = config.sweep_kernel
         if config.sweep_kernel == "compiled" and not _compiled.backend_status()[0]:
@@ -153,9 +152,11 @@ class ParallelEStepRunner:
         self._closed = False
         self._fused_eta: np.ndarray | None = None
 
-        n_segments = n_segments or config.n_topics
         self.segments = segment_users_by_topic(
-            graph, n_segments, lda_iterations=segmentation_lda_iterations, rng=self.rng
+            graph,
+            config.n_topics,
+            lda_iterations=_SEGMENTATION_LDA_ITERATIONS,
+            rng=self.rng,
         )
         calibration_sampler = CPDSampler(
             graph,

@@ -149,7 +149,6 @@ def recover(
     snapshot_dir,
     wal_path=None,
     prefix: str = "snapshot",
-    apply_documents: bool = True,
     foldin_sweeps: int = 15,
     foldin_burn_in: int = 5,
     rng: RngLike = None,
@@ -160,8 +159,8 @@ def recover(
     ``wal_path=None`` recovers from snapshots alone (an offline-fit
     deployment with no stream). With a WAL, the tail past the snapshot's
     cursor is replayed: documents are folded back in with the same frozen
-    -model fold-in the live ingestor used (``apply_documents=False`` to
-    skip), links are surfaced in the report. Raises :class:`RecoveryError`
+    -model fold-in the live ingestor used, links are surfaced in the
+    report. Raises :class:`RecoveryError`
     when no generation verifies — the skip list rides in the message so
     the operator sees *why* each candidate was rejected.
     """
@@ -203,7 +202,7 @@ def recover(
             report.links_replayed = sum(
                 1 for e in tail if isinstance(e, LinkArrival)
             )
-            if documents and apply_documents:
+            if documents:
                 report.foldin = store.fold_in(
                     [event.words for event in documents],
                     users=[int(event.user_id) for event in documents],

@@ -585,8 +585,6 @@ class ProfileStore:
                     np.where(result.doc_topic >= 0, result.doc_topic, 0),
                     n_topics=result.n_topics,
                     n_time_buckets=n_buckets,
-                    mode=result.config.popularity_mode,
-                    weight=result.config.popularity_weight,
                 )
             return self._popularity
 

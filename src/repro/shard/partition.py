@@ -98,20 +98,6 @@ class ShardPart:
     def n_documents(self) -> int:
         return int(self.doc_ids.shape[0])
 
-    def local_user(self, global_user: int) -> int:
-        """Global -> local user id (raises if the user is not on this shard)."""
-        index = int(np.searchsorted(self.users, global_user))
-        if index >= self.n_users or self.users[index] != global_user:
-            raise KeyError(f"user {global_user} is not on shard {self.shard_id}")
-        return index
-
-    def local_doc(self, global_doc: int) -> int:
-        """Global -> local doc id (raises if the document is not on this shard)."""
-        index = int(np.searchsorted(self.doc_ids, global_doc))
-        if index >= self.n_documents or self.doc_ids[index] != global_doc:
-            raise KeyError(f"document {global_doc} is not on shard {self.shard_id}")
-        return index
-
 
 @dataclass
 class ShardPlan:
@@ -152,19 +138,12 @@ class GraphPartitioner:
         self,
         strategy: str = "community",
         lda_iterations: int = 20,
-        segment_multiplier: int = 2,
         rng: RngLike = None,
     ) -> None:
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
-        if segment_multiplier < 1:
-            raise ValueError("segment_multiplier must be at least 1")
         self.strategy = strategy
         self.lda_iterations = lda_iterations
-        #: the community strategy cuts ``segment_multiplier * n_shards``
-        #: topic segments, then bin-packs them — finer segments pack into
-        #: better-balanced shards without splitting a segment's users
-        self.segment_multiplier = segment_multiplier
         self.rng = ensure_rng(rng)
 
     # ------------------------------------------------------------- strategies
@@ -176,8 +155,12 @@ class GraphPartitioner:
     def _community_assignment(
         self, graph: SocialGraph, n_shards: int
     ) -> tuple[np.ndarray, list[DataSegment]]:
-        """Pack topic segments onto shards largest-first (LPT balancing)."""
-        n_segments = min(graph.n_users, self.segment_multiplier * n_shards)
+        """Pack topic segments onto shards largest-first (LPT balancing).
+
+        Two segments per shard: finer segments pack into better-balanced
+        shards without splitting a segment's users.
+        """
+        n_segments = min(graph.n_users, 2 * n_shards)
         segments = segment_users_by_topic(
             graph, n_segments, lda_iterations=self.lda_iterations, rng=self.rng
         )

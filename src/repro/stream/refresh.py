@@ -57,7 +57,6 @@ class IncrementalRefresher:
         result: CPDResult,
         rng: RngLike = None,
         n_sweeps: int = 2,
-        update_eta: bool = True,
         document_sweeper: object | None = None,
     ) -> None:
         if n_sweeps < 1:
@@ -65,7 +64,6 @@ class IncrementalRefresher:
         self.sampler = CPDSampler.warm_start(graph, result, rng=rng)
         self.config = result.config
         self.n_sweeps = n_sweeps
-        self.update_eta = update_eta
         #: optional replacement for the dirty-set sweep — a callable taking
         #: ``(sampler, doc_ids)``; the thread-parallel runner
         #: (:class:`repro.parallel.ParallelEStepRunner`) plugs in here. A
@@ -172,7 +170,7 @@ class IncrementalRefresher:
         if not fused:
             sampler.sample_lambdas()
             sampler.sample_deltas()
-        if self.update_eta and sampler.uses_profile_diffusion and sampler.n_diff_links:
+        if sampler.uses_profile_diffusion and sampler.n_diff_links:
             eta = sweeper.aggregated_eta() if fused else None
             sampler.params.eta = eta if eta is not None else sampler.aggregate_eta()
         after = sampler.state.doc_community[doc_ids]

@@ -10,7 +10,6 @@ replaced by a closed-class-word filter (see DESIGN.md §3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .stemmer import stem_tokens
 from .stopwords import is_function_word, is_stop_word
@@ -66,8 +65,3 @@ class Preprocessor:
     def is_document_kept(self, tokens: list[str]) -> bool:
         """Apply the paper's "fewer than two words" document filter."""
         return len(tokens) >= self.options.min_words_per_document
-
-    def process_corpus(self, texts: Iterable[str]) -> list[list[str]]:
-        """Preprocess a corpus, keeping only documents that pass the filter."""
-        processed = (self.process_document(text) for text in texts)
-        return [tokens for tokens in processed if self.is_document_kept(tokens)]

@@ -120,11 +120,6 @@ class LDA:
         self._require_fitted()
         return smoothed_probability(self._doc_topic, self.config.resolved_alpha())
 
-    def dominant_topics(self) -> np.ndarray:
-        """Most frequent topic per document (parallel-scheduler segmentation)."""
-        self._require_fitted()
-        return np.argmax(self._doc_topic, axis=1)
-
     def dominant_topic_per_user(self, doc_user: np.ndarray, n_users: int) -> np.ndarray:
         """Each user's most frequently assigned topic across her documents.
 

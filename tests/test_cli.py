@@ -444,6 +444,72 @@ class TestShardInfo:
         assert "fit trace       : 6 EM iterations" in out
 
 
+class TestInfoJson:
+    """``info --json`` prints the payload the text readout is rendered from."""
+
+    @staticmethod
+    def payload(path, capsys) -> dict:
+        import json
+
+        capsys.readouterr()
+        assert main(["info", "--model", str(path), "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_artifact_fields(self, workspace, capsys):
+        _root, _graph, model_path = workspace
+        payload = self.payload(model_path, capsys)
+        assert set(payload) == {
+            "kind", "path", "format_version", "self_contained", "graph", "dims",
+            "sweep_kernel", "vocabulary_terms", "indexed_queries", "stream_cursor",
+            "fit_trace",
+        }
+        assert payload["kind"] == "artifact"
+        assert payload["path"] == str(model_path)
+        assert payload["format_version"] == 3 and payload["self_contained"] is True
+        assert payload["graph"] == "twitter-tiny"
+        assert set(payload["dims"]) == {"users", "documents", "communities", "topics", "words"}
+        assert payload["dims"]["communities"] == 4 and payload["dims"]["topics"] == 8
+        assert payload["sweep_kernel"] == "compiled"
+        assert payload["vocabulary_terms"] > 0 and payload["indexed_queries"] > 0
+        assert payload["stream_cursor"] is None
+        trace = payload["fit_trace"]
+        assert set(trace) == {"iterations", "seconds", "last_diffusion_probability"}
+        assert trace["iterations"] == 6 and 0.0 < trace["last_diffusion_probability"] < 1.0
+
+    def test_stream_snapshot_fields(self, workspace, capsys):
+        root, graph_path, _model = workspace
+        snapshot = root / "json_snapshot.cpd.npz"
+        assert main([
+            "stream-replay", "--graph", str(graph_path), "--communities", "4",
+            "--topics", "8", "--iterations", "4", "--batch-size", "32",
+            "--refresh-every", "64", "--seed", "0", "--out", str(snapshot),
+        ]) == 0
+        payload = self.payload(snapshot, capsys)
+        assert payload["kind"] == "artifact"
+        cursor = payload["stream_cursor"]
+        assert set(cursor) == {
+            "documents_appended", "links_appended", "refreshes", "last_timestamp",
+        }
+        assert cursor["refreshes"] > 0
+        assert 0 < cursor["documents_appended"] < payload["dims"]["documents"]
+
+    def test_shard_manifest_fields(self, shard_workspace, capsys):
+        _root, _graph, _mono, manifest_path = shard_workspace
+        payload = self.payload(manifest_path, capsys)
+        assert set(payload) == {
+            "kind", "path", "manifest_version", "graph", "n_shards", "strategy",
+            "n_users", "n_documents", "shards", "spill", "alignment",
+        }
+        assert payload["kind"] == "shard_manifest"
+        assert payload["path"] == str(manifest_path)
+        assert payload["n_shards"] == 2 and len(payload["shards"]) == 2
+        for entry in payload["shards"]:
+            assert set(entry) == {"shard_id", "path", "n_users", "n_documents"}
+        assert sum(entry["n_users"] for entry in payload["shards"]) == payload["n_users"]
+        assert set(payload["spill"]) == {"friendship", "diffusion"}
+        assert {"n_global", "method", "feature", "min_similarity"} <= set(payload["alignment"])
+
+
 @pytest.fixture(scope="module")
 def durable_workspace(workspace, tmp_path_factory):
     """One durable stream-replay: WAL plus snapshot generations on disk."""

@@ -31,7 +31,7 @@ class TestValidation:
             dict(beta=0.0),
             dict(alpha=-1.0),
             dict(rho=0.0),
-            dict(popularity_mode="bogus"),
+            dict(sweep_kernel="vectorized"),
             dict(negative_ratio=0.0),
             dict(eta_smoothing=0.0),
         ],

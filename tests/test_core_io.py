@@ -239,6 +239,68 @@ class TestFormatVersions:
         sampler.sweep_documents()
         sampler.state.check_consistency()
 
+    @staticmethod
+    def _with_popularity_keys(fitted_cpd, graph, tmp_path, **keys):
+        """A saved fit whose config carries the retired popularity keys."""
+        from repro.serving import GraphSummary
+
+        current = tmp_path / "model.cpd.npz"
+        legacy = tmp_path / "popularity.cpd.npz"
+        save_result(
+            fitted_cpd, current, vocabulary=graph.vocabulary,
+            graph_summary=GraphSummary.from_graph(graph),
+        )
+        with zipfile.ZipFile(current) as archive:
+            meta = json.loads(archive.read("cpd_meta.json"))
+        assert "popularity_mode" not in meta["config"]
+        meta["config"].update(keys)
+        _tamper_entry(current, legacy, "cpd_meta.json", json.dumps(meta))
+        return legacy
+
+    @pytest.mark.filterwarnings("ignore:compiled sweep kernel unavailable")
+    def test_retired_proportion_popularity_loads_serves_and_warm_starts(
+        self, fitted_cpd, twitter_tiny, tmp_path
+    ):
+        """Artifacts saved while the Eq. 5 popularity transform was a
+        setting carry ``popularity_mode``/``popularity_weight``; at the
+        proportion transform every fit used, they load, serve and
+        warm-start."""
+        from repro.core.gibbs import CPDSampler
+        from repro.serving import ProfileStore
+
+        graph, _ = twitter_tiny
+        legacy = self._with_popularity_keys(
+            fitted_cpd, graph, tmp_path,
+            popularity_mode="proportion", popularity_weight=1.0,
+        )
+        artifact = load_artifact(legacy, verify=True)
+        assert artifact.result.config == fitted_cpd.config
+        store = ProfileStore.from_artifact(legacy)
+        assert store.rank(next(iter(store.query_index())))
+        sampler = CPDSampler.warm_start(graph, artifact.result, rng=11)
+        np.testing.assert_array_equal(sampler.state.doc_topic, fitted_cpd.doc_topic)
+        sampler.sweep_documents()
+        sampler.state.check_consistency()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("popularity_mode", "log"), ("popularity_mode", "raw"), ("popularity_weight", 2.0)],
+    )
+    def test_retired_popularity_at_another_transform_is_refused(
+        self, fitted_cpd, twitter_tiny, tmp_path, key, value
+    ):
+        """A fit under another Eq. 5 popularity term must not be served as
+        if it were the proportion one."""
+        from repro.serving import ProfileStore
+
+        graph, _ = twitter_tiny
+        keys = {"popularity_mode": "proportion", "popularity_weight": 1.0, key: value}
+        legacy = self._with_popularity_keys(fitted_cpd, graph, tmp_path, **keys)
+        with pytest.raises(ArtifactError, match=key):
+            load_artifact(legacy)
+        with pytest.raises(ArtifactError, match=key):
+            ProfileStore.from_artifact(legacy)
+
     def test_unknown_config_key_still_fails(self, fitted_cpd, tmp_path):
         current = tmp_path / "model.cpd.npz"
         future = tmp_path / "future.cpd.npz"

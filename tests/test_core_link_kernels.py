@@ -33,8 +33,6 @@ DESIGNS = {
     "profile": {},
     "similarity": {"heterogeneity": False},
     "no_factors": {"use_topic_factor": False, "use_individual_factor": False},
-    "raw_popularity": {"popularity_mode": "raw"},
-    "log_popularity": {"popularity_mode": "log"},
 }
 
 

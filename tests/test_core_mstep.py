@@ -135,12 +135,6 @@ class TestNegativesArray:
         max_time = max(doc.timestamp for doc in graph.documents)
         assert ((0 <= timestamps) & (timestamps <= max_time)).all()
 
-    def test_source_mode_reads_document_times(self, twitter_tiny):
-        graph, _ = twitter_tiny
-        negatives = sample_negative_diffusion_pairs(graph, 40, 5, timestamp_mode="source")
-        times = np.asarray([doc.timestamp for doc in graph.documents])
-        np.testing.assert_array_equal(negatives[:, 2], times[negatives[:, 0]])
-
     @pytest.mark.parametrize("seed", range(6))
     def test_sorted_member_matches_isin(self, seed):
         rng = np.random.default_rng(seed)

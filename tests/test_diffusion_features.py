@@ -99,28 +99,12 @@ class TestTopicPopularity:
         assert table.count(1, 0) == 1
 
     def test_proportion_mode_bounded(self):
-        table = TopicPopularity(n_topics=2, n_time_buckets=1, mode="proportion")
+        table = TopicPopularity(n_topics=2, n_time_buckets=1)
         for _ in range(10):
             table.increment(0, 0)
         scores = table.scores(0)
         assert scores[0] == pytest.approx(1.0)
         assert scores[1] == pytest.approx(0.0)
-
-    def test_raw_mode(self):
-        table = TopicPopularity(n_topics=2, n_time_buckets=1, mode="raw")
-        table.increment(0, 0)
-        table.increment(0, 0)
-        assert table.score(0, 0) == pytest.approx(2.0)
-
-    def test_log_mode(self):
-        table = TopicPopularity(n_topics=2, n_time_buckets=1, mode="log")
-        table.increment(0, 1)
-        assert table.score(0, 1) == pytest.approx(np.log(2.0))
-
-    def test_weight_scales_scores(self):
-        table = TopicPopularity(n_topics=1, n_time_buckets=1, mode="raw", weight=3.0)
-        table.increment(0, 0)
-        assert table.score(0, 0) == pytest.approx(3.0)
 
     def test_score_matrix_matches_rows(self):
         table = TopicPopularity.from_assignments(
@@ -132,10 +116,6 @@ class TestTopicPopularity:
         matrix = table.score_matrix()
         np.testing.assert_allclose(matrix[0], table.scores(0))
         np.testing.assert_allclose(matrix[1], table.scores(1))
-
-    def test_invalid_mode(self):
-        with pytest.raises(ValueError):
-            TopicPopularity(1, 1, mode="exotic")
 
     def test_increment_decrement_many(self):
         table = TopicPopularity(n_topics=3, n_time_buckets=2)
@@ -159,9 +139,3 @@ class TestTopicPopularity:
         for t, old, new in zip(timestamps, old_topics, new_topics):
             scalar.move(int(t), int(old), int(new))
         np.testing.assert_array_equal(bulk.counts_matrix(), scalar.counts_matrix())
-
-    def test_totals_per_topic(self):
-        table = TopicPopularity.from_assignments(
-            np.array([0, 1]), np.array([1, 1]), n_topics=2, n_time_buckets=2
-        )
-        np.testing.assert_allclose(table.totals_per_topic(), [0.0, 2.0])

@@ -1,4 +1,4 @@
-"""Tests for the offset logistic-regression trainer.
+"""Tests for the logistic-regression trainer behind the nu M-step.
 
 The behaviour tests run on the numpy loop (the spec) and, through the
 ``*Compiled`` subclasses at the bottom, on ``fit(..., compiled=True)``:
@@ -46,23 +46,6 @@ class TestFit:
         longer = LogisticTrainer(LogisticTrainerConfig(n_iterations=200)).fit(x, y)
         assert longer.final_loss <= short.final_loss
 
-    def test_offsets_shift_logits(self, rng):
-        x, y = separable_data(rng)
-        fit = LogisticTrainer().fit(x, y)
-        base = fit.logits(x[:3])
-        shifted = fit.logits(x[:3], offsets=np.full(3, 2.0))
-        np.testing.assert_allclose(shifted - base, 2.0)
-
-    def test_offset_training_absorbs_offset(self, rng):
-        """A constant positive offset on positives should reduce the bias."""
-        x, y = separable_data(rng)
-        offsets = 3.0 * y  # informative offset
-        fit = LogisticTrainer(LogisticTrainerConfig(n_iterations=200)).fit(
-            x, y, offsets=offsets
-        )
-        fit_no = LogisticTrainer(LogisticTrainerConfig(n_iterations=200)).fit(x, y)
-        assert fit.bias < fit_no.bias
-
     def test_warm_start(self, rng):
         x, y = separable_data(rng)
         cold = LogisticTrainer(LogisticTrainerConfig(n_iterations=1)).fit(x, y)
@@ -78,9 +61,7 @@ class TestStandardize:
         x, y = separable_data(rng)
         x_scaled = x.copy()
         x_scaled[:, 0] *= 1e-4
-        fit = LogisticTrainer(
-            LogisticTrainerConfig(n_iterations=300, standardize=True)
-        ).fit(x_scaled, y)
+        fit = LogisticTrainer(LogisticTrainerConfig(n_iterations=300)).fit(x_scaled, y)
         probs = fit.predict_proba(x_scaled)
         assert probs[y == 1].mean() > probs[y == 0].mean() + 0.2
         # folded-back raw weight must be large to compensate the tiny scale
@@ -89,25 +70,13 @@ class TestStandardize:
     def test_constant_column_is_safe(self, rng):
         x, y = separable_data(rng)
         x_const = np.column_stack([x, np.ones(len(x))])
-        fit = LogisticTrainer(
-            LogisticTrainerConfig(n_iterations=100, standardize=True)
-        ).fit(x_const, y)
+        fit = LogisticTrainer(LogisticTrainerConfig(n_iterations=100)).fit(x_const, y)
         assert np.all(np.isfinite(fit.weights))
 
-    def test_standardized_matches_plain_predictions(self, rng):
-        x, y = separable_data(rng)
-        plain = LogisticTrainer(LogisticTrainerConfig(n_iterations=500)).fit(x, y)
-        standardized = LogisticTrainer(
-            LogisticTrainerConfig(n_iterations=500, standardize=True)
-        ).fit(x, y)
-        # both converge to similar decision functions
-        corr = np.corrcoef(plain.logits(x), standardized.logits(x))[0, 1]
-        assert corr > 0.99
 
-
-def objective(x, y, offsets, weights, bias, l2_penalty, stds):
+def objective(x, y, weights, bias, l2_penalty, stds):
     """Mean softplus NLL plus ½λ‖w·stds‖², from raw weights and bias."""
-    logits = x @ weights + bias + offsets
+    logits = x @ weights + bias
     nll = np.logaddexp(0.0, logits) - y * logits
     return nll.mean() + 0.5 * l2_penalty * np.sum((weights * stds) ** 2)
 
@@ -118,65 +87,54 @@ def raw_stds(x):
 
 
 class TestFinalLoss:
-    @pytest.mark.parametrize("standardize", [True, False])
-    def test_describes_returned_weights(self, rng, standardize):
+    def test_describes_returned_weights(self, rng):
         x, y = separable_data(rng)
         x = x * np.array([3.0, 0.2]) + np.array([1.0, -2.0])
-        offsets = rng.normal(scale=0.5, size=len(y))
-        config = LogisticTrainerConfig(
-            n_iterations=5, l2_penalty=0.05, standardize=standardize
-        )
-        fit = LogisticTrainer(config).fit(x, y, offsets=offsets)
-        stds = raw_stds(x) if standardize else np.ones(x.shape[1])
-        expected = objective(x, y, offsets, fit.weights, fit.bias, 0.05, stds)
+        config = LogisticTrainerConfig(n_iterations=5, l2_penalty=0.05)
+        fit = LogisticTrainer(config).fit(x, y)
+        expected = objective(x, y, fit.weights, fit.bias, 0.05, raw_stds(x))
         assert fit.final_loss == pytest.approx(expected, abs=1e-12, rel=0)
 
 
 class TestDegenerate:
-    @pytest.mark.parametrize("standardize", [True, False])
-    def test_unpenalised_constant_column(self, rng, standardize):
+    def test_unpenalised_constant_column(self, rng):
         """No penalty plus a constant column makes the Hessian singular."""
         x, y = separable_data(rng)
         x_const = np.column_stack([x, np.full(len(x), 2.0)])
-        fit = LogisticTrainer(
-            LogisticTrainerConfig(l2_penalty=0.0, standardize=standardize)
-        ).fit(x_const, y)
+        fit = LogisticTrainer(LogisticTrainerConfig(l2_penalty=0.0)).fit(x_const, y)
         assert np.all(np.isfinite(fit.weights)) and np.isfinite(fit.bias)
         assert fit.final_loss <= np.log(2.0)  # the loss at the zero start
 
 
 def constrained_problem(rng, n=600):
-    """Offsets, mixed feature scales, and a negative truth for feature 1."""
+    """Mixed feature scales and a negative truth for feature 1."""
     x = rng.normal(size=(n, 3)) * np.array([2.0, 0.05, 10.0]) + np.array([1.0, 0.0, -3.0])
-    offsets = rng.normal(scale=0.7, size=n)
-    logits = 1.2 * x[:, 0] - 30.0 * x[:, 1] + 0.05 * x[:, 2] + offsets - 0.4
+    logits = 1.2 * x[:, 0] - 30.0 * x[:, 1] + 0.05 * x[:, 2] - 0.4
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-logits))).astype(float)
-    return x, y, offsets
+    return x, y
 
 
 class TestOptimality:
     """Projected Newton must reach the constrained optimum, not just descend."""
 
     l2_penalty = 1e-2
-    config = LogisticTrainerConfig(
-        l2_penalty=l2_penalty, standardize=True, nonnegative=(0, 1)
-    )
+    config = LogisticTrainerConfig(l2_penalty=l2_penalty, nonnegative=(0, 1))
 
     def standardised(self, x):
         means, stds = x.mean(axis=0), raw_stds(x)
         return np.column_stack([(x - means) / stds, np.ones(len(x))]), means, stds
 
     def test_feature_1_optimum_is_negative_unconstrained(self, rng):
-        x, y, offsets = constrained_problem(rng)
-        free = LogisticTrainerConfig(l2_penalty=self.l2_penalty, standardize=True)
-        assert LogisticTrainer(free).fit(x, y, offsets=offsets).weights[1] < 0.0
+        x, y = constrained_problem(rng)
+        free = LogisticTrainerConfig(l2_penalty=self.l2_penalty)
+        assert LogisticTrainer(free).fit(x, y).weights[1] < 0.0
 
     def test_kkt_conditions_hold(self, rng):
-        x, y, offsets = constrained_problem(rng)
-        fit = LogisticTrainer(self.config).fit(x, y, offsets=offsets)
+        x, y = constrained_problem(rng)
+        fit = LogisticTrainer(self.config).fit(x, y)
         design, means, stds = self.standardised(x)
         params = np.append(fit.weights * stds, fit.bias + fit.weights @ means)
-        probabilities = 1.0 / (1.0 + np.exp(-(design @ params + offsets)))
+        probabilities = 1.0 / (1.0 + np.exp(-(design @ params)))
         penalty = np.array([self.l2_penalty] * 3 + [0.0])
         gradient = design.T @ (probabilities - y) / len(y) + penalty * params
         at_bound = np.zeros(4, dtype=bool)
@@ -186,13 +144,13 @@ class TestOptimality:
         assert np.all(gradient[at_bound] >= -1e-8)
 
     def test_matches_bounded_lbfgs(self, rng):
-        x, y, offsets = constrained_problem(rng)
-        fit = LogisticTrainer(self.config).fit(x, y, offsets=offsets)
+        x, y = constrained_problem(rng)
+        fit = LogisticTrainer(self.config).fit(x, y)
         design, _, _ = self.standardised(x)
         penalty = np.array([self.l2_penalty] * 3 + [0.0])
 
         def loss_and_grad(params):
-            logits = design @ params + offsets
+            logits = design @ params
             nll = np.logaddexp(0.0, logits) - y * logits
             probabilities = 1.0 / (1.0 + np.exp(-logits))
             gradient = design.T @ (probabilities - y) / len(y) + penalty * params
@@ -209,8 +167,8 @@ class TestOptimality:
         assert fit.final_loss == pytest.approx(reference.fun, abs=1e-8, rel=0)
 
     def test_converges_in_few_steps(self, rng):
-        x, y, offsets = constrained_problem(rng)
-        fit = LogisticTrainer(self.config).fit(x, y, offsets=offsets)
+        x, y = constrained_problem(rng)
+        fit = LogisticTrainer(self.config).fit(x, y)
         assert fit.n_iterations <= 10
 
 
@@ -233,10 +191,6 @@ class TestValidation:
     def test_rejects_misaligned(self, rng):
         with pytest.raises(ValueError):
             LogisticTrainer().fit(np.ones((3, 1)), np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            LogisticTrainer().fit(
-                np.ones((2, 1)), np.array([0.0, 1.0]), offsets=np.zeros(3)
-            )
 
     def test_rejects_1d_features(self):
         with pytest.raises(ValueError):
@@ -324,49 +278,39 @@ class TestCompiledParity:
         rng = np.random.default_rng(seed)
         n, p = int(rng.integers(60, 700)), int(rng.integers(1, 7))
         x = rng.normal(size=(n, p)) * rng.uniform(0.1, 5.0, p) + rng.normal(size=p)
-        offsets = rng.normal(size=n)
-        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(x @ rng.normal(size=p) + offsets))))
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(x @ rng.normal(size=p) + rng.normal()))))
         config = LogisticTrainerConfig(
             l2_penalty=float(rng.choice([0.0, 1e-3, 1e-2])),
-            fit_bias=bool(seed % 3),
-            standardize=bool(seed % 2),
             nonnegative=tuple(range(0, p, 2)),
         )
         initial = rng.normal(size=p) if seed % 4 == 0 else None
         self.assert_same(
-            config, x, y.astype(float), offsets=offsets,
+            config, x, y.astype(float),
             initial_weights=initial, initial_bias=float(rng.normal()),
         )
 
-    @pytest.mark.parametrize("standardize", [True, False])
-    def test_active_set_resolve(self, rng, monkeypatch, standardize):
+    def test_active_set_resolve(self, rng, monkeypatch):
         x, y = correlated_problem(rng)
         solves = []
         lstsq = np.linalg.lstsq
         monkeypatch.setattr(
             np.linalg, "lstsq", lambda *a, **k: solves.append(1) or lstsq(*a, **k)
         )
-        config = LogisticTrainerConfig(
-            l2_penalty=1e-3, standardize=standardize, nonnegative=(1,)
-        )
+        config = LogisticTrainerConfig(l2_penalty=1e-3, nonnegative=(1,))
         spec = self.assert_same(config, x, y, initial_weights=np.zeros(3))
         # only the spec calls lstsq: more solves than steps is a re-solve
         assert len(solves) > spec.n_iterations
         assert spec.weights[1] == 0.0
 
-    def test_bias_held_and_warm_start(self, rng):
-        x, y, offsets = constrained_problem(rng)
-        config = LogisticTrainerConfig(fit_bias=False, standardize=True, nonnegative=(0, 1))
-        initial = np.array([1.0, -2.0, 0.1])
-        spec = self.assert_same(
-            config, x, y, offsets=offsets, initial_weights=initial, initial_bias=0.7
+    def test_warm_start_with_a_clamped_negative_start(self, rng):
+        x, y = constrained_problem(rng)
+        config = LogisticTrainerConfig(nonnegative=(0, 1))
+        # the -2.0 start of a clamped weight is projected to 0 before step 1
+        self.assert_same(
+            config, x, y, initial_weights=np.array([1.0, -2.0, 0.1]), initial_bias=0.7
         )
-        # the held bias keeps its start in the standardised parameters
-        means = x.mean(axis=0)
-        assert spec.bias + spec.weights @ means == pytest.approx(0.7 + initial @ means)
 
-    @pytest.mark.parametrize("standardize", [True, False])
-    def test_singular_hessian_runs_the_numpy_loop(self, rng, monkeypatch, standardize):
+    def test_singular_hessian_runs_the_numpy_loop(self, rng, monkeypatch):
         """test_unpenalised_constant_column's setup: the C solve declines
         and the numpy loop (the only caller of ``_loss``) produces the fit."""
         x, y = separable_data(rng)
@@ -384,7 +328,7 @@ class TestCompiledParity:
 
         monkeypatch.setattr(_compiled, "logistic_newton", spy_solve)
         monkeypatch.setattr(LogisticTrainer, "_loss", staticmethod(spy_loss))
-        config = LogisticTrainerConfig(l2_penalty=0.0, standardize=standardize)
+        config = LogisticTrainerConfig(l2_penalty=0.0)
         fit = LogisticTrainer(config).fit(x_const, y, compiled=True)
         assert declined == [True]
         assert losses

@@ -35,13 +35,6 @@ class TestDiffusionNegatives:
         negatives = sample_negative_diffusion_pairs(graph, 40, rng)
         assert all(0 <= t <= max_time for _i, _j, t in negatives)
 
-    def test_source_timestamp_mode(self, twitter_tiny, rng):
-        graph, _ = twitter_tiny
-        negatives = sample_negative_diffusion_pairs(
-            graph, 40, rng, timestamp_mode="source"
-        )
-        assert all(graph.documents[i].timestamp == t for i, _j, t in negatives)
-
     def test_hard_negatives_share_words(self, twitter_tiny, rng):
         graph, _ = twitter_tiny
         negatives = sample_negative_diffusion_pairs(graph, 60, rng, hard_fraction=1.0)
@@ -61,8 +54,6 @@ class TestDiffusionNegatives:
         graph, _ = twitter_tiny
         with pytest.raises(ValueError):
             sample_negative_diffusion_pairs(graph, 5, rng, hard_fraction=1.5)
-        with pytest.raises(ValueError):
-            sample_negative_diffusion_pairs(graph, 5, rng, timestamp_mode="weird")
 
     def test_allow_fewer(self, twitter_tiny, rng):
         graph, _ = twitter_tiny

@@ -99,18 +99,6 @@ class TestAdjacency:
         assert graph.friendship_neighbors(0) == [1]
         assert graph.friendship_neighbors(1) == [0]
 
-    def test_diffusion_neighbors_both_directions(self):
-        graph = make_graph()
-        neighbors_of_2 = graph.diffusion_neighbors(2)
-        # doc 2 diffuses doc 0 (outgoing) and is diffused by doc 1 (incoming)
-        directions = {(other, out) for other, _t, out in neighbors_of_2}
-        assert directions == {(0, True), (1, False)}
-
-    def test_outgoing_incoming_indexes(self):
-        graph = make_graph()
-        assert graph.outgoing_diffusions(2) == [0]
-        assert graph.incoming_diffusions(2) == [1]
-
     def test_documents_of(self):
         graph = make_graph()
         assert graph.documents_of(0) == [0, 1]

@@ -72,12 +72,11 @@ class TestParallelRunner:
         with pytest.raises(ValueError):
             ParallelEStepRunner(graph, config, n_workers=0)
 
-    def test_sweep_kernel_override(self, runner_setup):
+    def test_helpers_run_the_config_kernel(self, runner_setup):
         graph, config = runner_setup
-        with ParallelEStepRunner(
-            graph, config, n_workers=1, rng=0, sweep_kernel="reference"
-        ) as runner:
-            assert runner.config.sweep_kernel == "reference"
+        config = config.with_overrides(sweep_kernel="reference")
+        with ParallelEStepRunner(graph, config, n_workers=2, rng=0) as runner:
+            assert runner.worker_sweep_kernel == "reference"
             result = CPDModel(runner.config, rng=0).fit(
                 graph, FitOptions(document_sweeper=runner)
             )

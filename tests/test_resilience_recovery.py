@@ -228,16 +228,6 @@ class TestRecoverVariants:
             report.store.indexed_queries(1)[0].term
         )
 
-    def test_recover_can_skip_document_application(self, crash_run):
-        report = recover(
-            crash_run["catalog"].directory,
-            wal_path=crash_run["wal_path"],
-            apply_documents=False,
-        )
-        assert report.foldin is None
-        # the tail is still surfaced for the caller to replay elsewhere
-        assert report.events_replayed == len(report.tail_events)
-
     def test_recovered_ranks_match_the_snapshot_artifact(self, crash_run):
         """Rank answers derive from the model arrays, so recovery must not
         perturb what the snapshot itself would serve."""

@@ -45,17 +45,6 @@ class TestPartitionContract:
         for part in shard_plan.shards:
             assert part.graph.vocabulary is graph.vocabulary
 
-    def test_local_global_maps_roundtrip(self, plan):
-        _graph, shard_plan = plan
-        part = shard_plan.shards[0]
-        for local, global_user in enumerate(part.users[:5]):
-            assert part.local_user(int(global_user)) == local
-        for local, global_doc in enumerate(part.doc_ids[:5]):
-            assert part.local_doc(int(global_doc)) == local
-        foreign = shard_plan.shards[1].users[0]
-        with pytest.raises(KeyError):
-            part.local_user(int(foreign))
-
     def test_every_link_kept_or_spilled_exactly_once(self, plan):
         graph, shard_plan = plan
         kept_friend = sum(part.graph.n_friendship_links for part in shard_plan.shards)

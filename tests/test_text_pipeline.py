@@ -65,13 +65,6 @@ class TestPreprocessor:
         tokens = pre.process_document("ab abc abcd")
         assert tokens == ["abc", "abcd"]
 
-    def test_process_corpus_filters_short_documents(self):
-        pre = Preprocessor()
-        corpus = pre.process_corpus(
-            ["database systems rule", "ok", "graph mining networks"]
-        )
-        assert len(corpus) == 2
-
     def test_hashtags_not_stemmed(self):
         pre = Preprocessor()
         tokens = pre.process_document("#running fast marathon training")

@@ -62,7 +62,7 @@ class TestFit:
         docs, labels, n_words = block_corpus(rng)
         lda = LDA(LDAConfig(n_topics=3, n_iterations=30, alpha=0.2), rng=rng)
         lda.fit(docs, n_words)
-        dominant = lda.dominant_topics()
+        dominant = np.argmax(lda.doc_topic_distribution, axis=1)
         # same-block documents should share their dominant topic
         for topic in range(3):
             block = dominant[labels == topic]
@@ -228,7 +228,7 @@ class TestInference:
         lda.fit(docs, n_words)
         # a fresh document from block 0's words
         mixture = lda.infer_document(np.arange(5))
-        block0_topic = lda.dominant_topics()[0]
+        block0_topic = np.argmax(lda.doc_topic_distribution[0])
         assert np.argmax(mixture) == block0_topic
 
     def test_perplexity_better_than_uniform(self, rng):
