@@ -22,10 +22,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bench_support import format_table, report
+from bench_support import format_table, report, write_record
 
 ROOT = Path(__file__).resolve().parent.parent
-BENCH_JSON = ROOT / "BENCH_footprint.json"
 MODULES = ("repro.core", "repro.gateway", "repro.cli")
 RUNS = 5
 
@@ -77,7 +76,7 @@ def test_footprint(benchmark):
 
     measured = benchmark.pedantic(_measure, rounds=1, iterations=1)
     payload = {"runs": RUNS, "python": sys.version.split()[0], **measured}
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_record("footprint", payload)
 
     rows = [
         [f"import {module}", cost["wall_seconds"], cost["peak_rss_mb"], cost["modules_loaded"]]

@@ -29,7 +29,6 @@ import json
 import threading
 import time
 from http.client import HTTPConnection
-from pathlib import Path
 
 from bench_support import (
     BENCH_SCALE,
@@ -39,6 +38,7 @@ from bench_support import (
     contract,
     format_table,
     report,
+    write_record,
 )
 from repro.core import CPDConfig, CPDModel
 from repro.datasets import separated_scenario
@@ -57,7 +57,6 @@ N_CLIENTS = 4 if SMOKE_MODE else 8
 OVERLOAD_CLIENTS = 4 * N_CLIENTS
 AB_CLIENTS = (1, 8, 32)
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_gateway.json"
 
 #: planted dims per scenario scale (mirrors datasets.separated.SEPARATED_SCALES)
 _DIMS = {"tiny": (4, 8), "small": (6, 12), "medium": (8, 16)}
@@ -334,7 +333,7 @@ def test_gateway_load(benchmark):
         "smoke": SMOKE_MODE,
         **measured,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_record("gateway", payload)
 
     legs = measured["legs"]
     rows = [

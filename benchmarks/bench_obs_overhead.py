@@ -25,10 +25,8 @@ observability trajectory record — written to ``BENCH_obs.json`` at the
 repository root.
 """
 
-import json
 import time
 from http.client import HTTPConnection
-from pathlib import Path
 
 from bench_support import (
     SMOKE_MODE,
@@ -38,6 +36,7 @@ from bench_support import (
     get_fitted,
     get_scenario,
     report,
+    write_record,
 )
 from repro import obs
 from repro.core import DiffusionParameters
@@ -54,8 +53,6 @@ ROUNDS = 5
 GATEWAY_DURATION = 0.5 if SMOKE_MODE else 2.0
 GATEWAY_ROUNDS = 3
 GATEWAY_QUERIES = 8
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_obs.json"
 
 
 def _make_sampler():
@@ -190,7 +187,7 @@ def test_obs_overhead(benchmark):
         "sweeps_per_round": SWEEPS_PER_ROUND,
         **measured,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_record("obs", payload)
 
     rows = [
         ["raw (kernel direct)", measured["raw_seconds"], 0.0],

@@ -14,13 +14,11 @@ trajectory record — to ``BENCH_parallel.json`` at the repository root.
 """
 
 import functools
-import json
 import os
 import statistics
 import time
-from pathlib import Path
 
-from bench_support import contract, cpd_config, format_table, get_scenario, report
+from bench_support import contract, cpd_config, format_table, get_scenario, report, write_record
 from repro.core import DiffusionParameters
 from repro.core.gibbs import CPDSampler
 from repro.parallel import ParallelEStepRunner
@@ -31,8 +29,6 @@ WORKER_COUNTS = (1, 2, 4)
 #: the median of its E-steps. An E-step takes ~3-4 ms, so host noise on a
 #: best-of-2 swung the ratios by 2x from run to run.
 MEASURE_ROUNDS = 24
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_parallel.json"
 
 
 def _fresh_sampler(graph, config) -> CPDSampler:
@@ -130,7 +126,7 @@ def test_parallel_engine(benchmark):
         "timing": f"median of {MEASURE_ROUNDS} interleaved E-steps per arm",
         "estep_seconds_quartiles": measured["quartiles"],
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_record("parallel", payload)
 
     if cores >= 2:
         contract(

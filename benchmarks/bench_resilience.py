@@ -22,7 +22,6 @@ repository root. Honors ``REPRO_BENCH_SCALE`` / ``REPRO_BENCH_ITERATIONS``
 / ``REPRO_BENCH_SMOKE`` like every other benchmark.
 """
 
-import json
 import shutil
 import tempfile
 import time
@@ -34,6 +33,7 @@ from bench_support import (
     format_table,
     get_scenario,
     report,
+    write_record,
 )
 from repro.core import CPDModel
 from repro.resilience import (
@@ -59,8 +59,6 @@ REFRESH_EVERY = 256
 FIT_SEED = 103
 N_SHARDS = 4
 RANK_REPEATS = 3
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_resilience.json"
 
 
 def _prepare():
@@ -213,7 +211,7 @@ def test_resilience_costs(benchmark):
         "refresh_every": REFRESH_EVERY,
         **measured,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_record("resilience", payload)
 
     plain, durable = measured["plain"], measured["durable"]
     short, long_ = measured["recovery"]["short_tail"], measured["recovery"]["long_tail"]

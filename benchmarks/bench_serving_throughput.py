@@ -26,6 +26,7 @@ from bench_support import (
     get_fitted,
     get_scenario,
     report,
+    write_record,
 )
 from repro.apps import CommunityRanker
 from repro.core import load_result
@@ -36,8 +37,6 @@ N_COMMUNITIES = 6
 MAX_QUERIES = 32
 WARM_REPEATS = 200
 LEGACY_QUERIES = 8  # the per-query reload path is slow; sample it
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 
 
 def _prepare(tmp_dir: Path):
@@ -106,7 +105,7 @@ def test_serving_throughput(benchmark, tmp_path):
         "legacy_sample_queries": LEGACY_QUERIES,
         **measured,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_record("serving", payload)
 
     rows = [
         ["legacy (reload per query)", measured["legacy_queries_per_second"]],

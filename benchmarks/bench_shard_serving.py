@@ -16,9 +16,7 @@ to ``benchmarks/results/`` (gitignored); the cross-PR trajectory record
 goes to ``BENCH_shard.json`` at the repository root.
 """
 
-import json
 import time
-from pathlib import Path
 
 from bench_support import (
     BENCH_SCALE,
@@ -26,6 +24,7 @@ from bench_support import (
     contract,
     format_table,
     report,
+    write_record,
 )
 from repro.core import CPDConfig, CPDModel
 from repro.datasets import separated_scenario
@@ -41,7 +40,6 @@ MAX_QUERIES = 32
 WARM_REPEATS = 200
 AGREE_TOP = 2
 
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_shard.json"
 
 #: planted dims per scenario scale (mirrors datasets.separated.SEPARATED_SCALES)
 _DIMS = {"tiny": (4, 8), "small": (6, 12), "medium": (8, 16)}
@@ -139,7 +137,7 @@ def test_shard_serving(benchmark):
         "agree_top": AGREE_TOP,
         **measured,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_record("shard", payload)
 
     rows = [
         [

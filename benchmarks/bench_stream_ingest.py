@@ -17,9 +17,7 @@ latency, and mean per-refresh latency. Results go to
 — to ``BENCH_stream.json`` at the repository root.
 """
 
-import json
 import time
-from pathlib import Path
 
 from bench_support import (
     contract,
@@ -27,6 +25,7 @@ from bench_support import (
     format_table,
     get_scenario,
     report,
+    write_record,
 )
 from repro.core import CPDModel
 from repro.serving import ProfileStore
@@ -36,8 +35,6 @@ N_COMMUNITIES = 6
 BATCH_SIZE = 64
 REFRESH_EVERY = 256
 FIT_SEED = 103
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_stream.json"
 
 
 def _prepare():
@@ -105,7 +102,7 @@ def test_stream_ingest_throughput(benchmark):
         "refresh_every": REFRESH_EVERY,
         **measured,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_record("stream", payload)
 
     foldin, refresh = measured["foldin"], measured["refresh"]
     rows = [

@@ -7,7 +7,8 @@ figures that share fits (e.g. Fig. 3 and Fig. 9) pay for them once per
 pytest session.
 
 Results are printed *and* written to ``benchmarks/results/`` so the series
-survive pytest's stdout capture.
+survive pytest's stdout capture. The ``BENCH_*.json`` trajectory records go
+through :func:`write_record`.
 
 Three environment knobs support the CI smoke job (run every benchmark at
 tiny sizes to guard against bit-rot, without enforcing the paper-shaped
@@ -17,11 +18,13 @@ relations that only hold at full scale):
   (default ``small``; the smoke job sets ``tiny``);
 * ``REPRO_BENCH_ITERATIONS`` — EM iterations per fit (default 20);
 * ``REPRO_BENCH_SMOKE=1`` — demote :func:`contract` assertions to printed
-  warnings.
+  warnings, and write trajectory records to ``benchmarks/results/``
+  instead of over the committed ones.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from contextlib import contextmanager
@@ -50,6 +53,8 @@ from repro.evaluation import (
 from repro.obs import Histogram
 
 RESULTS_DIR = Path(__file__).parent / "results"
+#: where the committed ``BENCH_*.json`` trajectory records live
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: scenario scale for every benchmark graph (see module docstring)
 BENCH_SCALE = os.environ.get("REPRO_BENCH_SCALE", "small")
@@ -265,3 +270,17 @@ def report(name: str, text: str) -> None:
     print(text)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+
+
+def write_record(name: str, payload: dict) -> Path:
+    """Write the ``BENCH_<name>.json`` trajectory record; returns its path.
+
+    A full-scale run writes the committed record at the repository root.
+    A smoke run writes to the git-ignored ``benchmarks/results/``, so its
+    tiny-scale numbers never overwrite the committed record.
+    """
+    directory = RESULTS_DIR if SMOKE_MODE else REPO_ROOT
+    directory.mkdir(exist_ok=True)
+    path = directory / f"BENCH_{name}.json"
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    return path

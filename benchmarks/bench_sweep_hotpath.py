@@ -14,12 +14,10 @@ iteration. Results go to ``benchmarks/results/`` and — as the cross-PR
 perf trajectory record — to ``BENCH_sweep.json`` at the repository root.
 """
 
-import json
 import statistics
 import time
-from pathlib import Path
 
-from bench_support import contract, cpd_config, format_table, get_scenario, report
+from bench_support import contract, cpd_config, format_table, get_scenario, report, write_record
 from repro.core import DiffusionParameters
 from repro.core import _compiled
 from repro.core.gibbs import CPDSampler
@@ -29,8 +27,6 @@ N_COMMUNITIES = 6
 MEASURE_ROUNDS = 8
 #: compiled sweeps timed after each reference sweep
 COMPILED_PER_ROUND = 32
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
 
 
 def _build_sampler(graph, kernel: str) -> tuple[CPDSampler, float]:
@@ -110,7 +106,7 @@ def test_sweep_hotpath_speedup(benchmark):
         rows.append(["compiled warm-up", warm_up["compiled"], float("nan")])
     else:
         payload["compiled_unavailable_reason"] = _compiled.backend_status()[1]
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_record("sweep", payload)
 
     report(
         "sweep_hotpath",

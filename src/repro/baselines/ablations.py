@@ -98,7 +98,7 @@ class CPDVariant(BaselineModel):
         require_fitted(self._predictor, self.name)
         if self.variant == "no_heterogeneity":
             # diffusion modelled by Eq. 3: membership similarity of the users
-            doc_user = self._graph.document_user_array()
+            doc_user = self._graph.doc_user
             pi = self._result.pi
             source_users = doc_user[np.asarray(source_docs, dtype=np.int64)]
             target_users = doc_user[np.asarray(target_docs, dtype=np.int64)]

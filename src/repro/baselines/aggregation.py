@@ -51,7 +51,7 @@ def aggregate_diffusion_profile(
     """Eq. 21: link-mass aggregation over communities and topics."""
     n_communities = memberships.shape[1]
     n_topics = doc_mixtures.shape[1]
-    doc_user = graph.document_user_array()
+    doc_user = graph.doc_user
     eta = np.zeros((n_communities, n_communities, n_topics))
     for link in graph.diffusion_links:
         i, j = link.source_doc, link.target_doc
@@ -111,7 +111,7 @@ class AggregationBaseline(BaselineModel):
         """Aggregated community-level score: membership- and topic-weighted
         diffusion mass between the two documents' communities."""
         require_fitted(self._profiles, self.name)
-        doc_user = self._graph.document_user_array()
+        doc_user = self._graph.doc_user
         source_docs = np.asarray(source_docs, dtype=np.int64)
         target_docs = np.asarray(target_docs, dtype=np.int64)
         pi = self._memberships

@@ -76,7 +76,7 @@ class CRM(BaselineModel):
         n_communities = self.n_communities
         assignment = rng.integers(0, n_communities, size=n_users)
         sizes = np.bincount(assignment, minlength=n_communities).astype(np.float64)
-        doc_user = graph.document_user_array()
+        doc_user = graph.doc_user
         tie_lists: list[list[int]] = [list(graph.friendship_neighbors(u)) for u in range(n_users)]
         for link in graph.diffusion_links:
             u = int(doc_user[link.source_doc])
@@ -151,7 +151,7 @@ class CRM(BaselineModel):
         self._fit_result = trainer.fit(design, labels)
 
     def _pair_design(self, source_docs: np.ndarray, target_docs: np.ndarray) -> np.ndarray:
-        doc_user = self._graph.document_user_array()
+        doc_user = self._graph.doc_user
         users_u = doc_user[np.asarray(source_docs, dtype=np.int64)]
         users_v = doc_user[np.asarray(target_docs, dtype=np.int64)]
         co_membership = np.einsum(

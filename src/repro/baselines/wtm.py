@@ -60,7 +60,7 @@ class WTM(BaselineModel):
         self, source_docs: np.ndarray, target_docs: np.ndarray
     ) -> np.ndarray:
         graph = self._graph
-        doc_user = graph.document_user_array()
+        doc_user = graph.doc_user
         friendships = graph.friendship_pairs()
         rows = np.empty((len(source_docs), 3 + UserFeatures.N_FEATURES))
         for index, (i, j) in enumerate(zip(source_docs, target_docs)):

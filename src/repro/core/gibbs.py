@@ -39,7 +39,7 @@ import numpy as np
 from .. import obs
 from ..diffusion.features import UserFeatures
 from ..diffusion.popularity import TopicPopularity
-from ..graph.social_graph import SocialGraph
+from ..graph.social_graph import SocialGraph, counts_to_indptr
 from ..sampling.categorical import sample_log_categorical
 from ..sampling.polya_gamma import log_psi
 from ..sampling.rng import RngLike, ensure_rng
@@ -47,7 +47,7 @@ from .config import CPDConfig
 from .kernel import DIFFUSION, FRIENDSHIP, SweepStats, make_kernel
 from .parameters import DiffusionParameters
 from .result import CPDResult
-from .state import CPDState, counts_to_indptr
+from .state import CPDState
 
 
 def record_sweep(stats: SweepStats | None) -> None:
@@ -82,13 +82,13 @@ class CPDSampler:
         )
 
         self.state = CPDState(graph, config)
-        self._doc_user = np.asarray(graph.document_user_array(), dtype=np.int64)
-        self._doc_time = np.asarray([doc.timestamp for doc in graph.documents], dtype=np.int64)
+        # the graph's read-only per-document arrays; appends replace them
+        self._doc_user = graph.doc_user
+        self._doc_time = graph.doc_time
+        self._doc_lengths = graph.doc_lengths
         if initialize_assignments:
             self.state.random_init(self.rng, fixed_communities=self.fixed_communities)
         self._doc_time_ints = self._doc_time.tolist()
-        # per-doc lengths — computed once by CPDState
-        self._doc_lengths = self.state._doc_word_lengths
 
         self._build_link_structures()
         self._build_popularity()
@@ -285,7 +285,7 @@ class CPDSampler:
         new_ids = self.state.append_documents(documents, users)
         if len(new_ids) == 0:
             return new_ids
-        self._doc_user = np.concatenate([self._doc_user, users])
+        self._doc_user = self.state._doc_user
         self._doc_time = np.concatenate([self._doc_time, timestamps])
         self._doc_time_ints.extend(timestamps.tolist())
         self._doc_lengths = self.state._doc_word_lengths
@@ -427,8 +427,9 @@ class CPDSampler:
         log_weights = np.log(state.community_topic[community] + state.alpha)
 
         # block word-likelihood term of Eq. 13
-        words = state._doc_unique_words[doc_id]
-        counts = state._doc_unique_counts[doc_id]
+        lo, hi = state._unique_indptr[doc_id], state._unique_indptr[doc_id + 1]
+        words = state._unique_words[lo:hi]
+        counts = state._unique_counts[lo:hi]
         for word, count in zip(words, counts):
             steps = np.arange(count)
             log_weights += np.log(

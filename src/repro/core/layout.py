@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .state import counts_to_indptr
+from ..graph.social_graph import counts_to_indptr
 
 
 def split_word_multiplicity(
@@ -12,8 +12,8 @@ def split_word_multiplicity(
 ) -> dict[str, np.ndarray]:
     """CSR doc -> (word, count) layout, split by multiplicity.
 
-    Takes the per-document unique-word CSR (``CPDState._unique_*``, see
-    :func:`repro.core.state.unique_word_csr`). Words occurring once in a
+    Takes the per-document unique-word CSR (``SocialGraph.unique_*``, see
+    :func:`repro.graph.social_graph.unique_word_csr`). Words occurring once in a
     document (the dominant case in short social-media posts) are one
     factor of the C topic conditional's product with no inner loop;
     repeated words loop over their occurrences. Used by

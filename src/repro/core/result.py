@@ -125,20 +125,7 @@ class CPDResult:
             return [(str(w), float(row[w])) for w in order]
         return [(vocabulary.word_of(int(w)), float(row[w])) for w in order]
 
-    def word_probability_per_user(self, user: int) -> np.ndarray:
-        """``p(w|u) = sum_c pi_uc sum_z theta_cz phi_zw`` (perplexity kernel)."""
-        return (self.pi[user] @ self.theta) @ self.phi
-
     # -------------------------------------------------------------- diffusion
-
-    def diffusion_strength(self, source: int, target: int, topic: int | None = None) -> float:
-        """``eta_{c,c',z}``, or the topic aggregation ``sum_z eta_{c,c',z}``.
-
-        These are exactly the two visualization strengths of Sect. 5.
-        """
-        if topic is None:
-            return float(self.eta[source, target].sum())
-        return float(self.eta[source, target, topic])
 
     def aggregated_diffusion_matrix(self) -> np.ndarray:
         """``sum_z eta`` as a (C, C) matrix (Fig. 7(a) visualization)."""

@@ -19,42 +19,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.social_graph import SocialGraph
+from ..graph.social_graph import SocialGraph, counts_to_indptr, unique_word_csr
 from ..sampling.rng import RngLike, ensure_rng
 from .config import CPDConfig
 
 
-def counts_to_indptr(counts: np.ndarray) -> np.ndarray:
-    """CSR index pointer from per-row entry counts."""
-    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr
-
-
-def unique_word_csr(
-    words: np.ndarray, lengths: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-document sorted unique words and their multiplicities, as one CSR.
-
-    ``words`` holds the documents' occurrences back to back, ``lengths[d]``
-    of them for document ``d``. One stable sort by ``(document, word)``
-    replaces a ``np.unique`` call per document. Returns ``(unique_words,
-    counts, indptr)``: document ``d``'s unique words, ascending, are
-    ``unique_words[indptr[d]:indptr[d + 1]]`` and their float64
-    multiplicities sit at the same positions of ``counts``.
-    """
-    docs = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
-    ordered = words[np.lexsort((words, docs))]
-    first = np.ones(ordered.shape[0], dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]) | (docs[1:] != docs[:-1])
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=ordered.shape[0]).astype(np.float64)
-    indptr = counts_to_indptr(np.bincount(docs[starts], minlength=len(lengths)))
-    return ordered[starts], counts, indptr
-
-
 class CPDState:
-    """Mutable assignments + counts; add/remove keep every counter in sync."""
+    """Mutable assignments + counts; add/remove keep every counter in sync.
+
+    The corpus layout (flat tokens, unique-word CSR, doc -> user) is the
+    graph's own read-only arrays (:class:`~repro.graph.SocialGraph`), not a
+    copy: a document's words are a slice of the CSR by its pointer. Only
+    :meth:`append_documents` gives the state arrays of its own.
+    """
 
     #: the mutable arrays (the parallel runner copies them into its helper
     #: samplers); everything else is immutable corpus layout
@@ -92,32 +69,19 @@ class CPDState:
         self.community_totals = np.zeros(self.n_communities, dtype=np.float64)
         self.topic_totals = np.zeros(self.n_topics, dtype=np.float64)
 
-        self._doc_user = np.asarray(graph.document_user_array(), dtype=np.int64)
-
-        # flat occurrence layout: word occurrences of doc d live in
-        # _all_words[_word_indptr[d]:_word_indptr[d+1]]; the per-doc arrays
-        # are views into it, so the corpus is stored once
-        doc_word_arrays = [np.asarray(doc.words, dtype=np.int64) for doc in graph.documents]
-        self._doc_word_lengths = np.asarray(
-            [len(words) for words in doc_word_arrays], dtype=np.int64
-        )
-        self._word_indptr = counts_to_indptr(self._doc_word_lengths)
-        self._all_words = (
-            np.concatenate(doc_word_arrays)
-            if doc_word_arrays
-            else np.zeros(0, dtype=np.int64)
-        )
-        self._doc_words = [
-            self._all_words[self._word_indptr[doc_id] : self._word_indptr[doc_id + 1]]
-            for doc_id in range(self.n_docs)
-        ]
-        # unique words + multiplicities per doc: lets assign/unassign use a
-        # fancy-indexed in-place add (safe on unique indices, faster than
-        # the general np.add.at scatter); the per-doc arrays are views
-        self._unique_words, self._unique_counts, self._unique_indptr = unique_word_csr(
-            self._all_words, self._doc_word_lengths
-        )
-        self._point_unique_views()
+        # the graph's read-only corpus layout, shared rather than copied:
+        # doc d's words are _all_words[_word_indptr[d]:_word_indptr[d+1]],
+        # its unique words and multiplicities the same slice of the unique
+        # CSR by _unique_indptr (assign/unassign then use a fancy-indexed
+        # in-place add, safe on unique indices); appends concatenate new
+        # arrays and leave the graph's alone
+        self._doc_user = graph.doc_user
+        self._doc_word_lengths = graph.doc_lengths
+        self._word_indptr = graph.token_ptr
+        self._all_words = graph.tokens
+        self._unique_words = graph.unique_words
+        self._unique_counts = graph.unique_counts
+        self._unique_indptr = graph.unique_ptr
 
         # lazily built estimator caches with dirty-row invalidation
         self._pi_cache: np.ndarray | None = None
@@ -138,7 +102,8 @@ class CPDState:
         self.user_totals[user] += 1
         self.community_topic[community, topic] += 1
         self.community_totals[community] += 1
-        self.topic_word[topic][self._doc_unique_words[doc_id]] += self._doc_unique_counts[doc_id]
+        lo, hi = self._unique_indptr[doc_id], self._unique_indptr[doc_id + 1]
+        self.topic_word[topic][self._unique_words[lo:hi]] += self._unique_counts[lo:hi]
         self.topic_totals[topic] += self._doc_word_lengths[doc_id]
         self.n_unassigned -= 1
         if self._pi_cache is not None:
@@ -157,7 +122,8 @@ class CPDState:
         self.user_totals[user] -= 1
         self.community_topic[community, topic] -= 1
         self.community_totals[community] -= 1
-        self.topic_word[topic][self._doc_unique_words[doc_id]] -= self._doc_unique_counts[doc_id]
+        lo, hi = self._unique_indptr[doc_id], self._unique_indptr[doc_id + 1]
+        self.topic_word[topic][self._unique_words[lo:hi]] -= self._unique_counts[lo:hi]
         self.topic_totals[topic] -= self._doc_word_lengths[doc_id]
         self.doc_community[doc_id] = -1
         self.doc_topic[doc_id] = -1
@@ -261,29 +227,14 @@ class CPDState:
         self._doc_word_lengths = np.concatenate([self._doc_word_lengths, new_lengths])
         self._word_indptr = counts_to_indptr(self._doc_word_lengths)
         self._all_words = np.concatenate([self._all_words, *arrays])
-        # re-point every per-doc view at the new buffer — views into the
-        # pre-append generation would pin it alive, growing retained memory
-        # quadratically over a long stream of appends
-        self._doc_words = [
-            self._all_words[self._word_indptr[doc_id] : self._word_indptr[doc_id + 1]]
-            for doc_id in range(self.n_docs)
-        ]
         words, counts, indptr = unique_word_csr(np.concatenate(arrays), new_lengths)
         self._unique_words = np.concatenate([self._unique_words, words])
         self._unique_counts = np.concatenate([self._unique_counts, counts])
         self._unique_indptr = np.concatenate(
             [self._unique_indptr, indptr[1:] + self._unique_indptr[-1]]
         )
-        self._point_unique_views()
         self.n_unassigned += n_new
         return new_ids
-
-    def _point_unique_views(self) -> None:
-        """Per-doc views of the unique-word CSR (re-pointed after appends)."""
-        bounds = self._unique_indptr.tolist()
-        spans = list(zip(bounds[:-1], bounds[1:]))
-        self._doc_unique_words = [self._unique_words[lo:hi] for lo, hi in spans]
-        self._doc_unique_counts = [self._unique_counts[lo:hi] for lo, hi in spans]
 
     def assign_many(
         self, doc_ids: np.ndarray, communities: np.ndarray, topics: np.ndarray
@@ -504,7 +455,8 @@ class CPDState:
                 continue
             user_community[self._doc_user[doc_id], c] += 1
             community_topic[c, z] += 1
-            np.add.at(topic_word[z], self._doc_words[doc_id], 1.0)
+            lo, hi = self._word_indptr[doc_id], self._word_indptr[doc_id + 1]
+            np.add.at(topic_word[z], self._all_words[lo:hi], 1.0)
         if not (
             np.array_equal(user_community, self.user_community)
             and np.array_equal(community_topic, self.community_topic)

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..graph.social_graph import SocialGraph
+from ..graph.social_graph import SocialGraph, counts_to_indptr
 from ..sampling.rng import RngLike, ensure_rng
 
 #: most proposals drawn in one rejection round, so a request for more
@@ -69,31 +69,23 @@ class WordDocumentIndex:
 
 def build_word_document_index(graph: SocialGraph) -> WordDocumentIndex:
     """Inverted word -> documents index and the other per-graph tables of
-    :func:`sample_negative_diffusion_pairs`."""
+    :func:`sample_negative_diffusion_pairs`.
+
+    The document -> distinct words side is the graph's own unique-word CSR;
+    the word -> documents side is its stable transpose.
+    """
     n_docs = graph.n_documents
-    lengths = np.asarray([len(doc.words) for doc in graph.documents], dtype=np.int64)
-    tokens = np.concatenate(
-        [np.asarray(doc.words, dtype=np.int64) for doc in graph.documents]
-        + [np.zeros(0, dtype=np.int64)]
-    )
-    n_words = max(graph.n_words, 1)
-    owner = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
-    pairs = np.unique(owner * n_words + tokens)
-    pair_doc, doc_words = np.divmod(pairs, n_words)
-    frequency = np.bincount(doc_words, minlength=n_words)
-    doc_ptr = np.zeros(n_docs + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pair_doc, minlength=n_docs), out=doc_ptr[1:])
-    word_ptr = np.zeros(n_words + 1, dtype=np.int64)
-    np.cumsum(frequency, out=word_ptr[1:])
-    max_time = max((doc.timestamp for doc in graph.documents), default=0)
+    doc_ptr, doc_words = graph.unique_ptr, graph.unique_words
+    pair_doc = np.repeat(np.arange(n_docs, dtype=np.int64), np.diff(doc_ptr))
+    frequency = np.bincount(doc_words, minlength=max(graph.n_words, 1))
     return WordDocumentIndex(
-        word_ptr=word_ptr,
+        word_ptr=counts_to_indptr(frequency),
         word_docs=pair_doc[np.argsort(doc_words, kind="stable")],
         doc_ptr=doc_ptr,
         doc_words=doc_words,
         word_cum=np.cumsum(1.0 / frequency[doc_words].astype(np.float64) ** 2),
-        doc_user=graph.document_user_array(),
-        max_time=int(max_time),
+        doc_user=graph.doc_user,
+        max_time=max(graph.doc_time.tolist(), default=0),
         observed=_pair_keys(graph.diffusion_pairs(), n_docs),
     )
 

@@ -117,7 +117,3 @@ class TopicPopularity:
     def _proportions(rows: np.ndarray) -> np.ndarray:
         """Each count over its row's total, a total below 1 read as 1."""
         return rows / np.maximum(rows.sum(axis=1, keepdims=True), 1.0)
-
-    def counts_matrix(self) -> np.ndarray:
-        """Copy of the raw (time x topic) counts (Fig. 5(b) case study)."""
-        return self._counts.copy()

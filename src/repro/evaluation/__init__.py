@@ -1,6 +1,6 @@
 """Evaluation harness: the paper's metrics and protocols (Sect. 6.1)."""
 
-from .auc import auc_from_labels, auc_score
+from .auc import auc_score
 from .conductance import average_conductance, set_conductance
 from .crossval import (
     DiffusionScoreFn,
@@ -27,7 +27,6 @@ __all__ = [
     "Query",
     "RankingScores",
     "TTestResult",
-    "auc_from_labels",
     "auc_score",
     "average_conductance",
     "average_precision_recall_f1",

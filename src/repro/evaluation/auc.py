@@ -27,14 +27,3 @@ def auc_score(positive_scores: np.ndarray, negative_scores: np.ndarray) -> float
     n_neg = negative_scores.size
     rank_sum = ranks[:n_pos].sum()
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def auc_from_labels(scores: np.ndarray, labels: np.ndarray) -> float:
-    """AUC from a single score array with binary labels."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    if scores.shape != labels.shape:
-        raise ValueError("scores and labels must align")
-    positive = scores[labels == 1]
-    negative = scores[labels == 0]
-    return auc_score(positive, negative)

@@ -9,6 +9,10 @@ Gibbs sampler walks on every sweep:
   (paper Eq. 13's :math:`\\Lambda_u`),
 * ``Lambda_i`` — document i's diffusion neighbours in either direction
   (paper Eq. 13's :math:`\\Lambda_i`).
+
+It also owns the corpus's per-document layout (see :class:`SocialGraph`),
+which samplers, the negative sampler's index and the profile store read
+instead of walking ``documents`` again.
 """
 
 from __future__ import annotations
@@ -31,19 +35,50 @@ class GraphStats:
     n_documents: int
     n_words: int
 
-    def as_row(self) -> tuple[int, int, int, int, int]:
-        """The Table 3 row ordering: #(user), #(friend.), #(diff.), #(doc.), #(word)."""
-        return (
-            self.n_users,
-            self.n_friendship_links,
-            self.n_diffusion_links,
-            self.n_documents,
-            self.n_words,
-        )
+
+def counts_to_indptr(counts: np.ndarray) -> np.ndarray:
+    """CSR index pointer from per-row entry counts."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def unique_word_csr(
+    words: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-document sorted unique words and their multiplicities, as one CSR.
+
+    ``words`` holds the documents' occurrences back to back, ``lengths[d]``
+    of them for document ``d``. One stable sort by ``(document, word)``
+    replaces a ``np.unique`` call per document. Returns ``(unique_words,
+    counts, indptr)``: document ``d``'s unique words, ascending, are
+    ``unique_words[indptr[d]:indptr[d + 1]]`` and their float64
+    multiplicities sit at the same positions of ``counts``.
+    """
+    docs = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    ordered = words[np.lexsort((words, docs))]
+    first = np.ones(ordered.shape[0], dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]) | (docs[1:] != docs[:-1])
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=ordered.shape[0]).astype(np.float64)
+    indptr = counts_to_indptr(np.bincount(docs[starts], minlength=len(lengths)))
+    return ordered[starts], counts, indptr
 
 
 class SocialGraph:
-    """Immutable-after-validation container for ``G = (U, D, F, E)``."""
+    """Immutable-after-validation container for ``G = (U, D, F, E)``.
+
+    Construction walks ``documents`` once into read-only per-document
+    arrays, the corpus layout every sampler of the graph shares:
+
+    * ``tokens``: every word occurrence, document after document; document
+      ``d``'s ``doc_lengths[d]`` words are ``tokens[token_ptr[d]:token_ptr[d + 1]]``;
+    * ``unique_words`` / ``unique_counts`` / ``unique_ptr``: each document's
+      ascending distinct words and their float64 multiplicities, as the CSR
+      of :func:`unique_word_csr`;
+    * ``doc_user`` / ``doc_time``: each document's publishing user and time
+      bucket.
+    """
 
     def __init__(
         self,
@@ -60,10 +95,29 @@ class SocialGraph:
         self.diffusion_links = diffusion_links
         self.vocabulary = vocabulary
         self.name = name
+        self._build_document_arrays()
         self._validate()
         self._build_indexes()
 
     # ------------------------------------------------------------------ setup
+
+    def _build_document_arrays(self) -> None:
+        documents = self.documents
+        self.doc_user = np.asarray([doc.user_id for doc in documents], dtype=np.int64)
+        self.doc_time = np.asarray([doc.timestamp for doc in documents], dtype=np.int64)
+        self.doc_lengths = np.asarray([len(doc.words) for doc in documents], dtype=np.int64)
+        self.token_ptr = counts_to_indptr(self.doc_lengths)
+        self.tokens = np.concatenate(
+            [doc.words for doc in documents] + [np.zeros(0, dtype=np.int64)]
+        )
+        self.unique_words, self.unique_counts, self.unique_ptr = unique_word_csr(
+            self.tokens, self.doc_lengths
+        )
+        for array in (
+            self.doc_user, self.doc_time, self.doc_lengths, self.token_ptr,
+            self.tokens, self.unique_words, self.unique_counts, self.unique_ptr,
+        ):
+            array.flags.writeable = False
 
     def _validate(self) -> None:
         n_users = len(self.users)
@@ -75,10 +129,14 @@ class SocialGraph:
         for index, doc in enumerate(self.documents):
             if doc.doc_id != index:
                 raise ValueError(f"document ids must be dense; got {doc.doc_id} at {index}")
-            if not 0 <= doc.user_id < n_users:
-                raise ValueError(f"document {index} has unknown user {doc.user_id}")
-            if len(doc.words) and (doc.words.min() < 0 or doc.words.max() >= n_words):
-                raise ValueError(f"document {index} has out-of-vocabulary word ids")
+        unknown = np.flatnonzero((self.doc_user < 0) | (self.doc_user >= n_users))
+        if len(unknown):
+            index = int(unknown[0])
+            raise ValueError(f"document {index} has unknown user {self.doc_user[index]}")
+        out_of_vocabulary = np.flatnonzero((self.tokens < 0) | (self.tokens >= n_words))
+        if len(out_of_vocabulary):
+            index = int(np.searchsorted(self.token_ptr, out_of_vocabulary[0], side="right")) - 1
+            raise ValueError(f"document {index} has out-of-vocabulary word ids")
         for link in self.friendship_links:
             if not (0 <= link.source < n_users and 0 <= link.target < n_users):
                 raise ValueError(f"friendship link {link} references unknown users")
@@ -103,8 +161,8 @@ class SocialGraph:
         self._user_diffusions_made = np.zeros(len(self.users), dtype=np.int64)
         self._user_diffusions_received = np.zeros(len(self.users), dtype=np.int64)
         for link in self.diffusion_links:
-            self._user_diffusions_made[self.documents[link.source_doc].user_id] += 1
-            self._user_diffusions_received[self.documents[link.target_doc].user_id] += 1
+            self._user_diffusions_made[self.doc_user[link.source_doc]] += 1
+            self._user_diffusions_received[self.doc_user[link.target_doc]] += 1
 
     # ------------------------------------------------------------ basic sizes
 
@@ -181,10 +239,6 @@ class SocialGraph:
         if not self.diffusion_links:
             return np.asarray([], dtype=np.int64)
         return np.unique([link.timestamp for link in self.diffusion_links])
-
-    def document_user_array(self) -> np.ndarray:
-        """``doc_id -> user_id`` as a dense array."""
-        return np.asarray([doc.user_id for doc in self.documents], dtype=np.int64)
 
     def __repr__(self) -> str:
         s = self.stats()

@@ -56,9 +56,7 @@ def segment_users_by_topic(
         LDAConfig(n_topics=n_segments, n_iterations=lda_iterations), rng=generator
     )
     lda.fit([doc.words for doc in graph.documents], max(graph.n_words, 1))
-    user_segment = lda.dominant_topic_per_user(
-        graph.document_user_array(), graph.n_users
-    )
+    user_segment = lda.dominant_topic_per_user(graph.doc_user, graph.n_users)
     return build_segments(graph, user_segment)
 
 
@@ -69,7 +67,7 @@ def build_segments(graph: SocialGraph, user_segment: np.ndarray) -> list[DataSeg
         raise ValueError("user_segment must have one entry per user")
     segment_ids, user_index = np.unique(user_segment, return_inverse=True)
     n_segments = len(segment_ids)
-    doc_index = user_index[graph.document_user_array()]
+    doc_index = user_index[graph.doc_user]
     friend_ends = np.array(
         [(link.source, link.target) for link in graph.friendship_links], dtype=np.int64
     ).reshape(-1, 2)

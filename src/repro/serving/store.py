@@ -549,7 +549,7 @@ class ProfileStore:
                 if self._summary is not None:
                     self._doc_user_cache = self._summary.doc_user
                 elif self.graph is not None:
-                    self._doc_user_cache = self.graph.document_user_array()
+                    self._doc_user_cache = self.graph.doc_user
                 else:
                     self._doc_user_cache = self.summary.doc_user  # raises helpfully
             return self._doc_user_cache
@@ -561,10 +561,7 @@ class ProfileStore:
                 if self._summary is not None:
                     self._doc_time_cache = self._summary.doc_timestamp
                 elif self.graph is not None:
-                    self._doc_time_cache = np.asarray(
-                        [doc.timestamp for doc in self.graph.documents],
-                        dtype=np.int64,
-                    )
+                    self._doc_time_cache = self.graph.doc_time
                 else:
                     self._doc_time_cache = self.summary.doc_timestamp
             return self._doc_time_cache

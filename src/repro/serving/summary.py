@@ -86,10 +86,8 @@ class GraphSummary:
             n_words=graph.n_words,
             n_friendship_links=graph.n_friendship_links,
             n_diffusion_links=graph.n_diffusion_links,
-            doc_user=graph.document_user_array(),
-            doc_timestamp=np.asarray(
-                [doc.timestamp for doc in graph.documents], dtype=np.int64
-            ),
+            doc_user=graph.doc_user,
+            doc_timestamp=graph.doc_time,
             followers=np.asarray(
                 [graph.follower_count(u) for u in range(n_users)], dtype=np.int64
             ),

@@ -223,7 +223,7 @@ def build_plan(
         raise ValueError("user_shard must have one entry per user")
     n_shards = int(user_shard.max()) + 1 if user_shard.size else 1
 
-    doc_user = graph.document_user_array()
+    doc_user = graph.doc_user
     doc_shard = user_shard[doc_user]
 
     # global -> local maps as dense arrays for the link remapping below

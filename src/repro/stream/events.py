@@ -152,8 +152,7 @@ def split_for_replay(graph: SocialGraph, warm_fraction: float = 0.5) -> ReplayPl
     n_docs = graph.n_documents
     if n_docs == 0:
         raise ValueError("cannot replay an empty graph")
-    timestamps = np.asarray([doc.timestamp for doc in graph.documents], dtype=np.int64)
-    doc_order = np.lexsort((np.arange(n_docs), timestamps))
+    doc_order = np.lexsort((np.arange(n_docs), graph.doc_time))
     new_id = np.empty(n_docs, dtype=np.int64)
     new_id[doc_order] = np.arange(n_docs)
     n_base = min(n_docs, max(1, math.ceil(warm_fraction * n_docs)))
@@ -180,8 +179,8 @@ def split_for_replay(graph: SocialGraph, warm_fraction: float = 0.5) -> ReplayPl
             continue
         effective = max(
             link.timestamp,
-            graph.documents[link.source_doc].timestamp,
-            graph.documents[link.target_doc].timestamp,
+            int(graph.doc_time[link.source_doc]),
+            int(graph.doc_time[link.target_doc]),
         )
         keyed.append((effective, 1, index, LinkArrival(src, tgt, link.timestamp)))
     keyed.sort(key=lambda item: item[:3])

@@ -76,22 +76,13 @@ class IncrementalRefresher:
         self.n_appended_documents = 0
         self.n_appended_links = 0
         self.n_refreshes = 0
-        self.last_timestamp = int(
-            max(
-                (doc.timestamp for doc in graph.documents),
-                default=0,
-            )
-        )
+        self.last_timestamp = max(graph.doc_time.tolist(), default=0)
 
     # ------------------------------------------------------------- dimensions
 
     @property
     def n_documents(self) -> int:
         return self.sampler.state.n_docs
-
-    @property
-    def n_dirty(self) -> int:
-        return len(self._dirty)
 
     # ---------------------------------------------------------------- appends
 

@@ -3,7 +3,7 @@
 from .pipeline import PreprocessOptions, Preprocessor
 from .stemmer import stem, stem_tokens
 from .stopwords import FUNCTION_WORDS, STOP_WORDS, is_function_word, is_stop_word
-from .tokenizer import is_hashtag, tokenize, tokenize_all
+from .tokenizer import tokenize
 
 __all__ = [
     "FUNCTION_WORDS",
@@ -11,10 +11,8 @@ __all__ = [
     "Preprocessor",
     "STOP_WORDS",
     "is_function_word",
-    "is_hashtag",
     "is_stop_word",
     "stem",
     "stem_tokens",
     "tokenize",
-    "tokenize_all",
 ]

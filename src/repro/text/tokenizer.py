@@ -8,7 +8,6 @@ queries). URLs and ``@mentions`` carry no topical content and are dropped.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator
 
 _URL_RE = re.compile(r"https?://\S+|www\.\S+", re.IGNORECASE)
 _MENTION_RE = re.compile(r"@\w+")
@@ -26,14 +25,3 @@ def tokenize(text: str) -> list[str]:
     cleaned = _URL_RE.sub(" ", text)
     cleaned = _MENTION_RE.sub(lambda m: m.group(0)[1:], cleaned)
     return [token.lower() for token in _TOKEN_RE.findall(cleaned)]
-
-
-def tokenize_all(texts: Iterable[str]) -> Iterator[list[str]]:
-    """Tokenise a stream of documents lazily."""
-    for text in texts:
-        yield tokenize(text)
-
-
-def is_hashtag(token: str) -> bool:
-    """True when ``token`` is a Twitter-style hashtag."""
-    return token.startswith("#") and len(token) > 1

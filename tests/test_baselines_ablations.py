@@ -84,7 +84,7 @@ class TestCPDVariantAdapter:
     def test_no_heterogeneity_scores_by_similarity(self, twitter_tiny, ablation_config):
         graph, _ = twitter_tiny
         model = CPDVariant(ablation_config, "no_heterogeneity").fit(graph, rng=0)
-        doc_user = graph.document_user_array()
+        doc_user = graph.doc_user
         pi = model.result.pi
         src, tgt = np.array([0, 4]), np.array([7, 9])
         expected = np.einsum("ij,ij->i", pi[doc_user[src]], pi[doc_user[tgt]])

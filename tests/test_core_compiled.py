@@ -313,7 +313,8 @@ def _exact_topic_weights(state, doc, community, length):
     words_beta = state.n_words * state.beta
     for z in range(state.n_topics):
         terms = [math.log(state.community_topic[community, z] + state.alpha)]
-        for word, count in zip(state._doc_unique_words[doc], state._doc_unique_counts[doc]):
+        span = slice(state._unique_indptr[doc], state._unique_indptr[doc + 1])
+        for word, count in zip(state._unique_words[span], state._unique_counts[span]):
             gathered = state.topic_word[z, word] + state.beta
             terms += [math.log(gathered + i) for i in range(int(count))]
         total = state.topic_totals[z] + words_beta

@@ -33,7 +33,7 @@ class TestInitialisation:
 
     def test_popularity_tracks_assignments(self, sampler, twitter_tiny):
         graph, _ = twitter_tiny
-        assert sampler.popularity.counts_matrix().sum() == graph.n_documents
+        assert sampler.popularity._counts.sum() == graph.n_documents
 
 
 class TestSweep:
@@ -58,7 +58,7 @@ class TestSweep:
     def test_popularity_in_sync_after_sweep(self, sampler, twitter_tiny):
         graph, _ = twitter_tiny
         sampler.sweep_documents()
-        counts = sampler.popularity.counts_matrix()
+        counts = sampler.popularity._counts
         assert counts.sum() == graph.n_documents
         # spot-check one (t, z) cell against the assignment vectors
         doc_times = np.array([d.timestamp for d in graph.documents])
@@ -272,7 +272,7 @@ class TestSnapshots:
         assert sampler.state.doc_community[0] == 2
         assert sampler.state.doc_topic[1] == 6
         sampler.state.check_consistency()
-        counts = sampler.popularity.counts_matrix()
+        counts = sampler.popularity._counts
         assert counts.sum() == sampler.graph.n_documents
 
     def test_apply_assignments_empty_batch(self, sampler):
@@ -288,9 +288,9 @@ class TestSnapshots:
         sampler.apply_assignments(doc_ids, communities, topics)
         sampler.state.check_consistency()
         doc_times = np.array([d.timestamp for d in graph.documents])
-        expected = np.zeros_like(sampler.popularity.counts_matrix())
+        expected = np.zeros_like(sampler.popularity._counts)
         np.add.at(expected, (doc_times, topics), 1.0)
-        np.testing.assert_array_equal(sampler.popularity.counts_matrix(), expected)
+        np.testing.assert_array_equal(sampler.popularity._counts, expected)
 
 
 class TestHeterogeneityModes:

@@ -7,7 +7,7 @@ from repro.core import CPDConfig, DiffusionParameters
 from repro.core import _compiled
 from repro.core.gibbs import CPDSampler
 from repro.core.layout import split_word_multiplicity
-from repro.core.state import counts_to_indptr, unique_word_csr
+from repro.graph.social_graph import counts_to_indptr, unique_word_csr
 
 #: the layout lives on the compiled kernel; without a toolchain a
 #: "compiled" sampler runs the reference kernel, which keeps none
@@ -76,9 +76,11 @@ class TestUniqueWordCsr:
     def test_state_views_match_per_document_unique(self, layout_setup):
         state = layout_setup.state
         for doc in range(state.n_docs):
-            words, counts = np.unique(state._doc_words[doc], return_counts=True)
-            np.testing.assert_array_equal(state._doc_unique_words[doc], words)
-            np.testing.assert_array_equal(state._doc_unique_counts[doc], counts)
+            tokens = slice(state._word_indptr[doc], state._word_indptr[doc + 1])
+            words, counts = np.unique(state._all_words[tokens], return_counts=True)
+            span = slice(state._unique_indptr[doc], state._unique_indptr[doc + 1])
+            np.testing.assert_array_equal(state._unique_words[span], words)
+            np.testing.assert_array_equal(state._unique_counts[span], counts)
 
     @needs_backend
     def test_appended_documents_extend_the_csr_and_kernel_layout(self, twitter_tiny):
@@ -93,10 +95,9 @@ class TestUniqueWordCsr:
         state = sampler.state
         for doc, words in zip(new_ids.tolist(), documents):
             expected_words, expected_counts = np.unique(words, return_counts=True)
-            np.testing.assert_array_equal(state._doc_unique_words[doc], expected_words)
-            np.testing.assert_array_equal(state._doc_unique_counts[doc], expected_counts)
-        # every per-doc view reads the current buffer, not a pre-append one
-        assert all(view.base is state._unique_words for view in state._doc_unique_words)
+            span = slice(state._unique_indptr[doc], state._unique_indptr[doc + 1])
+            np.testing.assert_array_equal(state._unique_words[span], expected_words)
+            np.testing.assert_array_equal(state._unique_counts[span], expected_counts)
         split = split_word_multiplicity(
             state._unique_words, state._unique_counts, state._unique_indptr
         )

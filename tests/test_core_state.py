@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CPDConfig
+from repro.core import CPDConfig, CPDModel, DiffusionParameters
+from repro.core import state as state_module
+from repro.core.gibbs import CPDSampler
+from repro.core.model import FitOptions
 from repro.core.state import CPDState
+from repro.graph import SocialGraph
+from repro.parallel import ParallelEStepRunner
 
 
 @pytest.fixture()
@@ -255,3 +260,65 @@ class TestInversionProperty:
         state.check_consistency()
         assert np.all(state.user_community >= 0)
         assert np.all(state.topic_word >= 0)
+
+
+#: the state attribute each of the graph's corpus arrays is shared as
+SHARED_LAYOUT = {
+    "_doc_user": "doc_user",
+    "_doc_word_lengths": "doc_lengths",
+    "_word_indptr": "token_ptr",
+    "_all_words": "tokens",
+    "_unique_words": "unique_words",
+    "_unique_counts": "unique_counts",
+    "_unique_indptr": "unique_ptr",
+}
+
+
+class TestSharedCorpusLayout:
+    def test_built_once_per_graph(self, twitter_tiny, tiny_config, monkeypatch):
+        graph, _ = twitter_tiny
+        builds, states = [], []
+        original_build = SocialGraph._build_document_arrays
+        original_init = CPDState.__init__
+
+        def counting_build(self):
+            builds.append(self)
+            original_build(self)
+
+        def recording_init(self, *args, **kwargs):
+            original_init(self, *args, **kwargs)
+            states.append(self)
+
+        def no_csr(*_args):
+            raise AssertionError("the state rebuilt the unique-word CSR")
+
+        monkeypatch.setattr(SocialGraph, "_build_document_arrays", counting_build)
+        monkeypatch.setattr(CPDState, "__init__", recording_init)
+        monkeypatch.setattr(state_module, "unique_word_csr", no_csr)
+        CPDModel(tiny_config, rng=1).fit(graph)
+        CPDModel(tiny_config, rng=2).fit(graph)
+        with ParallelEStepRunner(graph, tiny_config, n_workers=2, rng=3) as runner:
+            CPDModel(tiny_config, rng=4).fit(graph, FitOptions(document_sweeper=runner))
+        assert builds == []
+        assert len(states) == 4  # two fits, the runner's helper, the runner fit
+        for state in states:
+            for attribute, name in SHARED_LAYOUT.items():
+                assert getattr(state, attribute) is getattr(graph, name), attribute
+
+    def test_append_leaves_graph_and_other_sampler_unchanged(self, twitter_tiny, tiny_config):
+        graph, _ = twitter_tiny
+        before = {name: getattr(graph, name).copy() for name in SHARED_LAYOUT.values()}
+        params = DiffusionParameters.initial(tiny_config.n_communities, tiny_config.n_topics)
+        grown = CPDSampler(graph, tiny_config, params, rng=5)
+        other = CPDSampler(graph, tiny_config, params.copy(), rng=5)
+        grown.append_documents([np.array([1, 4, 1]), np.array([3])], [0, 1], [2, 3])
+        assert grown.state.n_docs == graph.n_documents + 2
+        assert other.state.n_docs == graph.n_documents
+        for attribute, name in SHARED_LAYOUT.items():
+            np.testing.assert_array_equal(getattr(graph, name), before[name])
+            assert getattr(other.state, attribute) is getattr(graph, name)
+            assert getattr(grown.state, attribute) is not getattr(graph, name)
+        assert other._doc_time is graph.doc_time and grown._doc_time is not graph.doc_time
+        np.testing.assert_array_equal(grown.state._doc_user[: graph.n_documents], graph.doc_user)
+        other.state.check_consistency()
+        grown.state.check_consistency()

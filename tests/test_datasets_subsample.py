@@ -49,7 +49,7 @@ class TestSubsampleGraph:
         graph, _ = twitter_tiny
         a = subsample_graph(graph, 0.5, rng=4)
         b = subsample_graph(graph, 0.5, rng=4)
-        assert a.stats().as_row() == b.stats().as_row()
+        assert a.stats() == b.stats()
 
     def test_invalid_fraction(self, twitter_tiny):
         graph, _ = twitter_tiny

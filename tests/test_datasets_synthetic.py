@@ -40,7 +40,7 @@ class TestGeneratedGraph:
                                                   n_diffusion_links=50), rng=3)
         b, _ = generate_synthetic(SyntheticConfig(n_users=30, n_friendship_links=100,
                                                   n_diffusion_links=50), rng=3)
-        assert a.stats().as_row() == b.stats().as_row()
+        assert a.stats() == b.stats()
         np.testing.assert_array_equal(a.documents[0].words, b.documents[0].words)
 
     def test_every_user_has_documents(self, twitter_tiny):
@@ -151,6 +151,6 @@ class TestScenarioFlavours:
 
     def test_no_same_user_diffusion(self, twitter_tiny):
         graph, _ = twitter_tiny
-        doc_user = graph.document_user_array()
+        doc_user = graph.doc_user
         for link in graph.diffusion_links:
             assert doc_user[link.source_doc] != doc_user[link.target_doc]

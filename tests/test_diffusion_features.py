@@ -138,4 +138,4 @@ class TestTopicPopularity:
         bulk.move_many(timestamps, old_topics, new_topics)
         for t, old, new in zip(timestamps, old_topics, new_topics):
             scalar.move(int(t), int(old), int(new))
-        np.testing.assert_array_equal(bulk.counts_matrix(), scalar.counts_matrix())
+        np.testing.assert_array_equal(bulk._counts, scalar._counts)

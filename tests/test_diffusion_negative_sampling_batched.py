@@ -34,7 +34,7 @@ def scalar_loop_negatives(graph, n_samples, rng, hard_fraction=0.5):
         for word in set(doc.words.tolist()):
             index.setdefault(word, []).append(doc.doc_id)
     observed = graph.diffusion_pairs()
-    doc_user = graph.document_user_array()
+    doc_user = graph.doc_user
     max_time = max(doc.timestamp for doc in graph.documents)
     n_docs = graph.n_documents
     negatives, seen = [], set()

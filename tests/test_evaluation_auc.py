@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.evaluation import auc_from_labels, auc_score
+from repro.evaluation import auc_score
 
 
 class TestAucScore:
@@ -65,16 +65,3 @@ class TestAucScore:
         base = auc_score(pos, neg)
         transformed = auc_score(pos * scale + shift, neg * scale + shift)
         assert transformed == pytest.approx(base, abs=1e-9)
-
-
-class TestAucFromLabels:
-    def test_matches_split_form(self):
-        scores = np.array([0.9, 0.1, 0.8, 0.3])
-        labels = np.array([1, 0, 1, 0])
-        assert auc_from_labels(scores, labels) == auc_score(
-            scores[labels == 1], scores[labels == 0]
-        )
-
-    def test_misaligned_raises(self):
-        with pytest.raises(ValueError):
-            auc_from_labels(np.ones(3), np.ones(2))

@@ -15,7 +15,7 @@ class TestRoundTrip:
         assert clone.n_documents == graph.n_documents
         assert clone.n_friendship_links == graph.n_friendship_links
         assert clone.n_diffusion_links == graph.n_diffusion_links
-        assert clone.stats().as_row() == graph.stats().as_row()
+        assert clone.stats() == graph.stats()
         np.testing.assert_array_equal(
             clone.documents[3].words, graph.documents[3].words
         )
@@ -26,7 +26,7 @@ class TestRoundTrip:
         path = tmp_path / "graph.json"
         save_graph(graph, path)
         clone = load_graph(path)
-        assert clone.stats().as_row() == graph.stats().as_row()
+        assert clone.stats() == graph.stats()
         assert clone.name == graph.name
 
     def test_gzip_roundtrip(self, tmp_path, twitter_tiny):
@@ -34,7 +34,7 @@ class TestRoundTrip:
         path = tmp_path / "graph.json.gz"
         save_graph(graph, path)
         clone = load_graph(path)
-        assert clone.stats().as_row() == graph.stats().as_row()
+        assert clone.stats() == graph.stats()
 
     def test_gzip_smaller_than_plain(self, tmp_path, twitter_tiny):
         graph, _ = twitter_tiny

@@ -7,6 +7,7 @@ from repro.graph import (
     DiffusionLink,
     Document,
     FriendshipLink,
+    GraphStats,
     SocialGraph,
     User,
     Vocabulary,
@@ -120,7 +121,9 @@ class TestDegreesAndStats:
 
     def test_stats_row(self):
         stats = make_graph().stats()
-        assert stats.as_row() == (2, 1, 2, 3, 3)
+        assert stats == GraphStats(
+            n_users=2, n_friendship_links=1, n_diffusion_links=2, n_documents=3, n_words=3
+        )
 
     def test_timestamps(self):
         np.testing.assert_array_equal(make_graph().timestamps(), [1, 2])
@@ -132,3 +135,59 @@ class TestDegreesAndStats:
 
     def test_repr_mentions_name(self):
         assert "toy" in repr(make_graph())
+
+
+def layout_graph():
+    """Three docs: a repeated word, an empty document, unsorted words."""
+    vocab = Vocabulary()
+    vocab.encode(["a", "b", "c", "d"])
+    users = [User(0, "u0", [0, 1]), User(1, "u1", [2])]
+    documents = [
+        Document(0, 0, np.array([2, 0, 2, 2]), timestamp=4),
+        Document(1, 0, np.zeros(0, dtype=np.int64), timestamp=1),
+        Document(2, 1, np.array([3, 1, 0]), timestamp=7),
+    ]
+    return SocialGraph(users, documents, [], [], vocab)
+
+
+class TestDocumentArrays:
+    def test_layout_matches_documents(self):
+        graph = layout_graph()
+        np.testing.assert_array_equal(graph.tokens, [2, 0, 2, 2, 3, 1, 0])
+        np.testing.assert_array_equal(graph.token_ptr, [0, 4, 4, 7])
+        np.testing.assert_array_equal(graph.doc_lengths, [4, 0, 3])
+        np.testing.assert_array_equal(graph.unique_words, [0, 2, 0, 1, 3])
+        np.testing.assert_array_equal(graph.unique_counts, [1.0, 3.0, 1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(graph.unique_ptr, [0, 2, 2, 5])
+        np.testing.assert_array_equal(graph.doc_user, [0, 0, 1])
+        np.testing.assert_array_equal(graph.doc_time, [4, 1, 7])
+
+    @pytest.mark.parametrize(
+        "name",
+        ["tokens", "token_ptr", "doc_lengths", "unique_words", "unique_counts",
+         "unique_ptr", "doc_user", "doc_time"],
+    )
+    def test_in_place_write_raises(self, name):
+        array = getattr(layout_graph(), name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+    def test_out_of_vocabulary_names_first_document(self):
+        parts = make_graph()
+        documents = list(parts.documents)
+        documents[1] = Document(1, 0, np.array([0, 99]))
+        documents[2] = Document(2, 1, np.array([-1]))
+        with pytest.raises(ValueError, match="document 1 has out-of-vocabulary"):
+            SocialGraph(
+                parts.users, documents, parts.friendship_links,
+                parts.diffusion_links, parts.vocabulary,
+            )
+
+    def test_unknown_user_names_first_document(self):
+        parts = make_graph()
+        documents = list(parts.documents)
+        documents[2] = Document(2, 5, np.array([0]))
+        with pytest.raises(ValueError, match="document 2 has unknown user 5"):
+            SocialGraph(
+                parts.users, documents, parts.friendship_links, [], parts.vocabulary
+            )

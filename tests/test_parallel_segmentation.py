@@ -31,7 +31,7 @@ class TestSegmentation:
         """Guideline 1 of Sect. 4.3: one user's docs share a segment."""
         graph, _ = twitter_tiny
         segments = segment_users_by_topic(graph, 4, lda_iterations=5, rng=0)
-        doc_user = graph.document_user_array()
+        doc_user = graph.doc_user
         for segment in segments:
             user_set = set(segment.users.tolist())
             assert all(int(doc_user[d]) in user_set for d in segment.doc_ids)
@@ -78,7 +78,7 @@ class TestSegmentation:
 
 def _segments_by_loop(graph, user_segment):
     """The per-segment link loops ``build_segments`` replaced."""
-    doc_user = graph.document_user_array()
+    doc_user = graph.doc_user
     rows = []
     for segment_id in np.unique(user_segment):
         users = np.flatnonzero(user_segment == segment_id)

@@ -28,7 +28,7 @@ class TestPartitionContract:
 
     def test_documents_follow_their_user(self, plan):
         graph, shard_plan = plan
-        doc_user = graph.document_user_array()
+        doc_user = graph.doc_user
         for part in shard_plan.shards:
             for local_doc, global_doc in enumerate(part.doc_ids):
                 global_user = doc_user[global_doc]
@@ -54,7 +54,7 @@ class TestPartitionContract:
 
     def test_spill_links_really_cross_shards(self, plan):
         graph, shard_plan = plan
-        doc_user = graph.document_user_array()
+        doc_user = graph.doc_user
         for source, target in shard_plan.spill.friendship:
             assert shard_plan.user_shard[source] != shard_plan.user_shard[target]
         for source_doc, target_doc, _t in shard_plan.spill.diffusion:

@@ -117,7 +117,7 @@ class TestAppendDocuments:
 
     def test_popularity_is_maintained_incrementally(self, warm, rng):
         graph, sampler = warm
-        before = sampler.popularity.counts_matrix()
+        before = sampler.popularity._counts.copy()
         documents, users, timestamps = _arrivals(graph, rng, n_docs=4)
         communities = rng.integers(0, sampler.config.n_communities, size=4)
         topics = rng.integers(0, sampler.config.n_topics, size=4)
@@ -126,7 +126,7 @@ class TestAppendDocuments:
         )
         expected = before.copy()
         np.add.at(expected, (timestamps, topics), 1.0)
-        np.testing.assert_array_equal(sampler.popularity.counts_matrix(), expected)
+        np.testing.assert_array_equal(sampler.popularity._counts, expected)
 
     def test_append_beyond_known_time_buckets_grows_the_table(self, warm, rng):
         graph, sampler = warm
@@ -235,12 +235,12 @@ class TestRefresher:
             documents, users, timestamps, communities, topics
         )
         refresher.append_links([int(new_ids[0])], [0], [1])
-        assert refresher.n_dirty == len(new_ids) + 1  # plus link endpoint 0
+        assert len(refresher._dirty) == len(new_ids) + 1  # plus link endpoint 0
         untouched = refresher.sampler.state.doc_community[1:10].copy()
         report = refresher.refresh()
         assert report.n_documents == len(new_ids) + 1
         assert report.n_reassigned == report.moved_into.sum()
-        assert refresher.n_dirty == 0
+        assert not refresher._dirty
         np.testing.assert_array_equal(
             refresher.sampler.state.doc_community[1:10], untouched
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.text import is_hashtag, tokenize, tokenize_all
+from repro.text import tokenize
 
 
 class TestTokenize:
@@ -43,20 +43,3 @@ class TestTokenize:
 
     def test_hashtag_with_dash(self):
         assert tokenize("#state-of-art stuff") == ["#state-of-art", "stuff"]
-
-
-class TestTokenizeAll:
-    def test_lazy_stream(self):
-        out = list(tokenize_all(["One two", "Three"]))
-        assert out == [["one", "two"], ["three"]]
-
-
-class TestIsHashtag:
-    def test_positive(self):
-        assert is_hashtag("#nlp")
-
-    def test_negative(self):
-        assert not is_hashtag("nlp")
-
-    def test_bare_hash(self):
-        assert not is_hashtag("#")
