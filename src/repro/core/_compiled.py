@@ -25,13 +25,24 @@ ctypes mirror, so the two can never drift.
 
 The same struct feeds ``cpd_link_tilts`` and ``cpd_link_components`` (the
 Eq. 15/16 Pólya-Gamma tilts and the Eq. 5 components of any link batch).
-The translation unit also carries ``cpd_pg1``, one round of exact
-Pólya-Gamma draws for the augmentation variables (:func:`pg1_rounds`, behind
-``sampling/polya_gamma.py:sample_pg_array``), and ``cpd_lda_sweep``, one
+The translation unit also carries ``cpd_pg1_draw``, every round of exact
+Pólya-Gamma draws for the augmentation variables (:func:`pg1_draws`, behind
+``sampling/polya_gamma.py:sample_pg_array``), ``cpd_lda_sweep``, one
 collapsed-Gibbs LDA sweep for the topic segmentation of the parallel
 scheduler and the sharder (:func:`lda_sweep`, behind ``topics/lda.py``),
-and ``cpd_logistic_newton``, the projected-Newton solve of the ``nu``
-M-step (:func:`logistic_newton`, behind ``diffusion/logistic.py``).
+``cpd_logistic_newton``, the projected-Newton solve of the ``nu`` M-step
+(:func:`logistic_newton`, behind ``diffusion/logistic.py``), and
+``cpd_negative_diffusion_keys``, that M-step's negative sampler
+(:func:`negative_diffusion_keys`, behind
+``diffusion/negative_sampling.py``).
+
+Random numbers are drawn inside C from the caller's ``Generator``: each
+drawing entry gets the address of its bit generator's numpy ``bitgen_t``
+(:func:`bit_generator`) and runs under that bit generator's lock. C reads
+it as numpy's ``random()`` and ``integers(0, bound)`` do, for bounds up
+to :data:`MAX_BOUND`, so every compiled path consumes the same stream,
+in the same order, as the numpy code it replaces (DESIGN.md §10, "RNG
+stream contract"); :func:`draw_integers` serves ``CPDState.random_init``.
 
 Set ``REPRO_COMPILED_DISABLE=1`` to force the fallback path (used by CI to
 assert the no-toolchain story); ``REPRO_CC_CACHE_DIR`` overrides the
@@ -55,6 +66,8 @@ import numpy as np
 DISABLE_ENV = "REPRO_COMPILED_DISABLE"
 #: override for the compiled shared-object cache directory
 CACHE_ENV = "REPRO_CC_CACHE_DIR"
+#: the widest ``integers(0, bound)`` range C draws (numpy's 32-bit path)
+MAX_BOUND = 1 << 32
 
 
 class CompiledBackendUnavailable(RuntimeError):
@@ -155,6 +168,7 @@ _CTX_FIELDS: tuple[tuple[str, str], ...] = (
     ("scratch_base", "p_f64"),
     ("scratch_cum", "p_f64"),
     ("scratch_eta", "p_f64"),  # [z][k][d] Eq. 5 fold, C * C * Z
+    ("scratch_bilinear", "p_f64"),  # Eq. 13 per-topic link sums, Z
     # Eq. 14 friendship statistics of user friend_user (-1: none held)
     ("friend_user", "i64"),
     ("scratch_friend_sum", "p_f64"),   # S = sum_v pi_v, C
@@ -237,6 +251,50 @@ typedef struct {
 __STRUCT_BODY__
 } CpdCtx;
 
+/* numpy's bitgen_t (numpy/random/bitgen.h): the bit generator behind a
+   Generator. C draws from it directly; the Python caller holds its lock
+   for the whole call, as numpy's own draws do. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} Bitgen;
+
+/* Generator.random(): one double */
+static inline double rng_uniform(Bitgen *rng) { return rng->next_double(rng->state); }
+
+/* Generator.integers(0, bound) for 1 <= bound <= 2^32, draw for draw: numpy's
+   random_bounded_uint64 reads nothing for bound 1, one raw 32-bit word for
+   2^32, else runs Lemire's multiply-and-reject on 32-bit words (the bit
+   generator itself carries any unused half of a 64-bit word between calls). */
+static inline int64_t rng_bounded(Bitgen *rng, uint64_t bound) {
+    const uint32_t top = (uint32_t)(bound - 1);
+    if (top == 0) return 0;
+    if (top == UINT32_MAX) return (int64_t)rng->next_uint32(rng->state);
+    const uint32_t excl = top + 1;
+    uint64_t m = (uint64_t)rng->next_uint32(rng->state) * excl;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < excl) {
+        const uint32_t threshold = (UINT32_MAX - top) % excl;
+        while (leftover < threshold) {
+            m = (uint64_t)rng->next_uint32(rng->state) * excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (int64_t)(m >> 32);
+}
+
+/* out[i * n_bounds + k] = Generator.integers(0, bounds[k]), row by row: the
+   scalar calls of a loop over i and then k. Bounds lie in [1, 2^32]. */
+void cpd_draw_integers(Bitgen *rng, const int64_t *bounds, int64_t n_bounds, int64_t n,
+                       int64_t *out) {
+    for (int64_t i = 0; i < n; ++i)
+        for (int64_t k = 0; k < n_bounds; ++k)
+            out[i * n_bounds + k] = rng_bounded(rng, (uint64_t)bounds[k]);
+}
+
 static void refresh_pi_row(CpdCtx *c, int64_t user) {
     const int64_t C = c->n_communities;
     const double denom = c->user_totals[user] + c->pi_denom_offset;
@@ -315,32 +373,38 @@ void cpd_topic_log_weights(CpdCtx *c, int64_t doc, int64_t community, double *ou
        then score each link with an O(C) inner product per topic */
     const double *pi_u = c->pi_cache + c->doc_user[doc] * C;
     const double *theta = c->theta_cache;
-    double *wu = c->scratch_wu;          /* weighted_u[k, z] */
-    /* folded[z, d] = theta[d, z] * sum_k wu[k,z] eta[k,d,z], contiguous in d */
-    double *folded = c->scratch_folded;
+    double *restrict wu = c->scratch_wu;          /* weighted_u[k, z] */
+    /* by_topic[z, d] = theta[d, z] * sum_k wu[k,z] eta[k,d,z], contiguous in
+       d while it is summed, then transposed to folded[d, z] */
+    double *restrict by_topic = c->scratch_folded, *restrict folded = c->scratch_folded + C * Z;
     for (int64_t k = 0; k < C; ++k)
         for (int64_t z = 0; z < Z; ++z) wu[k * Z + z] = pi_u[k] * theta[k * Z + z];
     for (int64_t z = 0; z < Z; ++z) {
         const double *eta_z = c->eta_oriented + (Z + z) * C * C; /* [z][c][d] */
-        double *fz = folded + z * C;
+        double *fz = by_topic + z * C;
         for (int64_t d = 0; d < C; ++d) fz[d] = 0.0;
         for (int64_t k = 0; k < C; ++k) {
             const double w = wu[k * Z + z];
             const double *eta_row = eta_z + k * C;
             for (int64_t d = 0; d < C; ++d) fz[d] += w * eta_row[d];
         }
-        for (int64_t d = 0; d < C; ++d) fz[d] = theta[d * Z + z] * fz[d];
+        for (int64_t d = 0; d < C; ++d) folded[d * Z + z] = theta[d * Z + z] * fz[d];
     }
     for (int64_t p = start; p < end; ++p) {
-        const double *pi_v = c->pi_cache + c->dout_target_user[p] * C;
+        /* bilinear[z] = sum_d pi_v[d] folded[d, z], summed over d in order */
+        double *restrict bilinear = c->scratch_bilinear;
+        const double *restrict pi_v = c->pi_cache + c->dout_target_user[p] * C;
         const double delta = c->dout_deltas[p];
         const int64_t t = c->dout_time[p];
         const double denom = c->use_topic_factor ? pop_row_denom(c, t) : 1.0;
+        for (int64_t z = 0; z < Z; ++z) bilinear[z] = 0.0;
+        for (int64_t d = 0; d < C; ++d) {
+            const double weight = pi_v[d];
+            const double *restrict row = folded + d * Z;
+            for (int64_t z = 0; z < Z; ++z) bilinear[z] += weight * row[z];
+        }
         for (int64_t z = 0; z < Z; ++z) {
-            const double *fz = folded + z * C;
-            double bilinear = 0.0;
-            for (int64_t d = 0; d < C; ++d) bilinear += pi_v[d] * fz[d];
-            double score = c->comm_weight * bilinear + c->bias;
+            double score = c->comm_weight * bilinear[z] + c->bias;
             if (c->use_topic_factor) score += c->pop_weight * pop_cell(c, t, z, denom);
             if (c->use_individual_factor) score += c->dout_feature[p];
             out[z] += 0.5 * (score - delta * (score * score));
@@ -534,13 +598,11 @@ static void assign_doc(CpdCtx *c, int64_t doc, int64_t community, int64_t topic)
 }
 
 /* The fused sweep: Alg. 1 steps 3-6 for a whole partition of documents in
-   one call. Uniforms are pre-drawn by the caller from the sampler's
-   Generator (topic draw first, then — unless communities are fixed — the
-   community draw, per document), so the bit-stream consumption matches the
-   per-document Python path draw for draw. Returns the number of uniforms
-   consumed. */
-int64_t cpd_sweep_docs(CpdCtx *c, const int64_t *doc_ids, int64_t n,
-                       const double *uniforms) {
+   one call. Each document reads one uniform from the sampler's bit
+   generator for its topic draw, then (unless communities are fixed) one
+   for its community draw, so the stream matches the per-document Python
+   path draw for draw. Returns the number of uniforms consumed. */
+int64_t cpd_sweep_docs(CpdCtx *c, const int64_t *doc_ids, int64_t n, Bitgen *rng) {
     int64_t consumed = 0;
     c->friend_user = -1;
     for (int64_t i = 0; i < n; ++i) {
@@ -548,15 +610,17 @@ int64_t cpd_sweep_docs(CpdCtx *c, const int64_t *doc_ids, int64_t n,
         int64_t old_community, old_topic;
         unassign_doc(c, doc, &old_community, &old_topic);
         cpd_topic_log_weights(c, doc, old_community, c->scratch_z);
-        const int64_t topic = draw_cat(c->scratch_z, c->n_topics,
-                                       uniforms[consumed++], c->scratch_cum);
+        const int64_t topic = draw_cat(c->scratch_z, c->n_topics, rng_uniform(rng),
+                                       c->scratch_cum);
+        ++consumed;
         int64_t community;
         if (c->has_fixed) {
             community = c->fixed_communities[doc];
         } else {
             community_log_weights(c, doc, topic, c->scratch_c);
-            community = draw_cat(c->scratch_c, c->n_communities,
-                                 uniforms[consumed++], c->scratch_cum);
+            community = draw_cat(c->scratch_c, c->n_communities, rng_uniform(rng),
+                                 c->scratch_cum);
+            ++consumed;
         }
         assign_doc(c, doc, community, topic);
     }
@@ -564,18 +628,18 @@ int64_t cpd_sweep_docs(CpdCtx *c, const int64_t *doc_ids, int64_t n,
 }
 
 /* Exact PG(1, z) draws: Devroye's alternating-series sampler
-   (sampling/polya_gamma.py sample_pg1), one round of sample_pg_array's
-   refill protocol, operation for operation like its numpy round _pg1_round.
-   Link pending[i] reads uniforms[i * slots ...] left to right, one uniform
-   per step: the branch (tail if u < tail mass), then the tail exponential
-   -log1p(-u), or the body's chi trials (two exponentials, then an accept
-   uniform) or inverse-Gaussian trials (Box-Muller chi-square from an
-   exponential and a cosine, then a flip uniform), then the series uniform.
-   An accepted link writes out[link] = x / 4. A rejected proposal restarts
-   at the branch read. A link out of slots abandons its unfinished proposal
-   but keeps branch[link] (1 tail, 2 body, 0 none) for the next round.
-   Pending links are compacted to the front of pending, order kept; returns
-   their count. */
+   (sampling/polya_gamma.py sample_pg1) under sample_pg_array's refill
+   protocol, operation for operation like its numpy round _pg1_round.
+   Every round, pending link i reads `slots` fresh uniforms (row i of the
+   numpy round's block) left to right, one uniform per step: the branch
+   (tail if u < tail mass), then the tail exponential -log1p(-u), or the
+   body's chi trials (two exponentials, then an accept uniform) or
+   inverse-Gaussian trials (Box-Muller chi-square from an exponential and a
+   cosine, then a flip uniform), then the series uniform. An accepted link
+   writes out[link] = x / 4. A rejected proposal restarts at the branch
+   read. A link out of slots abandons its unfinished proposal but keeps its
+   branch (1 tail, 2 body, 0 none) for the next round, which draws for the
+   links still pending, in link order. */
 #define PG_T 0.64
 #define PG_PI_SQ (CPD_PI * CPD_PI)
 #define PG_INV_SQRT2 0.70710678118654752440
@@ -681,36 +745,57 @@ done:
     return ok;
 }
 
-int64_t cpd_pg1(const double *z, int64_t *pending, int64_t n_pending, int8_t *branch,
-                const double *uniforms, int64_t slots, double *out) {
-    int64_t kept = 0;
-    for (int64_t i = 0; i < n_pending; ++i) {
-        const int64_t link = pending[i];
-        const double *u = uniforms + i * slots;
-        const double h = 0.5 * fabs(z[link]);
-        const double fz = PG_PI_SQ / 8.0 + 0.5 * h * h;
-        int b = branch[link];
-        int64_t s = 0;
-        for (;;) {
-            double x;
-            if (b == 0) {
-                if (s == slots) break;
-                b = u[s++] < pg_tail_mass(h) ? 1 : 2;
-            }
-            if (!pg_proposal(b, h, fz, u, slots, &s, &x) || s == slots) break;
-            if (pg_series_accepts(x, u[s++])) {
-                out[link] = 0.25 * x;
-                b = -1;
-                break;
-            }
-            b = 0;
+/* One link's round from its uniforms u[0, slots): 1 when it accepted a
+   draw into *out, else 0 with *branch kept for the next round. */
+static int pg1_link_round(double z, const double *u, int64_t slots, int8_t *branch,
+                          double *out) {
+    const double h = 0.5 * fabs(z);
+    const double fz = PG_PI_SQ / 8.0 + 0.5 * h * h;
+    int b = *branch;
+    int64_t s = 0;
+    for (;;) {
+        double x;
+        if (b == 0) {
+            if (s == slots) break;
+            b = u[s++] < pg_tail_mass(h) ? 1 : 2;
         }
-        if (b >= 0) {
-            branch[link] = (int8_t)b;
-            pending[kept++] = link;
+        if (!pg_proposal(b, h, fz, u, slots, &s, &x) || s == slots) break;
+        if (pg_series_accepts(x, u[s++])) {
+            *out = 0.25 * x;
+            return 1;
         }
+        b = 0;
     }
-    return kept;
+    *branch = (int8_t)b;
+    return 0;
+}
+
+/* PG(1, z[i]) into out[i] for all n links, every round in this call.
+   Returns 0, or -1 (nothing drawn) when scratch cannot be allocated. */
+int64_t cpd_pg1_draw(Bitgen *rng, const double *z, int64_t n, int64_t slots, double *out) {
+    if (n <= 0) return 0;
+    int64_t *pending = malloc(sizeof(int64_t) * (size_t)n);
+    int8_t *branch = calloc((size_t)n, 1);
+    double *u = malloc(sizeof(double) * (size_t)slots);
+    int64_t result = -1;
+    if (!pending || !branch || !u) goto cleanup;
+    for (int64_t i = 0; i < n; ++i) pending[i] = i;
+    for (int64_t n_pending = n; n_pending;) {
+        int64_t kept = 0;
+        for (int64_t i = 0; i < n_pending; ++i) {
+            const int64_t link = pending[i];
+            for (int64_t s = 0; s < slots; ++s) u[s] = rng_uniform(rng);
+            if (!pg1_link_round(z[link], u, slots, branch + link, out + link))
+                pending[kept++] = link;
+        }
+        n_pending = kept;
+    }
+    result = 0;
+cleanup:
+    free(pending);
+    free(branch);
+    free(u);
+    return result;
 }
 
 /* numpy's pairwise summation (the float64 add.reduce inner loop), term for
@@ -1122,6 +1207,150 @@ void cpd_link_tilts(CpdCtx *c, int64_t which, int64_t start, int64_t stop, doubl
         free(pop_denom);
     }
 }
+
+/* Negative diffusion pairs: the rejection loop of diffusion/
+   negative_sampling.py sample_negative_diffusion_pairs in one call, draw
+   for draw like its numpy spec (_rejection_sample over propose). A round of
+   `size` proposals reads, as the spec's array calls do: every source, every
+   target, every hard-coin uniform, then one rare-word uniform per hard
+   proposal whose source has words, then one posting-list offset per such
+   proposal. Proposals are then taken in draw order: one that failed its
+   checks (a hard source without words, a same-user pair) is skipped, and a
+   passing key not in the set (the forbidden keys and the keys accepted so
+   far) is accepted and added, until n_samples are held. Rounds are sized
+   and budgeted as in the spec. Returns the number of keys written to out
+   (room for every key the call can accept), or -1 when scratch cannot be
+   allocated. */
+
+/* the rare word of document `doc`: the first position of its slice of
+   word_cum above before + u * (slice total), the last one if none is; the
+   spec's global searchsorted clipped to the slice gives the same position,
+   as word_cum never decreases */
+static int64_t rare_word(const int64_t *doc_ptr, const int64_t *doc_words,
+                         const double *word_cum, int64_t doc, double u) {
+    const int64_t start = doc_ptr[doc], end = doc_ptr[doc + 1];
+    const double before = start > 0 ? word_cum[start - 1] : 0.0;
+    const double target = before + u * (word_cum[end - 1] - before);
+    int64_t lo = start, hi = end - 1;
+    while (lo < hi) {
+        const int64_t mid = lo + (hi - lo) / 2;
+        if (word_cum[mid] > target) hi = mid; else lo = mid + 1;
+    }
+    return doc_words[lo];
+}
+
+/* open-addressing set of non-negative keys (-1 marks an empty slot), kept
+   at most half full */
+typedef struct {
+    int64_t *slots;
+    uint64_t mask, count;
+} KeySet;
+
+static int keyset_place(int64_t *slots, uint64_t mask, int64_t key) {
+    uint64_t hash = (uint64_t)key * 0x9E3779B97F4A7C15ULL;
+    uint64_t at = (hash ^ (hash >> 32)) & mask;
+    while (slots[at] >= 0) {
+        if (slots[at] == key) return 0;
+        at = (at + 1) & mask;
+    }
+    slots[at] = key;
+    return 1;
+}
+
+static int keyset_init(KeySet *set, uint64_t expected) {
+    uint64_t capacity = 16;
+    while (capacity < 2 * expected) capacity <<= 1;
+    set->slots = malloc(sizeof(int64_t) * capacity);
+    set->mask = capacity - 1;
+    set->count = 0;
+    if (!set->slots) return -1;
+    for (uint64_t i = 0; i < capacity; ++i) set->slots[i] = -1;
+    return 0;
+}
+
+/* 1 when key was added, 0 when it was there, -1 when growing failed */
+static int keyset_add(KeySet *set, int64_t key) {
+    if (!keyset_place(set->slots, set->mask, key)) return 0;
+    if (2 * ++set->count <= set->mask + 1) return 1;
+    KeySet grown;
+    if (keyset_init(&grown, set->count * 2) < 0) return -1;
+    for (uint64_t i = 0; i <= set->mask; ++i)
+        if (set->slots[i] >= 0) keyset_place(grown.slots, grown.mask, set->slots[i]);
+    grown.count = set->count;
+    free(set->slots);
+    *set = grown;
+    return 1;
+}
+
+int64_t cpd_negative_diffusion_keys(
+    Bitgen *rng, int64_t n_docs, int64_t n_samples, double hard_fraction,
+    int64_t max_batch, const int64_t *doc_ptr, const int64_t *doc_words,
+    const double *word_cum, const int64_t *word_ptr, const int64_t *word_docs,
+    const int64_t *doc_user, const int64_t *forbidden, int64_t n_forbidden,
+    int64_t *out) {
+    const int64_t budget = n_samples * 100 + 1000;
+    KeySet set;
+    /* per-proposal scratch, 33 bytes each, grown to the largest round */
+    char *scratch = NULL;
+    int64_t room = 0, accepted = -1;
+    const int64_t first_round = n_samples < max_batch ? n_samples : max_batch;
+    if (keyset_init(&set, (uint64_t)(n_forbidden + first_round)) < 0) goto cleanup;
+    for (int64_t i = 0; i < n_forbidden; ++i)
+        if (keyset_add(&set, forbidden[i]) < 0) goto cleanup;
+    accepted = 0;
+    for (int64_t attempts = 0; accepted < n_samples && attempts < budget;) {
+        const int64_t needed = n_samples - accepted;
+        /* size the round from the acceptance rate so far (a half at first) */
+        const double rate = accepted ? (double)accepted / (double)attempts : 0.5;
+        const double wanted = 1.1 * (double)needed / rate + 16.0;
+        int64_t size = budget - attempts < max_batch ? budget - attempts : max_batch;
+        if (wanted < (double)size) size = (int64_t)wanted;
+        if (size > room) {
+            char *grown = realloc(scratch, (size_t)size * (4 * sizeof(int64_t) + 1));
+            if (!grown) {
+                accepted = -1;
+                goto cleanup;
+            }
+            scratch = grown;
+            room = size;
+        }
+        int64_t *source = (int64_t *)scratch, *target = source + size;
+        int64_t *hard = target + size, *word = hard + size;
+        char *passed = (char *)(word + size);
+        attempts += size;
+        for (int64_t i = 0; i < size; ++i) source[i] = rng_bounded(rng, (uint64_t)n_docs);
+        for (int64_t i = 0; i < size; ++i) target[i] = rng_bounded(rng, (uint64_t)n_docs);
+        int64_t n_hard = 0;
+        for (int64_t i = 0; i < size; ++i) {
+            passed[i] = 1;
+            if (rng_uniform(rng) < hard_fraction) {
+                if (doc_ptr[source[i] + 1] > doc_ptr[source[i]]) hard[n_hard++] = i;
+                else passed[i] = 0;
+            }
+        }
+        for (int64_t h = 0; h < n_hard; ++h)
+            word[h] = rare_word(doc_ptr, doc_words, word_cum, source[hard[h]], rng_uniform(rng));
+        for (int64_t h = 0; h < n_hard; ++h) {
+            const int64_t first = word_ptr[word[h]];
+            const uint64_t postings = (uint64_t)(word_ptr[word[h] + 1] - first);
+            target[hard[h]] = word_docs[first + rng_bounded(rng, postings)];
+        }
+        for (int64_t i = 0; i < size && accepted < n_samples; ++i) {
+            if (!passed[i] || doc_user[source[i]] == doc_user[target[i]]) continue;
+            const int64_t key = source[i] * n_docs + target[i];
+            const int status = keyset_add(&set, key);
+            if (status < 0) {
+                accepted = -1;
+                goto cleanup;
+            }
+            if (status) out[accepted++] = key;
+        }
+    }
+cleanup:
+    free(set.slots);
+    free(scratch);
+    return accepted;
+}
 """.replace("__STRUCT_BODY__", _STRUCT_BODY)
 
 
@@ -1205,29 +1434,32 @@ def _build_library_path() -> str:
 def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     ctx_p = ctypes.POINTER(CpdCtx)
     f64_p = ctypes.POINTER(ctypes.c_double)
-    i64_p = ctypes.POINTER(ctypes.c_int64)
     library.cpd_topic_log_weights.argtypes = [ctx_p, ctypes.c_int64, ctypes.c_int64, f64_p]
     library.cpd_topic_log_weights.restype = None
     library.cpd_community_log_weights.argtypes = [ctx_p, ctypes.c_int64, ctypes.c_int64, f64_p]
     library.cpd_community_log_weights.restype = None
-    library.cpd_sweep_docs.argtypes = [ctx_p, i64_p, ctypes.c_int64, f64_p]
-    library.cpd_sweep_docs.restype = ctypes.c_int64
+    # raw addresses: the wrappers check dtypes and shapes themselves
+    void_p = ctypes.c_void_p
+    i64 = ctypes.c_int64
+    library.cpd_sweep_docs.argtypes = [ctx_p, void_p, i64, void_p]
+    library.cpd_sweep_docs.restype = i64
     library.cpd_draw_log_categorical.argtypes = [f64_p, ctypes.c_int64, ctypes.c_double, f64_p]
     library.cpd_draw_log_categorical.restype = ctypes.c_int64
-    # raw addresses: pg1_rounds checks dtypes once per draw, not per round
-    void_p = ctypes.c_void_p
-    library.cpd_pg1.argtypes = [
-        void_p, void_p, ctypes.c_int64, void_p, void_p, ctypes.c_int64, void_p
+    library.cpd_draw_integers.argtypes = [void_p, void_p, i64, i64, void_p]
+    library.cpd_draw_integers.restype = None
+    library.cpd_pg1_draw.argtypes = [void_p, void_p, i64, i64, void_p]
+    library.cpd_pg1_draw.restype = i64
+    library.cpd_negative_diffusion_keys.argtypes = [
+        void_p, i64, i64, ctypes.c_double, i64, void_p, void_p, void_p, void_p, void_p,
+        void_p, void_p, i64, void_p,
     ]
-    library.cpd_pg1.restype = ctypes.c_int64
-    i64 = ctypes.c_int64
+    library.cpd_negative_diffusion_keys.restype = i64
     library.cpd_link_components.argtypes = [ctx_p, void_p, void_p, void_p, i64, void_p, void_p]
     library.cpd_link_components.restype = i64
     library.cpd_link_tilts.argtypes = [ctx_p, i64, i64, i64, void_p]
     library.cpd_link_tilts.restype = None
     library.cpd_lda_sweep.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_double, ctypes.c_double,
-        i64_p, i64_p, i64_p, f64_p, f64_p, f64_p, f64_p, f64_p,
+        i64, i64, i64, ctypes.c_double, ctypes.c_double, *[void_p] * 8,
     ]
     library.cpd_lda_sweep.restype = None
     library.cpd_logistic_newton.argtypes = [
@@ -1274,51 +1506,115 @@ def backend_status() -> tuple[bool, str | None]:
     return True, None
 
 
-def pg1_rounds(
-    z: np.ndarray, pending: np.ndarray, branch: np.ndarray, out: np.ndarray
-) -> Callable[[np.ndarray], int]:
-    """Bind ``cpd_pg1`` to one draw's buffers; returns ``round(uniforms) -> kept``.
+def bit_generator(generator: np.random.Generator) -> tuple[object, int]:
+    """The lock and the ``bitgen_t *`` address of ``generator``'s bit generator.
 
-    The C twin of ``sampling/polya_gamma.py:_pg1_round``: a round feeds
-    row ``i`` of the ``(n_pending, slots)`` block ``uniforms`` to link
-    ``pending[i]``, writes accepted draws to ``out``, compacts the links
-    still pending to the front of ``pending`` with their branch in
-    ``branch``, and returns their count. C reads and writes every array
-    through its pointer, so each must be C-contiguous with the kernel's
-    dtype; the pointers are taken once here, since ``pending`` only ever
-    shrinks in place. Raises :class:`CompiledBackendUnavailable` without a
+    A C entry that draws holds the lock for the whole call, as numpy's own
+    draws do, and is handed the address afresh on every call, since a
+    caller may swap the Generator it draws from between calls.
+    """
+    bits = generator.bit_generator
+    return bits.lock, bits.ctypes.bit_generator.value
+
+
+def _addresses(what: str, *arrays: tuple[np.ndarray, str]) -> list[int]:
+    """Data addresses of arrays C reads or writes through raw pointers;
+    each must be C-contiguous with its kind's dtype (a silent copy would
+    divert C's writes into a throwaway buffer)."""
+    addresses = []
+    for array, kind in arrays:
+        if array.dtype != _POINTER_DTYPES[kind] or not array.flags.c_contiguous:
+            raise ValueError(
+                f"{what} arrays must be C-contiguous {_POINTER_DTYPES[kind]}, "
+                f"got {array.dtype} (contiguous={array.flags.c_contiguous})"
+            )
+        addresses.append(array.ctypes.data)
+    return addresses
+
+
+def draw_integers(generator: np.random.Generator, bounds: tuple[int, ...], n: int) -> np.ndarray:
+    """``generator.integers(0, bound)`` for each of ``bounds``, ``n`` times
+    over (``cpd_draw_integers``): an ``(n, len(bounds))`` int64 array drawn
+    row by row, the stream of those scalar calls in that order. Bounds must
+    lie in ``[1, MAX_BOUND]``. Raises :class:`CompiledBackendUnavailable`
+    without a backend.
+    """
+    library = load_library()
+    limits = np.asarray(bounds, dtype=np.int64)
+    if limits.ndim != 1 or n < 0 or ((limits < 1) | (limits > MAX_BOUND)).any():
+        raise ValueError(f"bounds must lie in [1, {MAX_BOUND}] and n must be >= 0")
+    out = np.empty((n, len(limits)), dtype=np.int64)
+    lock, address = bit_generator(generator)
+    with lock:
+        library.cpd_draw_integers(address, limits.ctypes.data, len(limits), n, out.ctypes.data)
+    return out
+
+
+def pg1_draws(z: np.ndarray, slots: int, generator: np.random.Generator) -> np.ndarray:
+    """Exact PG(1, z_i) draws for the 1-D float64 array ``z`` (``cpd_pg1_draw``).
+
+    Every refill round of ``sampling/polya_gamma.py:sample_pg_array`` runs
+    in this one C call, each pending link reading ``slots`` uniforms per
+    round straight from ``generator``'s bit generator, in the order the
+    numpy rounds read their ``rng.random((n_pending, slots))`` blocks.
+    ``slots`` must be at least 4, the most a proposal with a carried branch
+    reads. Raises :class:`CompiledBackendUnavailable` without a backend.
+    """
+    library = load_library()
+    if z.ndim != 1 or slots < 4:
+        raise ValueError("PG draws need a 1-D tilt array and at least 4 slots")
+    out = np.empty(z.shape[0])
+    z_p, out_p = _addresses("PG draw", (z, "p_f64"), (out, "p_f64"))
+    lock, address = bit_generator(generator)
+    with lock:
+        status = library.cpd_pg1_draw(address, z_p, z.shape[0], slots, out_p)
+    if status < 0:
+        raise MemoryError("cannot allocate the PG draw's scratch")
+    return out
+
+
+def negative_diffusion_keys(
+    table, n_samples: int, forbidden: np.ndarray, hard_fraction: float,
+    max_batch: int, generator: np.random.Generator,
+) -> np.ndarray:
+    """Keys ``source * n_docs + target`` of up to ``n_samples`` negative
+    diffusion pairs, in draw order (``cpd_negative_diffusion_keys``).
+
+    The C form of ``diffusion/negative_sampling.py``'s rejection loop over
+    the ``WordDocumentIndex`` ``table``, draw for draw: the same keys and
+    the same Generator end state. ``forbidden`` holds the keys that may
+    not be drawn. The table's arrays are trusted as
+    ``build_word_document_index`` builds them; ``n_docs`` must not exceed
+    ``MAX_BOUND``. Raises :class:`CompiledBackendUnavailable` without a
     backend.
     """
     library = load_library()
-    if not (z.ndim == 1 and pending.shape == branch.shape == out.shape == z.shape):
-        raise ValueError("PG round arrays must match z in shape")
-    for array, kind in ((z, "p_f64"), (pending, "p_i64"), (branch, "p_i8"), (out, "p_f64")):
-        if array.dtype != _POINTER_DTYPES[kind] or not array.flags.c_contiguous:
-            raise ValueError(
-                f"PG round arrays must be C-contiguous {_POINTER_DTYPES[kind]}, "
-                f"got {array.dtype} (contiguous={array.flags.c_contiguous})"
-            )
-    if pending.size and not (0 <= pending.min() and pending.max() < z.shape[0]):
-        raise ValueError("pending link ids must index z")
-    z_p, pending_p, branch_p, out_p = (
-        z.ctypes.data, pending.ctypes.data, branch.ctypes.data, out.ctypes.data
+    n_docs = table.doc_user.shape[0]
+    if not (
+        1 <= n_docs <= MAX_BOUND
+        and table.doc_ptr.shape == (n_docs + 1,)
+        and table.doc_ptr[-1] == table.doc_words.shape[0] == table.word_cum.shape[0]
+        and table.word_ptr[-1] == table.word_docs.shape[0]
+    ):
+        raise ValueError("inconsistent word-document index")
+    out = np.empty(max(0, min(n_samples, n_docs * n_docs)), dtype=np.int64)
+    if not len(out):
+        return out
+    *tables, forbidden_p, out_p = _addresses(
+        "negative sampling",
+        (table.doc_ptr, "p_i64"), (table.doc_words, "p_i64"), (table.word_cum, "p_f64"),
+        (table.word_ptr, "p_i64"), (table.word_docs, "p_i64"), (table.doc_user, "p_i64"),
+        (forbidden, "p_i64"), (out, "p_i64"),
     )
-
-    def draw_round(uniforms: np.ndarray) -> int:
-        if not (
-            uniforms.ndim == 2
-            and uniforms.shape[0] <= pending.shape[0]
-            and uniforms.dtype == np.float64
-            and uniforms.flags.c_contiguous
-        ):
-            raise ValueError("PG round needs a C-contiguous float64 row per pending link")
-        n_pending, slots = uniforms.shape
-        return library.cpd_pg1(
-            z_p, pending_p, n_pending, branch_p, uniforms.ctypes.data, slots, out_p
+    lock, address = bit_generator(generator)
+    with lock:
+        count = library.cpd_negative_diffusion_keys(
+            address, n_docs, n_samples, float(hard_fraction), max_batch, *tables,
+            forbidden_p, forbidden.shape[0], out_p,
         )
-
-    draw_round.buffers = (z, pending, branch, out)  # C keeps their raw addresses
-    return draw_round
+    if count < 0:
+        raise MemoryError("cannot allocate the negative sampler's scratch")
+    return out[:count]
 
 
 def lda_sweep(
@@ -1354,18 +1650,12 @@ def lda_sweep(
     ):
         raise ValueError("inconsistent LDA sweep shapes")
     weights = np.empty(n_topics, dtype=np.float64)  # per-token scratch
-    pointers = []
-    for array, kind in (
+    pointers = _addresses(
+        "LDA sweep",
         (words, "p_i64"), (indptr, "p_i64"), (assignments, "p_i64"),
         (topic_word, "p_f64"), (doc_topic, "p_f64"), (topic_totals, "p_f64"),
         (uniforms, "p_f64"), (weights, "p_f64"),
-    ):
-        if array.dtype != _POINTER_DTYPES[kind] or not array.flags.c_contiguous:
-            raise ValueError(
-                f"LDA sweep arrays must be C-contiguous {_POINTER_DTYPES[kind]}, "
-                f"got {array.dtype} (contiguous={array.flags.c_contiguous})"
-            )
-        pointers.append(array.ctypes.data_as(_CTYPES_TYPES[kind]))
+    )
     library.cpd_lda_sweep(n_docs, n_topics, n_words, float(alpha), float(beta), *pointers)
 
 

@@ -231,11 +231,11 @@ class CompiledKernel:
     its array (an M-step swap, a snapshot load, a popularity rebuild, a
     streaming append, a helper refresh), so those keep working unchanged.
 
-    RNG contract: the sweep pre-draws one uniform per categorical draw from
-    the sampler's ``Generator`` (``rng.random(k)`` consumes the same bit
-    stream as ``k`` scalar draws), so matched seeds stay aligned with the
-    reference kernel draw for draw; the PG draws read the same uniform
-    blocks as ``sample_pg_array``.
+    RNG contract: C reads the bit generator of the sampler's current
+    ``Generator`` directly, under its lock (DESIGN.md §10): the sweep one
+    uniform per categorical draw, as ``rng.random()`` would give it, so
+    matched seeds stay aligned with the reference kernel draw for draw;
+    the PG draws read the stream of ``sample_pg_array``'s uniform blocks.
 
     The C conditionals are exact rewrites of the reference loops: Eq. 13's
     word likelihood as one running product per topic (a ``log`` only when
@@ -272,11 +272,12 @@ class CompiledKernel:
             "scratch_z": np.empty(n_topics),
             "scratch_c": np.empty(n_communities),
             "scratch_wu": np.empty(n_communities * n_topics),
-            "scratch_folded": np.empty(n_communities * n_topics),
+            "scratch_folded": np.empty(2 * n_communities * n_topics),
             "scratch_q": np.empty(n_communities),
             "scratch_base": np.empty(n_communities),
             "scratch_cum": np.empty(max(n_topics, n_communities)),
             "scratch_eta": np.empty(n_communities * n_communities * n_topics),
+            "scratch_bilinear": np.empty(n_topics),
             "scratch_friend_sum": np.empty(n_communities),
             "scratch_friend_gram": np.empty(n_communities * n_communities),
         }
@@ -569,19 +570,10 @@ class CompiledKernel:
         if state.n_unassigned and np.any(state.doc_topic[ids] < 0):
             raise ValueError("compiled sweep requires currently-assigned documents")
         ctx = self._sync()
-        draws_per_doc = 1 if sampler.fixed_communities is not None else 2
-        uniforms = sampler.rng.random(draws_per_doc * n)
-        consumed = self._lib.cpd_sweep_docs(
-            ctx,
-            ids.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-            ctypes.c_int64(n),
-            uniforms.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-        )
-        if consumed != draws_per_doc * n:
-            raise RuntimeError(
-                f"compiled sweep consumed {consumed} uniforms, "
-                f"expected {draws_per_doc * n}"
-            )
+        # the sampler's current Generator: the thread runner swaps it per sweep
+        lock, bit_generator = _compiled.bit_generator(sampler.rng)
+        with lock:
+            consumed = self._lib.cpd_sweep_docs(ctx, ids.ctypes.data, n, bit_generator)
         return SweepStats(
             kernel=self.name,
             n_docs=n,

@@ -21,6 +21,7 @@ import numpy as np
 
 from ..graph.social_graph import SocialGraph, counts_to_indptr, unique_word_csr
 from ..sampling.rng import RngLike, ensure_rng
+from . import _compiled
 from .config import CPDConfig
 
 
@@ -342,28 +343,30 @@ class CPDState:
     def random_init(self, rng: RngLike = None, fixed_communities: np.ndarray | None = None) -> None:
         """Uniformly random initial assignments (optionally with frozen C).
 
-        The draws stay scalar ``integers`` calls, community then topic per
-        document (an array call reads the Generator differently); the
-        counts are then built at once by :meth:`load_assignments`. The
-        state must be wholly unassigned.
+        The draws are the scalar ``integers`` calls of a per-document loop,
+        community then topic (an array call reads the Generator
+        differently), made in one C call (``cpd_draw_integers``) when the
+        backend loads; the counts are then built at once by
+        :meth:`load_assignments`. The state must be wholly unassigned.
         """
         if self.n_unassigned != self.n_docs:
             raise ValueError("random_init needs a wholly unassigned state")
         generator = ensure_rng(rng)
-        integers = generator.integers
         n_communities, n_topics = self.n_communities, self.n_topics
-        communities = [0] * self.n_docs
-        topics = [0] * self.n_docs
-        fixed = None if fixed_communities is None else np.asarray(fixed_communities).tolist()
-        for doc_id in range(self.n_docs):
-            if fixed is None:
-                communities[doc_id] = int(integers(0, n_communities))
-            else:
-                communities[doc_id] = int(fixed[doc_id])
-            topics[doc_id] = int(integers(0, n_topics))
-        self.load_assignments(
-            np.asarray(communities, dtype=np.int64), np.asarray(topics, dtype=np.int64)
-        )
+        bounds = (n_topics,) if fixed_communities is not None else (n_communities, n_topics)
+        draws = None
+        if max(bounds) <= _compiled.MAX_BOUND:
+            try:
+                draws = _compiled.draw_integers(generator, bounds, self.n_docs)
+            except _compiled.CompiledBackendUnavailable:
+                pass
+        if draws is None:
+            draws = np.array(
+                [[generator.integers(0, bound) for bound in bounds] for _ in range(self.n_docs)],
+                dtype=np.int64,
+            ).reshape(self.n_docs, len(bounds))
+        communities = draws[:, 0] if fixed_communities is None else fixed_communities
+        self.load_assignments(communities, draws[:, -1])
 
     # ------------------------------------------------------------ estimators
 

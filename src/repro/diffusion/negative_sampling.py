@@ -130,6 +130,43 @@ def sample_negative_diffusion_pairs(
     if len(table.doc_user) != n_docs:
         raise ValueError("word_index was built for a different graph")
 
+    forbidden = table.observed
+    if exclude:
+        forbidden = np.union1d(forbidden, _pair_keys(exclude, n_docs))
+    keys = _diffusion_keys(table, n_samples, forbidden, hard_fraction, generator)
+    if len(keys) < n_samples and not allow_fewer:
+        raise RuntimeError(
+            f"could only sample {len(keys)}/{n_samples} negative diffusion pairs"
+        )
+    source, target = np.divmod(keys, n_docs)
+    timestamps = generator.integers(0, table.max_time + 1, len(keys))
+    return np.column_stack([source, target, timestamps])
+
+
+def _diffusion_keys(
+    table: WordDocumentIndex,
+    n_samples: int,
+    forbidden: np.ndarray,
+    hard_fraction: float,
+    generator: np.random.Generator,
+) -> np.ndarray:
+    """Keys ``source * n_docs + target`` of up to ``n_samples`` negatives, in
+    draw order: the rejection loop in one C call when the backend loads
+    (``cpd_negative_diffusion_keys``), else the numpy spec below. Both read
+    the Generator draw for draw alike, so they return the same keys and
+    leave it in the same state."""
+    # deferred import: repro.core imports this module at package import
+    from ..core import _compiled
+
+    n_docs = len(table.doc_user)
+    if n_docs <= _compiled.MAX_BOUND:
+        try:
+            return _compiled.negative_diffusion_keys(
+                table, n_samples, forbidden, hard_fraction, MAX_BATCH, generator
+            )
+        except _compiled.CompiledBackendUnavailable:
+            pass
+
     def propose(size: int) -> tuple[np.ndarray, np.ndarray]:
         source = generator.integers(0, n_docs, size)
         target = generator.integers(0, n_docs, size)
@@ -147,17 +184,7 @@ def sample_negative_diffusion_pairs(
         passed &= table.doc_user[source] != table.doc_user[target]  # and i == j
         return source * n_docs + target, passed
 
-    forbidden = table.observed
-    if exclude:
-        forbidden = np.union1d(forbidden, _pair_keys(exclude, n_docs))
-    keys = _rejection_sample(propose, n_samples, forbidden)
-    if len(keys) < n_samples and not allow_fewer:
-        raise RuntimeError(
-            f"could only sample {len(keys)}/{n_samples} negative diffusion pairs"
-        )
-    source, target = np.divmod(keys, n_docs)
-    timestamps = generator.integers(0, table.max_time + 1, len(keys))
-    return np.column_stack([source, target, timestamps])
+    return _rejection_sample(propose, n_samples, forbidden)
 
 
 def sample_negative_friendship_pairs(

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from collections import deque
 from typing import Optional
 

@@ -18,15 +18,15 @@ exponentially tilted Jacobi density, the method the paper cites:
   round; links that do not finish go to a refill round of
   ``len(pending) x _SLOTS`` new uniforms. A link that runs out of slots
   keeps its branch (tail or body) and redraws that branch's proposal, so
-  the abandoned partial draw never biases the mixture. The compiled C
-  round (``cpd_pg1``, DESIGN.md §10) and the numpy round here read the
-  block in the same order, so matched seeds give equal draws and leave the
-  Generator in the same state on either backend.
+  the abandoned partial draw never biases the mixture. The compiled
+  sampler (``cpd_pg1_draw``, DESIGN.md §10) runs every round in one C
+  call that reads the Generator's bit generator directly, in the order
+  the numpy rounds here read their blocks, so matched seeds give equal
+  draws and leave the Generator in the same state on either backend.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -175,7 +175,7 @@ def sample_pg(b: int, z: float, rng: RngLike = None) -> float:
 
 
 def _coef_array(n: int, x: np.ndarray) -> np.ndarray:
-    """``a_n(x)`` over an array, the body branch in log space (``cpd_pg1``)."""
+    """``a_n(x)`` over an array, the body branch in log space (``cpd_pg1_draw``)."""
     k = n + 0.5
     tail = math.pi * k * np.exp(-k * k * _PI_SQ * x / 2.0)
     body = math.pi * k * np.exp(1.5 * np.log(2.0 / (math.pi * x)) - 2.0 * k * k / x)
@@ -213,7 +213,7 @@ def _pg1_round(
     """One refill round of :func:`sample_pg_array` in numpy, in place.
 
     Link ``pending[i]`` reads ``uniforms[i]`` left to right, one uniform per
-    phase, exactly as ``cpd_pg1`` does; ``uniforms`` has one row for each
+    phase, exactly as ``cpd_pg1_draw`` does; ``uniforms`` has one row for each
     of the first ``len(uniforms)`` entries of ``pending``. Accepted draws
     land in ``out``; the links still pending are compacted to the front of
     ``pending`` with their branch (0 none, 1 tail, 2 body) in ``branch``.
@@ -294,31 +294,33 @@ def sample_pg_array(
     Draws come in rounds: every pending link reads :data:`_SLOTS` uniforms
     of one ``rng.random((len(pending), _SLOTS))`` block, and the links that
     do not finish wait for the next block (see the module docstring). With
-    ``compiled=True`` each round runs in the C backend (``cpd_pg1``,
-    DESIGN.md §10) when it loads, else in numpy; both read the blocks in
-    the same order, so the draws agree to rounding and the Generator ends
-    in the same state. Raises ``ValueError`` for non-finite ``z``.
+    ``compiled=True`` every round runs in one C call (``cpd_pg1_draw``,
+    DESIGN.md §10) when the backend loads, else in numpy; C reads the
+    uniforms from the Generator's bit generator in the blocks' order, so
+    the draws agree to rounding and the Generator ends in the same state.
+    Raises ``ValueError`` for non-finite ``z``.
     """
     generator = ensure_rng(rng)
     z = np.atleast_1d(np.asarray(z, dtype=np.float64))
     if not np.isfinite(z).all():
         raise ValueError("Pólya-Gamma tilt z must be finite")
     flat = np.ascontiguousarray(z).reshape(-1)
-    out = np.empty(flat.shape[0])
-    branch = np.zeros(flat.shape[0], dtype=np.int8)
-    pending = np.arange(flat.shape[0], dtype=np.int64)
-    draw_round = functools.partial(_pg1_round, flat, pending, branch, out)
     if compiled:
         # deferred import: repro.core pulls this module in at package import
         from ..core import _compiled
 
         try:
-            draw_round = _compiled.pg1_rounds(flat, pending, branch, out)
+            return _compiled.pg1_draws(flat, _SLOTS, generator).reshape(z.shape)
         except _compiled.CompiledBackendUnavailable:
             pass
+    out = np.empty(flat.shape[0])
+    branch = np.zeros(flat.shape[0], dtype=np.int8)
+    pending = np.arange(flat.shape[0], dtype=np.int64)
     n_pending = flat.shape[0]
     while n_pending:
-        n_pending = draw_round(generator.random((n_pending, _SLOTS)))
+        n_pending = _pg1_round(
+            flat, pending, branch, out, generator.random((n_pending, _SLOTS))
+        )
     return out.reshape(z.shape)
 
 

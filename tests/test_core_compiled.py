@@ -11,6 +11,8 @@ actually compile.
 
 import ctypes
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -183,7 +185,7 @@ class TestDrawContract:
 
 @needs_backend
 class TestCompiledPolyaGamma:
-    """``cpd_pg1`` reads the uniform blocks exactly as the numpy round does."""
+    """``cpd_pg1_draw`` reads the stream of the numpy rounds' uniform blocks."""
 
     @staticmethod
     def _both(z, seed):
@@ -226,17 +228,115 @@ class TestCompiledPolyaGamma:
         np.testing.assert_allclose(plain, fused, rtol=1e-12, atol=1e-15)
         np.testing.assert_array_equal(rng_a.random(8), rng_b.random(8))
 
+    def test_single_call_equals_round_by_round_spec(self):
+        """Every refill round in one C call reads the stream the numpy
+        spec's per-round blocks read: the draws agree and the Generator
+        ends in the same state, over tilts that need several rounds."""
+        for seed in range(30):
+            z = np.random.default_rng(100 + seed).normal(scale=4.0, size=64)
+            z[::7] = 2.5  # chi-trial links, the ones that run out of slots
+            plain, fused, rng_a, rng_b = self._both(z, seed)
+            np.testing.assert_allclose(plain, fused, rtol=1e-12, atol=1e-15)
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
     def test_round_rejects_mistyped_buffers(self):
-        z, out = np.zeros(3), np.empty(3)
-        with pytest.raises(ValueError, match="int8"):
-            _compiled.pg1_rounds(z, np.arange(3), np.zeros(3), out)
-        with pytest.raises(ValueError, match="index z"):
-            _compiled.pg1_rounds(z, np.array([0, 1, 3]), np.zeros(3, np.int8), out)
-        draw_round = _compiled.pg1_rounds(z, np.arange(3), np.zeros(3, np.int8), out)
-        with pytest.raises(ValueError, match="row per pending link"):
-            draw_round(np.zeros((4, _SLOTS)))
-        with pytest.raises(ValueError, match="row per pending link"):
-            draw_round(np.zeros((3, _SLOTS), dtype=np.float32))
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="float64"):
+            _compiled.pg1_draws(np.zeros(3, dtype=np.float32), _SLOTS, rng)
+        with pytest.raises(ValueError, match="float64"):
+            _compiled.pg1_draws(np.zeros(6)[::2], _SLOTS, rng)
+        with pytest.raises(ValueError, match="1-D"):
+            _compiled.pg1_draws(np.zeros((2, 3)), _SLOTS, rng)
+        # fewer than 4 slots could never finish a body proposal
+        with pytest.raises(ValueError, match="4 slots"):
+            _compiled.pg1_draws(np.zeros(3), 3, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+@needs_backend
+class TestBitGeneratorDraws:
+    """C reads the Generator's bit generator exactly as numpy's own calls do."""
+
+    BOUNDS = (1, 2, 3, 7, 12, 1001, 2**31 + 1, 2**32 - 5, 2**32 - 1, 2**32)
+
+    def test_integers_match_the_generator(self):
+        for seed in range(40):
+            rng, spec = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = _compiled.draw_integers(rng, self.BOUNDS, 25)
+            expected = [[spec.integers(0, bound) for bound in self.BOUNDS] for _ in range(25)]
+            np.testing.assert_array_equal(drawn, expected)
+            assert drawn.dtype == np.int64
+            assert rng.bit_generator.state == spec.bit_generator.state
+
+    def test_array_high_form(self):
+        """``integers(0, highs)`` with an array of highs reads one bounded
+        draw per entry, as a row of scalar calls does."""
+        highs = np.array([5, 1, 2**32 - 1, 9, 1, 2**32, 3], dtype=np.int64)
+        for seed in range(40):
+            rng, spec = np.random.default_rng(seed), np.random.default_rng(seed)
+            np.testing.assert_array_equal(
+                _compiled.draw_integers(rng, tuple(highs), 1)[0], spec.integers(0, highs)
+            )
+            assert rng.bit_generator.state == spec.bit_generator.state
+
+    def test_half_word_carried_between_calls(self):
+        """An odd number of 32-bit reads leaves half a 64-bit word in the bit
+        generator; numpy's next bounded draw takes it, ``random()`` does not,
+        and the next C call continues from wherever numpy left it."""
+        for seed in range(40):
+            rng, spec = np.random.default_rng(seed), np.random.default_rng(seed)
+            mixed = [
+                _compiled.draw_integers(rng, (7,), 3).ravel().tolist(),
+                [rng.random(), int(rng.integers(0, 11))],
+                _compiled.draw_integers(rng, (2**32 - 1, 5), 1).ravel().tolist(),
+                [rng.random()],
+                _compiled.draw_integers(rng, (3,), 1).ravel().tolist(),
+            ]
+            expected = [
+                [spec.integers(0, 7) for _ in range(3)],
+                [spec.random(), spec.integers(0, 11)],
+                [spec.integers(0, 2**32 - 1), spec.integers(0, 5)],
+                [spec.random()],
+                [spec.integers(0, 3)],
+            ]
+            assert mixed == expected
+            assert rng.bit_generator.state == spec.bit_generator.state
+
+    def test_threads_sharing_a_generator_lose_no_draw(self):
+        """C calls hold the bit generator's lock: four threads (more than the
+        cores) interleaving C and numpy draws on one Generator advance it by
+        exactly the words they read, so no draw was read twice."""
+        calls, words_per_call, doubles = 40, 20000, 2000
+        rng = np.random.default_rng(12)
+
+        def draw():
+            for _ in range(calls):
+                _compiled.draw_integers(rng, (2**32,), words_per_call)  # raw 32-bit words
+                rng.random(doubles)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        # two 32-bit words per 64-bit step; every call reads an even count
+        steps = 4 * calls * (words_per_call // 2 + doubles)
+        state = rng.bit_generator.state
+        assert state["state"] == np.random.PCG64(12).advance(steps).state["state"]
+        assert state["has_uint32"] == 0
+
+    def test_rejects_bounds_off_the_32_bit_path(self):
+        rng = np.random.default_rng(0)
+        for bounds in ((0,), (2**32 + 1,), (-3, 4)):
+            with pytest.raises(ValueError, match="bounds"):
+                _compiled.draw_integers(rng, bounds, 2)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 class TestCompiledSweepMachinery:
@@ -278,6 +378,31 @@ class TestCompiledSweepMachinery:
         np.testing.assert_array_equal(
             samplers[0].state.doc_community, samplers[1].state.doc_community
         )
+
+    @needs_backend
+    def test_sweep_reads_the_swapped_generator(self, twitter_tiny):
+        """The thread runner swaps ``sampler.rng`` around a worker's sweep:
+        C must draw from the Generator in place at the call, not from the
+        one the kernel was built with."""
+        graph, _ = twitter_tiny
+        outcomes = []
+        for kernel in ("reference", "compiled"):
+            sampler = _tiny_sampler(graph, sweep_kernel=kernel, rng=8)
+            caller_rng = sampler.rng
+            caller_state = caller_rng.bit_generator.state
+            sampler.rng = np.random.default_rng(77)
+            sampler.sweep_documents()
+            swapped_state = sampler.rng.bit_generator.state
+            sampler.rng = caller_rng
+            assert caller_rng.bit_generator.state == caller_state
+            sampler.sweep_documents()
+            outcomes.append(
+                (sampler.state.doc_topic.copy(), swapped_state, caller_rng.bit_generator.state)
+            )
+        (topics_a, swapped_a, caller_a), (topics_b, swapped_b, caller_b) = outcomes
+        np.testing.assert_array_equal(topics_a, topics_b)
+        assert swapped_a == swapped_b
+        assert caller_a == caller_b
 
     @needs_backend
     def test_streaming_append_then_sweep(self, twitter_tiny):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import _compiled
 from repro.datasets import dblp_scenario, twitter_scenario
 from repro.diffusion import (
     sample_negative_diffusion_pairs,
@@ -106,16 +107,19 @@ class TestDiffusionNegatives:
         assert 0 < len(negatives) < huge
 
 
+GRAPHS = pytest.mark.parametrize(
+    "make_graph",
+    [
+        lambda: twitter_scenario("medium", rng=1)[0],
+        lambda: dblp_scenario("small", rng=1)[0],
+        hand_graph,
+    ],
+    ids=["twitter-medium", "dblp-small", "hand"],
+)
+
+
 class TestWordIndex:
-    @pytest.mark.parametrize(
-        "make_graph",
-        [
-            lambda: twitter_scenario("medium", rng=1)[0],
-            lambda: dblp_scenario("small", rng=1)[0],
-            hand_graph,
-        ],
-        ids=["twitter-medium", "dblp-small", "hand"],
-    )
+    @GRAPHS
     def test_equals_the_document_walk(self, make_graph):
         graph = make_graph()
         index = build_word_document_index(graph)
@@ -133,6 +137,74 @@ class TestWordIndex:
         doc = graph.documents[0]
         for word in set(doc.words.tolist()):
             assert doc.doc_id in index[word].tolist()
+
+
+@pytest.mark.skipif(not _compiled.backend_status()[0], reason="no C toolchain on this host")
+class TestCompiledParity:
+    """The C rejection loop against the numpy spec it replaced: the same
+    negatives, in the same order, and the same Generator end state."""
+
+    @staticmethod
+    def both(monkeypatch, graph, n_samples, seed, **kwargs):
+        """``(compiled, spec)``, each the negatives (or the error type) and
+        the Generator state after the call."""
+        outcomes = []
+        for disabled in ("", "1"):
+            monkeypatch.setenv(_compiled.DISABLE_ENV, disabled)
+            rng = np.random.default_rng(seed)
+            try:
+                drawn = sample_negative_diffusion_pairs(graph, n_samples, rng, **kwargs)
+            except RuntimeError as error:
+                drawn = type(error)
+            outcomes.append((drawn, rng.bit_generator.state))
+        return outcomes
+
+    @staticmethod
+    def assert_same(outcomes):
+        (compiled, compiled_state), (spec, spec_state) = outcomes
+        if isinstance(spec, np.ndarray):
+            assert compiled.dtype == spec.dtype
+            np.testing.assert_array_equal(compiled, spec)
+        else:
+            assert compiled is spec
+        assert compiled_state == spec_state
+
+    @GRAPHS
+    @pytest.mark.parametrize("hard_fraction", [0.0, 0.5, 1.0])
+    def test_same_draws(self, monkeypatch, make_graph, hard_fraction):
+        graph = make_graph()
+        n_samples = max(1, graph.n_diffusion_links)
+        for seed in range(4):
+            outcomes = self.both(
+                monkeypatch, graph, n_samples, seed, hard_fraction=hard_fraction,
+                allow_fewer=True,
+            )
+            self.assert_same(outcomes)
+
+    @GRAPHS
+    def test_same_draws_with_exclude(self, monkeypatch, make_graph):
+        graph = make_graph()
+        n_docs = graph.n_documents
+        rng = np.random.default_rng(0)
+        sources, targets = rng.integers(0, n_docs, (2, 50)).tolist()
+        exclude = set(zip(sources, targets)) | {(0, j) for j in range(n_docs)}
+        for seed in range(3):
+            self.assert_same(
+                self.both(monkeypatch, graph, 30, seed, exclude=exclude, allow_fewer=True)
+            )
+
+    @pytest.mark.parametrize(
+        "make_graph", [lambda: twitter_scenario("tiny", rng=42)[0], hand_graph],
+        ids=["twitter-tiny", "hand"],
+    )
+    @pytest.mark.parametrize("allow_fewer", [True, False])
+    def test_same_draws_when_exhausted(self, monkeypatch, make_graph, allow_fewer):
+        """Asking for more negatives than exist spends the whole budget, in
+        several rounds capped at ``MAX_BATCH`` on the larger graph."""
+        graph = make_graph()
+        self.assert_same(
+            self.both(monkeypatch, graph, graph.n_documents**2, 7, allow_fewer=allow_fewer)
+        )
 
 
 class TestFriendshipNegatives:

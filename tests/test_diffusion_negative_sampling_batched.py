@@ -12,6 +12,7 @@ import pytest
 from scipy import stats
 
 from repro.core import CPDConfig, CPDModel
+from repro.core import _compiled
 from repro.core import model as model_module
 from repro.diffusion import negative_sampling
 from repro.diffusion.negative_sampling import (
@@ -211,7 +212,16 @@ class TestEdgeCases:
             sample_negative_diffusion_pairs(graph, 10, 0)
 
     def test_exhausting_request_keeps_to_budget(self, twitter_tiny, monkeypatch):
+        """An exhausting request spends exactly the proposal budget in rounds
+        capped at ``MAX_BATCH``: the numpy spec's rounds are counted, and the
+        C path (when the backend loads) returns the same negatives and reads
+        the Generator exactly as far, so it keeps to the same budget."""
         graph, _ = twitter_tiny
+        n_samples = graph.n_documents**2
+        compiled_rng = np.random.default_rng(5)
+        negatives = sample_negative_diffusion_pairs(
+            graph, n_samples, compiled_rng, allow_fewer=True
+        )
         sizes = []
         original = negative_sampling._rejection_sample
 
@@ -223,12 +233,15 @@ class TestEdgeCases:
             return original(counted, n_samples, forbidden)
 
         monkeypatch.setattr(negative_sampling, "_rejection_sample", recording)
-        n_samples = graph.n_documents**2
-        negatives = sample_negative_diffusion_pairs(graph, n_samples, 5, allow_fewer=True)
+        monkeypatch.setenv(_compiled.DISABLE_ENV, "1")
+        spec_rng = np.random.default_rng(5)
+        spec = sample_negative_diffusion_pairs(graph, n_samples, spec_rng, allow_fewer=True)
         assert 0 < len(negatives) < n_samples
         assert len(set((i, j) for i, j, _ in negatives)) == len(negatives)
-        assert sum(sizes) <= n_samples * 100 + 1000
+        assert sum(sizes) == n_samples * 100 + 1000
         assert max(sizes) == MAX_BATCH  # the cap engaged and held
+        np.testing.assert_array_equal(negatives, spec)
+        assert compiled_rng.bit_generator.state == spec_rng.bit_generator.state
 
     def test_exclude_set_confines_sources(self, twitter_tiny):
         graph, _ = twitter_tiny
