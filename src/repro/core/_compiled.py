@@ -2,9 +2,9 @@
 
 ``CPDConfig.sweep_kernel = "compiled"`` selects a sweep implementation
 (:class:`repro.core.kernel.CompiledKernel`) whose per-document loop — the
-Eq. 13 / Eq. 14 conditional builds, the log-categorical draws, and the
-counting-state updates between them — runs as a single C function with no
-Python dispatch. The prescribed numba ``njit`` backend is not available in
+Eq. 13 / Eq. 14 conditional builds in linear space, the categorical
+draws, and the counting-state updates between them — runs as a single C
+function with no Python dispatch. The prescribed numba ``njit`` backend is not available in
 every deployment (and adds a hard JIT dependency); instead this module
 carries one small C translation unit, compiles it **at first use** with the
 system C toolchain (``$CC``, ``cc`` or ``gcc``), caches the shared object
@@ -159,11 +159,13 @@ _CTX_FIELDS: tuple[tuple[str, str], ...] = (
     ("dout_feature", "p_f64"),
     # flat [orientation * Z + z, c, d] eta table
     ("eta_oriented", "p_f64"),
+    # eta in its own [k][d][z] layout (the Eq. 13 outgoing-link fold)
+    ("eta", "p_f64"),
     # caller-allocated scratch
-    ("scratch_z", "p_f64"),
-    ("scratch_c", "p_f64"),
+    ("scratch_z", "p_f64"),  # Eq. 13 weights w, then scales s: 2 * Z
+    ("scratch_c", "p_f64"),  # Eq. 14 weights w, then scales s: 2 * C
     ("scratch_wu", "p_f64"),
-    ("scratch_folded", "p_f64"),
+    ("scratch_folded", "p_f64"),  # [d][z] outgoing-link fold, C * Z
     ("scratch_q", "p_f64"),
     ("scratch_base", "p_f64"),
     ("scratch_cum", "p_f64"),
@@ -234,10 +236,10 @@ _STRUCT_BODY = "\n".join(
 
 # The arithmetic is the reference conditionals' up to reassociation (the
 # word likelihood as one product per topic, the friendship factors from
-# per-user statistics, the link factors folded), so the compiled
-# conditionals agree to the reference within floating-point noise (~1e-10
-# pinned, DESIGN.md §4), and a matched-seed sweep consumes one uniform per
-# draw in the same order.
+# per-user statistics, the link factors folded, each conditional held as
+# linear weights and log scales), so the compiled conditionals agree to the
+# reference within floating-point noise (~1e-10 pinned, DESIGN.md §4), and a
+# matched-seed sweep consumes one uniform per draw in the same order.
 # Compiled without -ffast-math: IEEE semantics are part of the parity
 # contract.
 _C_SOURCE = """
@@ -338,12 +340,14 @@ static inline double product_step(double product, double num, double den, double
     return 1.0;
 }
 
-/* Eq. 13 log-weights over all Z topics (kernel.py topic_log_weights). The
-   word likelihood sum_w sum_{i<m_w} log(n_zw + beta + i) - sum_{j<L}
-   log(n_z + W beta + j) is the log of one product: the j-th numerator
-   factor over the j-th denominator factor, times (n_cz + alpha), with a
-   log only when the product would leave the range. */
-void cpd_topic_log_weights(CpdCtx *c, int64_t doc, int64_t community, double *out) {
+/* Eq. 13 over all Z topics (kernel.py topic_log_weights) in linear space:
+   topic z's log-weight is log(w[z]) + s[z]. The factor (n_cz + alpha) and
+   the word likelihood sum_w sum_{i<m_w} log(n_zw + beta + i) - sum_{j<L}
+   log(n_z + W beta + j) form one running product w[z], the j-th numerator
+   factor over the j-th denominator factor; s[z] takes the logs that
+   product_step moves out of range, plus the outgoing links' psi terms. */
+static void topic_weights(CpdCtx *c, int64_t doc, int64_t community, double *restrict w,
+                          double *restrict s) {
     const int64_t Z = c->n_topics, C = c->n_communities, W = c->n_words;
     const double beta = c->beta, length = c->doc_lengths[doc];
     const int64_t ws_start = c->ws_indptr[doc], ws_end = c->ws_indptr[doc + 1];
@@ -362,7 +366,8 @@ void cpd_topic_log_weights(CpdCtx *c, int64_t doc, int64_t community, double *ou
                 product = product_step(product, gathered + i, total + j, &logs);
         }
         for (; j < length; j += 1.0) product = product_step(product, 1.0, total + j, &logs);
-        out[z] = logs + log(product);
+        w[z] = product;
+        s[z] = logs;
     }
 
     if (!c->profile_mode) return;
@@ -370,26 +375,26 @@ void cpd_topic_log_weights(CpdCtx *c, int64_t doc, int64_t community, double *ou
     if (end <= start) return;
 
     /* outgoing-link factors: fold the source endpoint once per document,
-       then score each link with an O(C) inner product per topic */
+       then score each link with an O(C) inner product per topic. The fold
+       folded[d, z] = theta[d, z] sum_k wu[k, z] eta[k, d, z] reads eta in
+       its own [k][d][z] layout, contiguous in z, and sums each (d, z) over
+       k in order. */
     const double *pi_u = c->pi_cache + c->doc_user[doc] * C;
     const double *theta = c->theta_cache;
     double *restrict wu = c->scratch_wu;          /* weighted_u[k, z] */
-    /* by_topic[z, d] = theta[d, z] * sum_k wu[k,z] eta[k,d,z], contiguous in
-       d while it is summed, then transposed to folded[d, z] */
-    double *restrict by_topic = c->scratch_folded, *restrict folded = c->scratch_folded + C * Z;
+    double *restrict folded = c->scratch_folded;  /* [d][z] */
     for (int64_t k = 0; k < C; ++k)
         for (int64_t z = 0; z < Z; ++z) wu[k * Z + z] = pi_u[k] * theta[k * Z + z];
-    for (int64_t z = 0; z < Z; ++z) {
-        const double *eta_z = c->eta_oriented + (Z + z) * C * C; /* [z][c][d] */
-        double *fz = by_topic + z * C;
-        for (int64_t d = 0; d < C; ++d) fz[d] = 0.0;
-        for (int64_t k = 0; k < C; ++k) {
-            const double w = wu[k * Z + z];
-            const double *eta_row = eta_z + k * C;
-            for (int64_t d = 0; d < C; ++d) fz[d] += w * eta_row[d];
+    for (int64_t i = 0; i < C * Z; ++i) folded[i] = 0.0;
+    for (int64_t k = 0; k < C; ++k) {
+        const double *wu_k = wu + k * Z, *eta_k = c->eta + k * C * Z;
+        for (int64_t d = 0; d < C; ++d) {
+            double *fd = folded + d * Z;
+            const double *eta_kd = eta_k + d * Z;
+            for (int64_t z = 0; z < Z; ++z) fd[z] += wu_k[z] * eta_kd[z];
         }
-        for (int64_t d = 0; d < C; ++d) folded[d * Z + z] = theta[d * Z + z] * fz[d];
     }
+    for (int64_t i = 0; i < C * Z; ++i) folded[i] *= theta[i];
     for (int64_t p = start; p < end; ++p) {
         /* bilinear[z] = sum_d pi_v[d] folded[d, z], summed over d in order */
         double *restrict bilinear = c->scratch_bilinear;
@@ -407,7 +412,7 @@ void cpd_topic_log_weights(CpdCtx *c, int64_t doc, int64_t community, double *ou
             double score = c->comm_weight * bilinear[z] + c->bias;
             if (c->use_topic_factor) score += c->pop_weight * pop_cell(c, t, z, denom);
             if (c->use_individual_factor) score += c->dout_feature[p];
-            out[z] += 0.5 * (score - delta * (score * score));
+            s[z] += 0.5 * (score - delta * (score * score));
         }
     }
 }
@@ -432,11 +437,15 @@ static void build_friend_stats(CpdCtx *c, int64_t user) {
     c->friend_user = user;
 }
 
-/* Eq. 14 log-weights over all C communities (kernel.py community_log_weights).
-   The friendship statistics are reused while friend_user is the document's
+/* Eq. 14 over all C communities (kernel.py community_log_weights) in
+   linear space: community k's log-weight is log(w[k]) + s[k], where w[k] =
+   (n_uk + rho)(n_kz + alpha) / (n_k + Z alpha), or n_uk + rho without
+   content, and s[k] sums the friendship and diffusion psi terms. The
+   friendship statistics are reused while friend_user is the document's
    user: no friend's pi row moves while that user's documents are resampled
    (no self-loops) and lambda is fixed during a sweep. */
-static void community_log_weights(CpdCtx *c, int64_t doc, int64_t topic, double *out) {
+static void community_weights(CpdCtx *c, int64_t doc, int64_t topic, double *restrict w,
+                              double *restrict s) {
     const int64_t C = c->n_communities, Z = c->n_topics;
     const int64_t user = c->doc_user[doc];
     double *base = c->scratch_base;
@@ -446,11 +455,12 @@ static void community_log_weights(CpdCtx *c, int64_t doc, int64_t topic, double 
 
     if (c->community_uses_content) {
         for (int64_t k = 0; k < C; ++k)
-            out[k] = log(base[k] * (c->community_topic[k * Z + topic] + c->alpha)
-                         / (c->community_totals[k] + c->topics_alpha));
+            w[k] = base[k] * (c->community_topic[k * Z + topic] + c->alpha)
+                   / (c->community_totals[k] + c->topics_alpha);
     } else {
-        for (int64_t k = 0; k < C; ++k) out[k] = log(base[k]);
+        for (int64_t k = 0; k < C; ++k) w[k] = base[k];
     }
+    for (int64_t k = 0; k < C; ++k) s[k] = 0.0;
 
     if (c->model_friendship) {
         /* sum_v 0.5 (w_vk - lambda_v w_vk^2) with w_vk = (pi_v . b + pi_vk) / D
@@ -470,8 +480,8 @@ static void community_log_weights(CpdCtx *c, int64_t doc, int64_t topic, double 
         }
         const double denom_sq = denom * denom;
         for (int64_t k = 0; k < C; ++k)
-            out[k] += 0.5 * ((sum_b + sum[k]) / denom
-                             - (quad + 2.0 * gram_b[k] + gram[k * C + k]) / denom_sq);
+            s[k] += 0.5 * ((sum_b + sum[k]) / denom
+                           - (quad + 2.0 * gram_b[k] + gram[k * C + k]) / denom_sq);
     }
 
     const int64_t start = c->d_indptr[doc], end = c->d_indptr[doc + 1];
@@ -502,8 +512,8 @@ static void community_log_weights(CpdCtx *c, int64_t doc, int64_t topic, double 
             if (c->use_individual_factor) constant += c->d_feature[p];
             const double delta = c->d_deltas[p];
             for (int64_t i = 0; i < C; ++i) {
-                const double w = c->comm_weight * ((dotq + q[i]) / denom) + constant;
-                out[i] += 0.5 * (w - delta * (w * w));
+                const double wi = c->comm_weight * ((dotq + q[i]) / denom) + constant;
+                s[i] += 0.5 * (wi - delta * (wi * wi));
             }
         }
     } else if (c->similarity_mode) {
@@ -513,16 +523,41 @@ static void community_log_weights(CpdCtx *c, int64_t doc, int64_t topic, double 
             double dot = 0.0;
             for (int64_t k = 0; k < C; ++k) dot += pi_o[k] * base[k];
             for (int64_t k = 0; k < C; ++k) {
-                const double w = (dot + pi_o[k]) / denom;
-                out[k] += 0.5 * (w - delta * (w * w));
+                const double wk = (dot + pi_o[k]) / denom;
+                s[k] += 0.5 * (wk - delta * (wk * wk));
             }
         }
     }
 }
 
+/* log(w[i]) + s[i]: a linear-space conditional's log-weights, in place */
+static void to_log(double *w, const double *s, int64_t n) {
+    for (int64_t i = 0; i < n; ++i) w[i] = log(w[i]) + s[i];
+}
+
+/* The standalone conditionals: log(w) + s from the builders the sweep runs */
+void cpd_topic_log_weights(CpdCtx *c, int64_t doc, int64_t community, double *out) {
+    double *s = c->scratch_z + c->n_topics;
+    topic_weights(c, doc, community, out, s);
+    to_log(out, s, c->n_topics);
+}
+
 void cpd_community_log_weights(CpdCtx *c, int64_t doc, int64_t topic, double *out) {
+    double *s = c->scratch_c + c->n_communities;
     c->friend_user = -1; /* a standalone call builds the statistics fresh */
-    community_log_weights(c, doc, topic, out);
+    community_weights(c, doc, topic, out, s);
+    to_log(out, s, c->n_communities);
+}
+
+/* The first index whose cumulative bound lies strictly above draw; when
+   none does (draw rounded up to the total), the last index, walked back
+   over trailing zero-weight outcomes. */
+static int64_t pick_cumulative(const double *cumulative, int64_t n, double draw) {
+    for (int64_t i = 0; i < n; ++i)
+        if (cumulative[i] > draw) return i;
+    int64_t index = n - 1;
+    while (index > 0 && cumulative[index] == cumulative[index - 1]) --index;
+    return index;
 }
 
 /* The trusted log-categorical draw: the C form of sampling/categorical.py
@@ -539,17 +574,45 @@ static int64_t draw_cat(const double *log_weights, int64_t n, double uniform,
         total += exp(log_weights[i] - shift);
         cumulative[i] = total;
     }
-    const double draw = uniform * total;
-    for (int64_t i = 0; i < n; ++i)
-        if (cumulative[i] > draw) return i;
-    int64_t index = n - 1;
-    while (index > 0 && cumulative[index] == cumulative[index - 1]) --index;
-    return index;
+    return pick_cumulative(cumulative, n, uniform * total);
 }
 
 int64_t cpd_draw_log_categorical(const double *log_weights, int64_t n,
                                  double uniform, double *cum_scratch) {
     return draw_cat(log_weights, n, uniform, cum_scratch);
+}
+
+/* The sweep's draw from a linear-space conditional (w, s): the weights
+   w[i] exp(s[i] - m) with m = max s, accumulated, scaled by one uniform
+   and walked as in draw_cat, so it draws what draw_cat draws on
+   log(w[i]) + s[i], up to rounding. No exp is taken when every s[i] is
+   equal. When the scaled total is not a normal double (the largest s
+   scales a w that is subnormal or zero while every other term underflows,
+   or a NaN), w is overwritten with log(w) + s and draw_cat draws on it. */
+static int64_t draw_scaled(double *w, const double *s, int64_t n, double uniform,
+                           double *cumulative) {
+    double shift = s[0], low = s[0];
+    for (int64_t i = 1; i < n; ++i) {
+        shift = s[i] > shift ? s[i] : shift;
+        low = s[i] < low ? s[i] : low;
+    }
+    double total = 0.0;
+    if (low == shift) {
+        for (int64_t i = 0; i < n; ++i) {
+            total += w[i];
+            cumulative[i] = total;
+        }
+    } else {
+        for (int64_t i = 0; i < n; ++i) {
+            total += w[i] * exp(s[i] - shift);
+            cumulative[i] = total;
+        }
+    }
+    if (!isnormal(total)) {
+        to_log(w, s, n);
+        return draw_cat(w, n, uniform, cumulative);
+    }
+    return pick_cumulative(cumulative, n, uniform * total);
 }
 
 static void unassign_doc(CpdCtx *c, int64_t doc, int64_t *out_community,
@@ -598,28 +661,32 @@ static void assign_doc(CpdCtx *c, int64_t doc, int64_t community, int64_t topic)
 }
 
 /* The fused sweep: Alg. 1 steps 3-6 for a whole partition of documents in
-   one call. Each document reads one uniform from the sampler's bit
-   generator for its topic draw, then (unless communities are fixed) one
-   for its community draw, so the stream matches the per-document Python
-   path draw for draw. Returns the number of uniforms consumed. */
+   one call. Each conditional is built in linear space, weights w and log
+   scales s (topic_weights, community_weights), and drawn by draw_scaled,
+   which takes an exp only for entries whose scales differ and a log only
+   to rescue a total that is not a normal double. Each document reads one
+   uniform from the sampler's bit generator for its topic draw, then
+   (unless communities are fixed) one for its community draw, so the
+   stream matches the per-document Python path draw for draw. Returns the
+   number of uniforms consumed. */
 int64_t cpd_sweep_docs(CpdCtx *c, const int64_t *doc_ids, int64_t n, Bitgen *rng) {
+    const int64_t Z = c->n_topics, C = c->n_communities;
+    double *wz = c->scratch_z, *wc = c->scratch_c;
     int64_t consumed = 0;
     c->friend_user = -1;
     for (int64_t i = 0; i < n; ++i) {
         const int64_t doc = doc_ids[i];
         int64_t old_community, old_topic;
         unassign_doc(c, doc, &old_community, &old_topic);
-        cpd_topic_log_weights(c, doc, old_community, c->scratch_z);
-        const int64_t topic = draw_cat(c->scratch_z, c->n_topics, rng_uniform(rng),
-                                       c->scratch_cum);
+        topic_weights(c, doc, old_community, wz, wz + Z);
+        const int64_t topic = draw_scaled(wz, wz + Z, Z, rng_uniform(rng), c->scratch_cum);
         ++consumed;
         int64_t community;
         if (c->has_fixed) {
             community = c->fixed_communities[doc];
         } else {
-            community_log_weights(c, doc, topic, c->scratch_c);
-            community = draw_cat(c->scratch_c, c->n_communities, rng_uniform(rng),
-                                 c->scratch_cum);
+            community_weights(c, doc, topic, wc, wc + C);
+            community = draw_scaled(wc, wc + C, C, rng_uniform(rng), c->scratch_cum);
             ++consumed;
         }
         assign_doc(c, doc, community, topic);
@@ -822,16 +889,16 @@ static double pairwise_sum(const double *a, int64_t n) {
 }
 
 /* One collapsed-Gibbs LDA sweep over a CSR token layout: the C translation
-   of topics/lda.py gibbs_sweep, one pre-drawn uniform per token in token
-   order. The draw copies sampling/categorical.py sample_categorical: the
-   pairwise total, the first sequential cumulative bound strictly above
-   uniform * total, clipped to K - 1, zero-weight walk-back. The caller
-   guarantees word ids in [0, n_words), assignments in [0, n_topics) and
-   positive priors. */
-void cpd_lda_sweep(int64_t n_docs, int64_t n_topics, int64_t n_words, double alpha,
-                   double beta, const int64_t *words, const int64_t *indptr,
+   of topics/lda.py gibbs_sweep, one uniform per token in token order, read
+   from the caller's bit generator. The draw copies sampling/categorical.py
+   sample_categorical: the pairwise total, the first sequential cumulative
+   bound strictly above uniform * total, clipped to K - 1, zero-weight
+   walk-back. The caller guarantees word ids in [0, n_words), assignments
+   in [0, n_topics) and positive priors. */
+void cpd_lda_sweep(Bitgen *rng, int64_t n_docs, int64_t n_topics, int64_t n_words,
+                   double alpha, double beta, const int64_t *words, const int64_t *indptr,
                    int64_t *assignments, double *topic_word, double *doc_topic,
-                   double *topic_totals, const double *uniforms, double *weights) {
+                   double *topic_totals, double *weights) {
     const int64_t K = n_topics, W = n_words;
     const double words_beta = (double)n_words * beta;
     for (int64_t d = 0; d < n_docs; ++d) {
@@ -845,7 +912,7 @@ void cpd_lda_sweep(int64_t n_docs, int64_t n_topics, int64_t n_words, double alp
             for (int64_t k = 0; k < K; ++k)
                 weights[k] = (dt[k] + alpha) * (topic_word[k * W + word] + beta)
                              / (topic_totals[k] + words_beta);
-            const double draw = uniforms[p] * pairwise_sum(weights, K);
+            const double draw = rng_uniform(rng) * pairwise_sum(weights, K);
             int64_t z_new = K - 1;
             double cumulative = 0.0;
             for (int64_t k = 0; k < K; ++k) {
@@ -1459,7 +1526,7 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     library.cpd_link_tilts.argtypes = [ctx_p, i64, i64, i64, void_p]
     library.cpd_link_tilts.restype = None
     library.cpd_lda_sweep.argtypes = [
-        i64, i64, i64, ctypes.c_double, ctypes.c_double, *[void_p] * 8,
+        void_p, i64, i64, i64, ctypes.c_double, ctypes.c_double, *[void_p] * 7,
     ]
     library.cpd_lda_sweep.restype = None
     library.cpd_logistic_newton.argtypes = [
@@ -1626,17 +1693,18 @@ def lda_sweep(
     topic_totals: np.ndarray,
     alpha: float,
     beta: float,
-    uniforms: np.ndarray,
+    generator: np.random.Generator,
 ) -> None:
     """One compiled collapsed-Gibbs LDA sweep (``cpd_lda_sweep``), in place.
 
-    ``words``/``indptr`` are the CSR token layout, ``uniforms`` one draw
-    per token. The count arrays and ``assignments`` are mutated through
-    their pointers, so each must be C-contiguous with the kernel's dtype
-    (a silent copy would divert the updates into a throwaway buffer). The
-    caller guarantees word ids in ``[0, n_words)``, assignments in
-    ``[0, n_topics)`` and positive priors. Raises
-    :class:`CompiledBackendUnavailable` without a backend.
+    ``words``/``indptr`` are the CSR token layout. C reads one uniform per
+    token, in token order, from ``generator``'s bit generator: the stream
+    of ``generator.random(n_tokens)``. The count arrays and
+    ``assignments`` are mutated through their pointers, so each must be
+    C-contiguous with the kernel's dtype (a silent copy would divert the
+    updates into a throwaway buffer). The caller guarantees word ids in
+    ``[0, n_words)``, assignments in ``[0, n_topics)`` and positive priors.
+    Raises :class:`CompiledBackendUnavailable` without a backend.
     """
     library = load_library()
     n_topics, n_words = topic_word.shape
@@ -1645,7 +1713,6 @@ def lda_sweep(
         doc_topic.shape != (n_docs, n_topics)
         or topic_totals.shape != (n_topics,)
         or assignments.shape != words.shape
-        or uniforms.shape != words.shape
         or indptr[-1] != words.shape[0]
     ):
         raise ValueError("inconsistent LDA sweep shapes")
@@ -1654,9 +1721,13 @@ def lda_sweep(
         "LDA sweep",
         (words, "p_i64"), (indptr, "p_i64"), (assignments, "p_i64"),
         (topic_word, "p_f64"), (doc_topic, "p_f64"), (topic_totals, "p_f64"),
-        (uniforms, "p_f64"), (weights, "p_f64"),
+        (weights, "p_f64"),
     )
-    library.cpd_lda_sweep(n_docs, n_topics, n_words, float(alpha), float(beta), *pointers)
+    lock, address = bit_generator(generator)
+    with lock:
+        library.cpd_lda_sweep(
+            address, n_docs, n_topics, n_words, float(alpha), float(beta), *pointers
+        )
 
 
 def logistic_newton(

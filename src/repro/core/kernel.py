@@ -210,7 +210,8 @@ _CTX_SOURCES = (
     ("dout_time", "_dout_time"),
     ("dout_deltas", "_dout_deltas"),
     ("dout_feature", "_dout_feature"),
-    ("eta_oriented", "_eta_oriented_flat"),
+    ("eta_oriented", "_eta_oriented"),
+    ("eta", "_eta"),
 )
 #: every pointer field _sync keeps current, in the order it reads them
 _CTX_POINTED = tuple(name for name, _ in _CTX_SOURCES) + ("pi_cache", "theta_cache")
@@ -241,7 +242,10 @@ class CompiledKernel:
     word likelihood as one running product per topic (a ``log`` only when
     it would leave the normal range), Eq. 14's friendship factors from the
     swept user's friendship statistics, which the ctx holds in kernel-owned
-    scratch and rebuilds when the user changes (DESIGN.md §4, §10).
+    scratch and rebuilds when the user changes. The sweep keeps each
+    conditional as linear weights and log scales and draws from them
+    without a log per entry; the standalone conditionals return the logs
+    (DESIGN.md §4, §10).
     """
 
     name = "compiled"
@@ -257,8 +261,14 @@ class CompiledKernel:
         config = sampler.config
         state = sampler.state
 
+        n_topics = config.n_topics
+        n_communities = config.n_communities
         self._build_word_layout(sampler)
         self._build_link_layout(sampler)
+        # eta as C reads it, rewritten in place by _refresh_caches: its own
+        # [k][d][z] layout, and [orientation, z, c, d] (see there)
+        self._eta = np.empty((n_communities, n_communities, n_topics))
+        self._eta_oriented = np.empty((2, n_topics, n_communities, n_communities))
 
         # identity-keyed caches over per-iteration arrays (see _refresh_caches)
         self._eta_source: np.ndarray | None = None
@@ -266,13 +276,11 @@ class CompiledKernel:
         self._lambdas_source: np.ndarray | None = None
         self._deltas_source: np.ndarray | None = None
 
-        n_topics = config.n_topics
-        n_communities = config.n_communities
         self._scratch = {
-            "scratch_z": np.empty(n_topics),
-            "scratch_c": np.empty(n_communities),
+            "scratch_z": np.empty(2 * n_topics),
+            "scratch_c": np.empty(2 * n_communities),
             "scratch_wu": np.empty(n_communities * n_topics),
-            "scratch_folded": np.empty(2 * n_communities * n_topics),
+            "scratch_folded": np.empty(n_communities * n_topics),
             "scratch_q": np.empty(n_communities),
             "scratch_base": np.empty(n_communities),
             "scratch_cum": np.empty(max(n_topics, n_communities)),
@@ -348,6 +356,14 @@ class CompiledKernel:
         self._d_time = sampler.e_time[sampler.d_csr_link]
         self._dout_target_user = sampler._doc_user[sampler.dout_csr_target]
         self._dout_time = sampler.e_time[sampler.dout_csr_link]
+        # per-iteration link arrays: _refresh_caches rewrites them in place,
+        # so their ctx pointers stay fixed until the next layout rebuild
+        self._f_lambdas = np.empty(len(sampler.f_csr_link))
+        self._d_deltas = np.empty(len(sampler.d_csr_link))
+        self._dout_deltas = np.empty(len(sampler.dout_csr_link))
+        self._e_feature = np.empty(len(sampler.e_features))
+        self._d_feature = np.empty(len(sampler.d_csr_link))
+        self._dout_feature = np.empty(len(sampler.dout_csr_link))
 
     # ------------------------------------------------------- streaming appends
 
@@ -381,9 +397,10 @@ class CompiledKernel:
     def rebuild_link_layout(self) -> None:
         """Re-derive the link layout after the sampler appended links.
 
-        The CSR order changes wholesale, so the static per-link arrays are
-        rebuilt and every CSR-ordered per-iteration cache is invalidated
-        (their identity keys would otherwise miss the reorder).
+        The CSR order changes wholesale, so the static per-link arrays and
+        the per-iteration buffers are rebuilt and every CSR-ordered
+        per-iteration cache is invalidated (their identity keys would
+        otherwise miss the reorder).
         """
         self._build_link_layout(self.sampler)
         self._eta_source = None
@@ -397,43 +414,37 @@ class CompiledKernel:
         ``eta`` / ``nu`` are replaced by the M-step and ``lambdas`` /
         ``deltas`` by the augmentation draws — all whole-array swaps, so an
         identity check per entry into C is enough to keep CSR-ordered copies
-        in sync. In-place mutation of a snapshotted source array is not
-        supported; each source is frozen (``writeable = False``) so such a
-        mutation raises instead of silently serving stale conditionals.
+        in sync. The copies are written into kernel-owned buffers, so no
+        ctx field is re-pointed between layout rebuilds. In-place mutation
+        of a snapshotted source array is not supported; each source is
+        frozen (``writeable = False``) so such a mutation raises instead of
+        silently serving stale conditionals.
         """
         sampler = self.sampler
         params = sampler.params
         if params.eta is not self._eta_source:
             self._eta_source = params.eta
             params.eta.flags.writeable = False
-            # [orientation * Z + z, c, d]: orientation 1 reads eta[c, d, z]
+            np.copyto(self._eta, params.eta)
+            # [orientation, z, c, d]: orientation 1 reads eta[c, d, z]
             # (outgoing links), orientation 0 its transpose (incoming)
-            pair = np.ascontiguousarray(
-                np.stack(
-                    [np.transpose(params.eta, (2, 1, 0)), np.transpose(params.eta, (2, 0, 1))]
-                )
-            )
-            self._eta_oriented_flat = pair.reshape(2 * params.eta.shape[2], *pair.shape[2:])
+            np.copyto(self._eta_oriented[0], np.transpose(params.eta, (2, 1, 0)))
+            np.copyto(self._eta_oriented[1], np.transpose(params.eta, (2, 0, 1)))
         if params.nu is not self._nu_source:
             self._nu_source = params.nu
             params.nu.flags.writeable = False
-            projection = (
-                sampler.e_features @ params.nu
-                if len(sampler.e_features)
-                else np.zeros(0)
-            )
-            self._e_feature = projection
-            self._d_feature = projection[sampler.d_csr_link]
-            self._dout_feature = projection[sampler.dout_csr_link]
+            np.matmul(sampler.e_features, params.nu, out=self._e_feature)
+            np.take(self._e_feature, sampler.d_csr_link, out=self._d_feature)
+            np.take(self._e_feature, sampler.dout_csr_link, out=self._dout_feature)
         if sampler.lambdas is not self._lambdas_source:
             self._lambdas_source = sampler.lambdas
             sampler.lambdas.flags.writeable = False
-            self._f_lambdas = sampler.lambdas[sampler.f_csr_link]
+            np.take(sampler.lambdas, sampler.f_csr_link, out=self._f_lambdas)
         if sampler.deltas is not self._deltas_source:
             self._deltas_source = sampler.deltas
             sampler.deltas.flags.writeable = False
-            self._d_deltas = sampler.deltas[sampler.d_csr_link]
-            self._dout_deltas = sampler.deltas[sampler.dout_csr_link]
+            np.take(sampler.deltas, sampler.d_csr_link, out=self._d_deltas)
+            np.take(sampler.deltas, sampler.dout_csr_link, out=self._dout_deltas)
 
     # ------------------------------------------------------------------- ctx
 

@@ -54,12 +54,13 @@ class LDA:
 
         Each word gets its own topic assignment (standard LDA; the
         single-topic-per-document restriction is specific to CPD). Sweeps
-        run as one compiled C call each when the backend loads
-        (DESIGN.md §10), else through :func:`gibbs_sweep`; both consume
-        the Generator identically and produce identical draws.
+        run as one compiled C call each (``_compiled.lda_sweep``) when the
+        backend loads (DESIGN.md §10), else through :func:`gibbs_sweep`;
+        both read one uniform per token from the Generator and produce
+        identical draws.
         """
         compiled = _compiled.backend_status()[0]
-        return self._fit(documents, n_words, compiled_sweep if compiled else gibbs_sweep)
+        return self._fit(documents, n_words, _compiled.lda_sweep if compiled else gibbs_sweep)
 
     def _fit(self, documents: Sequence[np.ndarray], n_words: int, sweep) -> "LDA":
         n_topics = self.config.n_topics
@@ -213,25 +214,3 @@ def gibbs_sweep(
             topic_word[z_new, word] += 1
             doc_topic[d, z_new] += 1
             topic_totals[z_new] += 1
-
-
-def compiled_sweep(
-    words: np.ndarray,
-    indptr: np.ndarray,
-    assignments: np.ndarray,
-    topic_word: np.ndarray,
-    doc_topic: np.ndarray,
-    topic_totals: np.ndarray,
-    alpha: float,
-    beta: float,
-    rng: np.random.Generator,
-) -> None:
-    """:func:`gibbs_sweep` as one C call over a pre-drawn uniform per token.
-
-    ``rng.random(n_tokens)`` consumes the same PCG64 stream as the spec's
-    one scalar ``random()`` per token, so the draws are identical.
-    """
-    _compiled.lda_sweep(
-        words, indptr, assignments, topic_word, doc_topic, topic_totals,
-        alpha, beta, rng.random(words.shape[0]),
-    )

@@ -5,12 +5,14 @@ kernel rides its matrices); this file pins the machinery around the
 backend — graceful degradation to the reference kernel without a C
 toolchain, the ``REPRO_COMPILED_DISABLE`` switch, the cross-language
 RNG contracts and the exact rewrites inside the C conditionals
-(DESIGN.md §10). Every test here must pass whether or not the host can
+(DESIGN.md §10), the linear-space draws of the sweep and the C source's
+warning hygiene. Every test here must pass whether or not the host can
 actually compile.
 """
 
 import ctypes
 import math
+import subprocess
 import sys
 import threading
 import warnings
@@ -41,10 +43,8 @@ needs_backend = pytest.mark.skipif(
 
 
 def _tiny_sampler(graph, sweep_kernel="compiled", rng=0, **overrides):
-    config = CPDConfig(
-        n_communities=4, n_topics=8, rho=0.5, alpha=0.5,
-        sweep_kernel=sweep_kernel, **overrides,
-    )
+    settings = {"rho": 0.5, "alpha": 0.5, **overrides}
+    config = CPDConfig(n_communities=4, n_topics=8, sweep_kernel=sweep_kernel, **settings)
     return CPDSampler(graph, config, DiffusionParameters.initial(4, 8), rng=rng)
 
 
@@ -616,3 +616,140 @@ class TestFriendshipStatistics:
                 )
         np.testing.assert_array_equal(results[0].doc_community, results[1].doc_community)
         np.testing.assert_array_equal(results[0].doc_topic, results[1].doc_topic)
+
+
+def _eq14_scaled_total(sampler, doc, topic):
+    """The sweep's scaled Eq. 14 total for ``doc`` (unassigned) and
+    ``topic``: sum_k w_k exp(s_k - max s), with w_k the content product
+    and s_k the reference log-weight less that product's log, taken as a
+    sum of logs so it stays finite where the product underflows."""
+    state = sampler.state
+    user = int(sampler._doc_user[doc])
+    base = state.user_community[user] + state.rho
+    gathered = state.community_topic[:, topic] + state.alpha
+    totals = state.community_totals + state.n_topics * state.alpha
+    scales = sampler.reference_community_log_weights(doc, topic) - (
+        np.log(base) + np.log(gathered) - np.log(totals)
+    )
+    return float(np.sum(base * gathered / totals * np.exp(scales - scales.max())))
+
+
+@needs_backend
+class TestLinearSpaceDraws:
+    """The sweep draws each conditional from linear weights w and log
+    scales s (``draw_scaled``), as the reference draws from log(w) + s."""
+
+    @staticmethod
+    def _pair(graph, rng, **overrides):
+        return [
+            _tiny_sampler(graph, sweep_kernel=kernel, rng=rng, **overrides)
+            for kernel in ("reference", "compiled")
+        ]
+
+    @staticmethod
+    def _sweep_alike(samplers, n_sweeps):
+        for _ in range(n_sweeps):
+            for sampler in samplers:
+                sampler.sweep_documents()
+            np.testing.assert_array_equal(
+                samplers[0].state.doc_topic, samplers[1].state.doc_topic
+            )
+            np.testing.assert_array_equal(
+                samplers[0].state.doc_community, samplers[1].state.doc_community
+            )
+        assert samplers[0].rng.bit_generator.state == samplers[1].rng.bit_generator.state
+
+    def test_tiny_beta_draws_like_reference(self, twitter_tiny):
+        """At beta = 1e-300 each unseen word moves ~ -690 into s[z], so the
+        topic scales spread over hundreds and most terms underflow."""
+        graph, _ = twitter_tiny
+        self._sweep_alike(self._pair(graph, rng=31, beta=1e-300), n_sweeps=4)
+
+    def test_underflowing_total_draws_in_the_log_domain(self, twitter_tiny):
+        """Tiny priors leave a subnormal or zero w where the friendship and
+        diffusion terms, at lambda = delta = 1e3, put the largest scale, so
+        the scaled Eq. 14 total is not a normal double and the draw is made
+        on log(w) + s."""
+        graph, _ = twitter_tiny
+        samplers = self._pair(graph, rng=2, rho=1e-300, alpha=1e-300)
+        for sampler in samplers:
+            sampler.sweep_documents()
+            sampler.lambdas = np.full(sampler.n_friend_links, 1e3)
+            sampler.deltas = np.full(sampler.n_diff_links, 1e3)
+        self._sweep_alike(samplers, n_sweeps=6)
+        # the regime is reached: some scaled total is not a normal double
+        sampler = samplers[0]
+        state = sampler.state
+        subnormal = 0
+        for doc in range(graph.n_documents):
+            community, topic = state.unassign(doc)
+            subnormal += sum(
+                not _eq14_scaled_total(sampler, doc, candidate) >= np.finfo(float).tiny
+                for candidate in range(state.n_topics)
+            )
+            state.assign(doc, community, topic)
+        assert subnormal
+
+    @pytest.mark.parametrize("fixed", (False, True))
+    def test_uniforms_per_document(self, twitter_tiny, fixed):
+        """Two uniforms per document, or one with fixed communities: the
+        Generator advances exactly as ``random()`` that many times."""
+        graph, _ = twitter_tiny
+        config = CPDConfig(n_communities=4, n_topics=8, rho=0.5, alpha=0.5)
+        communities = np.arange(graph.n_documents) % 4 if fixed else None
+        sampler = CPDSampler(
+            graph, config, DiffusionParameters.initial(4, 8), rng=17,
+            fixed_communities=communities,
+        )
+        for _ in range(2):
+            replay = np.random.default_rng()
+            replay.bit_generator.state = sampler.rng.bit_generator.state
+            stats = sampler.kernel.sweep()
+            replay.random((1 if fixed else 2) * graph.n_documents)
+            assert stats.draws == (1 if fixed else 2) * graph.n_documents
+            assert sampler.rng.bit_generator.state == replay.bit_generator.state
+
+    def test_fold_matches_the_topic_major_spec(self, twitter_tiny):
+        """The Eq. 13 outgoing-link fold read from eta's own [k][d][z] layout
+        equals, bit for bit, the fold summed per topic over the [z][c][d]
+        table: theta[d, z] sum_k (pi_u[k] theta[k, z]) eta[k, d, z], each
+        (d, z) summed over k in order."""
+        graph, _ = twitter_tiny
+        sampler = _tiny_sampler(graph, rng=3)
+        sampler.sweep_documents()
+        sampler.sample_lambdas()
+        sampler.sample_deltas()
+        sampler.params.eta = sampler.aggregate_eta()
+        state, kernel, eta = sampler.state, sampler.kernel, sampler.params.eta
+        n_communities, n_topics = state.n_communities, state.n_topics
+        folding = np.flatnonzero(np.diff(sampler.dout_csr_indptr) > 0)
+        assert len(folding)
+        for doc in folding:
+            kernel.topic_log_weights(doc, int(state.doc_community[doc]))
+            folded = kernel._scratch["scratch_folded"].reshape(n_communities, n_topics)
+            theta = state.theta_hat_view()
+            weighted = state.pi_hat_view()[sampler._doc_user[doc]][:, None] * theta
+            spec = np.empty((n_communities, n_topics))
+            for z in range(n_topics):
+                by_topic = np.zeros(n_communities)
+                for k in range(n_communities):
+                    by_topic = by_topic + weighted[k, z] * eta[k, :, z]
+                spec[:, z] = theta[:, z] * by_topic
+            np.testing.assert_array_equal(folded, spec)
+
+
+class TestSourceHygiene:
+    def test_c_source_compiles_without_warnings(self, tmp_path):
+        """The generated translation unit is warning-free C99 under
+        -Wall -Wextra, so a new warning fails here, not in a user's build."""
+        try:
+            compiler = _compiled._find_compiler()
+        except _compiled.CompiledBackendUnavailable:
+            pytest.skip("no C toolchain on this host")
+        source = tmp_path / "cpd_sweep.c"
+        source.write_text(_compiled._C_SOURCE, encoding="utf-8")
+        completed = subprocess.run(
+            [compiler, "-std=c99", "-Wall", "-Wextra", "-Werror", "-fsyntax-only", str(source)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr

@@ -20,7 +20,13 @@ import pytest
 from repro.core import CPDConfig, DiffusionParameters
 from repro.core import _compiled
 from repro.core.gibbs import CPDSampler
-from repro.core.kernel import DIFFUSION, FRIENDSHIP, CompiledKernel, ReferenceKernel
+from repro.core.kernel import (
+    _CTX_POINTED,
+    DIFFUSION,
+    FRIENDSHIP,
+    CompiledKernel,
+    ReferenceKernel,
+)
 from repro.diffusion.negative_sampling import sample_negative_diffusion_pairs
 from repro.parallel.runner import _refresh_helper
 from repro.sampling.polya_gamma import sample_pg_array
@@ -320,3 +326,44 @@ class TestPersistentContext:
             np.testing.assert_array_equal(kept.lambdas, rebuilt.lambdas)
             np.testing.assert_array_equal(kept.deltas, rebuilt.deltas)
         assert kept.rng.bit_generator.state == rebuilt.rng.bit_generator.state
+
+    def test_per_iteration_arrays_are_rewritten_in_place(self, twitter_tiny, monkeypatch):
+        """New lambda, delta, eta and nu every iteration: the kernel copies
+        them into the buffers its ctx already points at, so no field is
+        re-pointed after the first bind, and the conditionals follow."""
+        graph, _ = twitter_tiny
+        sampler = _mixed_sampler(graph, rng=6)
+        docs = range(0, graph.n_documents, 7)
+        _answers(sampler.kernel, sampler, docs)  # bind the ctx
+        repointed = []
+        point = CompiledKernel._point
+
+        def spy(kernel, index, source):
+            repointed.append(_CTX_POINTED[index])
+            point(kernel, index, source)
+
+        monkeypatch.setattr(CompiledKernel, "_point", spy)
+        rng = np.random.default_rng(9)
+        for _ in range(3):
+            sampler.sweep_documents()
+            sampler.sample_lambdas()
+            sampler.sample_deltas()
+            sampler.params.eta = rng.dirichlet(np.ones(4 * 4 * 8)).reshape(4, 4, 8)
+            sampler.params.nu = rng.normal(size=4)
+            state = sampler.state
+            for doc in docs:
+                community, topic = state.unassign(doc)
+                sampler.popularity.decrement(int(sampler._doc_time[doc]), topic)
+                np.testing.assert_allclose(
+                    sampler.kernel.topic_log_weights(doc, community),
+                    sampler.reference_topic_log_weights(doc, community),
+                    rtol=1e-10, atol=1e-9,
+                )
+                np.testing.assert_allclose(
+                    sampler.kernel.community_log_weights(doc, topic),
+                    sampler.reference_community_log_weights(doc, topic),
+                    rtol=1e-10, atol=1e-9,
+                )
+                sampler.popularity.increment(int(sampler._doc_time[doc]), topic)
+                state.assign(doc, community, topic)
+        assert repointed == []

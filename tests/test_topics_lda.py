@@ -7,7 +7,7 @@ from repro.core import _compiled
 from repro.parallel import segment_users_by_topic
 from repro.topics import LDA, LDAConfig
 from repro.topics import lda as lda_module
-from repro.topics.lda import compiled_sweep, gibbs_sweep
+from repro.topics.lda import gibbs_sweep
 
 BACKEND_AVAILABLE = _compiled.backend_status()[0]
 
@@ -128,7 +128,7 @@ class TestSweepParity:
         docs, n_words = mixed_corpus(seed=n_topics)
         config = LDAConfig(n_topics=n_topics, n_iterations=5, alpha=0.3)
         spec = LDA(config, rng=3)._fit(docs, n_words, gibbs_sweep)
-        assert_same_draws(LDA(config, rng=3)._fit(docs, n_words, compiled_sweep), spec)
+        assert_same_draws(LDA(config, rng=3)._fit(docs, n_words, _compiled.lda_sweep), spec)
 
     @needs_backend
     def test_draw_total_is_numpy_pairwise_sum(self):
@@ -159,9 +159,24 @@ class TestSweepParity:
         assignments = np.zeros(1, dtype=np.int64)
         _compiled.lda_sweep(
             np.zeros(1, dtype=np.int64), np.array([0, 1]), assignments,
-            topic_word, doc_topic, topic_totals, alpha, beta, np.array([uniform]),
+            topic_word, doc_topic, topic_totals, alpha, beta, _generator_emitting(uniform),
         )
         assert assignments[0] == expected
+
+    @needs_backend
+    def test_sweeps_read_one_uniform_per_token(self):
+        """Each compiled sweep reads the stream of ``rng.random(n_tokens)``
+        and draws what the spec draws from it."""
+        docs, n_words = mixed_corpus(seed=9)
+        config = LDAConfig(n_topics=8, n_iterations=3)
+        fitted = LDA(config, rng=4)._fit(docs, n_words, _compiled.lda_sweep)
+        assert_same_draws(fitted, LDA(config, rng=4)._fit(docs, n_words, gibbs_sweep))
+        replay = np.random.default_rng(4)
+        for doc in docs:
+            replay.integers(0, config.n_topics, size=len(doc))
+        for _ in range(config.n_iterations):
+            replay.random(sum(len(doc) for doc in docs))
+        assert fitted.rng.bit_generator.state == replay.bit_generator.state
 
     @needs_backend
     def test_fit_runs_compiled_when_backend_loads(self, monkeypatch):
@@ -183,19 +198,35 @@ class TestSweepParity:
 
 
 def _straddling_uniform(weights, pairwise, sequential):
-    """A uniform whose draw index differs between the two totals, if any."""
+    """A uniform ``random()`` can return (a multiple of 2^-53) whose draw
+    index differs between the two totals, if any."""
     cumulative = np.cumsum(weights)
     for bound in cumulative[:-1]:
-        uniform = bound / pairwise
-        for _ in range(4):
-            uniform = np.nextafter(uniform, 0.0)
-        for _ in range(8):
+        nearest = int(bound / pairwise * 2**53)
+        for step in range(nearest - 4, nearest + 8):
+            uniform = step * 2.0**-53
             first = np.searchsorted(cumulative, uniform * pairwise, "right")
             second = np.searchsorted(cumulative, uniform * sequential, "right")
             if first != second:
-                return float(uniform)
-            uniform = np.nextafter(uniform, 1.0)
+                return uniform
     return None
+
+
+def _generator_emitting(uniform):
+    """A Generator whose next ``random()`` is ``uniform`` (a multiple of
+    2^-53 in [0, 1)): PCG64 outputs the low 64 bits of its advanced state
+    when the high half is 0, so that state is set and stepped back once."""
+    word = int(uniform * 2**53) << 11
+    bits = np.random.PCG64()
+    state = bits.state
+    state["state"]["state"] = word
+    state["has_uint32"] = 0
+    bits.state = state
+    bits.advance(2**128 - 1)
+    probe = np.random.PCG64()
+    probe.state = bits.state
+    assert np.random.Generator(probe).random() == uniform
+    return np.random.Generator(bits)
 
 
 class TestUserSegmentation:
