@@ -24,7 +24,9 @@ layout is generated from one field spec for both the C source and the
 ctypes mirror, so the two can never drift.
 
 The same struct feeds ``cpd_link_tilts`` and ``cpd_link_components`` (the
-Eq. 15/16 Pólya-Gamma tilts and the Eq. 5 components of any link batch).
+Eq. 15/16 Pólya-Gamma tilts and the Eq. 5 components of any link batch)
+and ``cpd_move_docs`` (the parallel runner's merge of a worker's
+assignments).
 The translation unit also carries ``cpd_pg1_draw``, every round of exact
 Pólya-Gamma draws for the augmentation variables (:func:`pg1_draws`, behind
 ``sampling/polya_gamma.py:sample_pg_array``), ``cpd_lda_sweep``, one
@@ -440,7 +442,9 @@ static void build_friend_stats(CpdCtx *c, int64_t user) {
 /* Eq. 14 over all C communities (kernel.py community_log_weights) in
    linear space: community k's log-weight is log(w[k]) + s[k], where w[k] =
    (n_uk + rho)(n_kz + alpha) / (n_k + Z alpha), or n_uk + rho without
-   content, and s[k] sums the friendship and diffusion psi terms. The
+   content, and s[k] sums the friendship and diffusion psi terms. A content
+   product outside [CPD_RANGE, 1 / CPD_RANGE] (rho alpha underflowing) is
+   taken by its three logs, w[k] = 1, as product_step takes a step. The
    friendship statistics are reused while friend_user is the document's
    user: no friend's pi row moves while that user's documents are resampled
    (no self-loops) and lambda is fixed during a sweep. */
@@ -453,14 +457,22 @@ static void community_weights(CpdCtx *c, int64_t doc, int64_t topic, double *res
     for (int64_t k = 0; k < C; ++k) base[k] = uc[k] + c->rho;
     const double denom = c->user_totals[user] + c->comm_denom_offset;
 
+    for (int64_t k = 0; k < C; ++k) s[k] = 0.0;
     if (c->community_uses_content) {
-        for (int64_t k = 0; k < C; ++k)
-            w[k] = base[k] * (c->community_topic[k * Z + topic] + c->alpha)
-                   / (c->community_totals[k] + c->topics_alpha);
+        for (int64_t k = 0; k < C; ++k) {
+            const double num = c->community_topic[k * Z + topic] + c->alpha;
+            const double den = c->community_totals[k] + c->topics_alpha;
+            const double product = base[k] * num / den;
+            if (product >= CPD_RANGE && product <= 1.0 / CPD_RANGE) {
+                w[k] = product;
+            } else {
+                w[k] = 1.0;
+                s[k] = log(base[k]) + log(num) - log(den);
+            }
+        }
     } else {
         for (int64_t k = 0; k < C; ++k) w[k] = base[k];
     }
-    for (int64_t k = 0; k < C; ++k) s[k] = 0.0;
 
     if (c->model_friendship) {
         /* sum_v 0.5 (w_vk - lambda_v w_vk^2) with w_vk = (pi_v . b + pi_vk) / D
@@ -692,6 +704,48 @@ int64_t cpd_sweep_docs(CpdCtx *c, const int64_t *doc_ids, int64_t n, Bitgen *rng
         assign_doc(c, doc, community, topic);
     }
     return consumed;
+}
+
+/* The parallel runner's merge: documents doc_ids[i] take (communities[i],
+   topics[i]), as CPDState.reassign_many and TopicPopularity.move_many give
+   them. Nothing changes until every input is checked, in reassign_many's
+   order, each check over the whole batch: ids in [0, n_docs) (-1), no id
+   twice (-2), communities (-3) and topics (-4) in range, every document
+   assigned (-5); -6 when the duplicate marks cannot be allocated. Each
+   changed document then moves through unassign_doc / assign_doc, which
+   keep the counts, the popularity table and the pi/theta cache rows fresh
+   as the sweep does. Returns 0 once every document is in place. */
+int64_t cpd_move_docs(CpdCtx *c, const int64_t *doc_ids, const int64_t *communities,
+                      const int64_t *topics, int64_t n) {
+    if (n <= 0) return 0;
+    for (int64_t i = 0; i < n; ++i)
+        if (doc_ids[i] < 0 || doc_ids[i] >= c->n_docs) return -1;
+    uint8_t *seen = calloc((size_t)c->n_docs, 1);
+    if (seen == NULL) return -6;
+    int64_t status = 0;
+    for (int64_t i = 0; i < n && status == 0; ++i) {
+        if (seen[doc_ids[i]]) status = -2;
+        seen[doc_ids[i]] = 1;
+    }
+    free(seen);
+    if (status) return status;
+    for (int64_t i = 0; i < n; ++i)
+        if (communities[i] < 0 || communities[i] >= c->n_communities) return -3;
+    for (int64_t i = 0; i < n; ++i)
+        if (topics[i] < 0 || topics[i] >= c->n_topics) return -4;
+    for (int64_t i = 0; i < n; ++i)
+        if (c->doc_topic[doc_ids[i]] < 0) return -5;
+
+    c->friend_user = -1; /* the moves change pi rows */
+    for (int64_t i = 0; i < n; ++i) {
+        const int64_t doc = doc_ids[i];
+        if (c->doc_community[doc] == communities[i] && c->doc_topic[doc] == topics[i])
+            continue;
+        int64_t old_community, old_topic;
+        unassign_doc(c, doc, &old_community, &old_topic);
+        assign_doc(c, doc, communities[i], topics[i]);
+    }
+    return 0;
 }
 
 /* Exact PG(1, z) draws: Devroye's alternating-series sampler
@@ -1510,6 +1564,8 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     i64 = ctypes.c_int64
     library.cpd_sweep_docs.argtypes = [ctx_p, void_p, i64, void_p]
     library.cpd_sweep_docs.restype = i64
+    library.cpd_move_docs.argtypes = [ctx_p, void_p, void_p, void_p, i64]
+    library.cpd_move_docs.restype = i64
     library.cpd_draw_log_categorical.argtypes = [f64_p, ctypes.c_int64, ctypes.c_double, f64_p]
     library.cpd_draw_log_categorical.restype = ctypes.c_int64
     library.cpd_draw_integers.argtypes = [void_p, void_p, i64, i64, void_p]

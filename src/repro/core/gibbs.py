@@ -203,17 +203,11 @@ class CPDSampler:
     def apply_assignments(self, doc_ids: np.ndarray, communities: np.ndarray, topics: np.ndarray) -> None:
         """Overwrite assignments for ``doc_ids`` (merging worker results).
 
-        One batched count move per merge instead of a per-document
-        unassign/assign round trip.
+        The kernel moves the whole batch at once (``move_documents``): one
+        C call on the compiled kernel, batched scatter-adds on the
+        reference kernel. Counts and popularity table stay in sync.
         """
-        doc_ids = np.asarray(doc_ids, dtype=np.int64)
-        topics = np.asarray(topics, dtype=np.int64)
-        if len(doc_ids) == 0:
-            return
-        _old_communities, old_topics = self.state.reassign_many(
-            doc_ids, communities, topics
-        )
-        self.popularity.move_many(self._doc_time[doc_ids], old_topics, topics)
+        self.kernel.move_documents(doc_ids, communities, topics)
 
     # ------------------------------------------------------------- streaming
 

@@ -37,6 +37,7 @@ import numpy as np
 from ..sampling.polya_gamma import sample_pg_array
 from . import _compiled
 from .layout import split_word_multiplicity
+from .state import REASSIGN_ERRORS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .gibbs import CPDSampler
@@ -108,6 +109,19 @@ def _checked_doc_ids(doc_ids: np.ndarray | None, n_docs: int) -> np.ndarray:
     return ids
 
 
+def _move_batch(
+    doc_ids: np.ndarray, communities: np.ndarray, topics: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A merge batch (``move_documents``) as three aligned int64 arrays."""
+    ids, communities, topics = (
+        np.ascontiguousarray(values, dtype=np.int64)
+        for values in (doc_ids, communities, topics)
+    )
+    if ids.ndim != 1 or communities.shape != ids.shape or topics.shape != ids.shape:
+        raise ValueError("document, community and topic arrays must align")
+    return ids, communities, topics
+
+
 #: which link set a PG tilt or draw covers (``link_tilts``, ``draw_pg``)
 FRIENDSHIP, DIFFUSION = 0, 1
 
@@ -144,6 +158,21 @@ class ReferenceKernel:
         """Fresh PG(1, tilt) draws for links ``[start, stop)`` and the tilts."""
         tilts = self.link_tilts(which, start, stop)
         return sample_pg_array(tilts, rng), tilts
+
+    def move_documents(
+        self, doc_ids: np.ndarray, communities: np.ndarray, topics: np.ndarray
+    ) -> None:
+        """Set ``doc_ids`` to ``(communities, topics)`` (the runner's merge).
+
+        Batched scatter-adds: ``CPDState.reassign_many``, then the
+        popularity table's ``move_many``.
+        """
+        sampler = self.sampler
+        doc_ids, communities, topics = _move_batch(doc_ids, communities, topics)
+        _old_communities, old_topics = sampler.state.reassign_many(
+            doc_ids, communities, topics
+        )
+        sampler.popularity.move_many(sampler._doc_time[doc_ids], old_topics, topics)
 
     def append_documents(self, first_new_doc: int) -> None:
         """No-op: the reference loops read the sampler's arrays directly."""
@@ -568,6 +597,28 @@ class CompiledKernel:
         return sample_pg_array(tilts, rng, compiled=True), tilts
 
     # ------------------------------------------------------------------ sweep
+
+    def move_documents(
+        self, doc_ids: np.ndarray, communities: np.ndarray, topics: np.ndarray
+    ) -> None:
+        """Set ``doc_ids`` to ``(communities, topics)`` in one C call.
+
+        ``cpd_move_docs``: the reference kernel's merge, with the same
+        ``ValueError`` for each input ``CPDState.reassign_many`` rejects,
+        raised before anything changes; each changed document then moves
+        as the sweep moves it, with its popularity cell and pi/theta rows.
+        """
+        doc_ids, communities, topics = _move_batch(doc_ids, communities, topics)
+        if len(doc_ids) == 0:
+            return
+        status = self._lib.cpd_move_docs(
+            self._sync(), doc_ids.ctypes.data, communities.ctypes.data,
+            topics.ctypes.data, len(doc_ids),
+        )
+        if status == -6:
+            raise MemoryError("cpd_move_docs could not allocate its duplicate marks")
+        if status < 0:
+            raise ValueError(REASSIGN_ERRORS[-1 - status])
 
     def sweep(self, doc_ids: np.ndarray | None = None) -> SweepStats:
         """Fused sweep: the whole partition resampled in one C call."""

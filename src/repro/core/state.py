@@ -25,6 +25,17 @@ from . import _compiled
 from .config import CPDConfig
 
 
+#: what :meth:`CPDState.reassign_many` rejects, in the order it checks; the
+#: compiled merge (``cpd_move_docs``) returns ``-1 - index`` for entry index
+REASSIGN_ERRORS = (
+    "document ids out of range",
+    "reassign_many requires unique document ids",
+    "community ids out of range",
+    "topic ids out of range",
+    "reassign_many requires currently-assigned documents",
+)
+
+
 class CPDState:
     """Mutable assignments + counts; add/remove keep every counter in sync.
 
@@ -141,7 +152,8 @@ class CPDState:
         """Move many assigned documents at once (parallel E-step merge).
 
         Count matrices are updated by batched scatter-adds instead of a
-        per-document unassign/assign round trip. Returns the old
+        per-document unassign/assign round trip. Every input is checked
+        before anything changes (:data:`REASSIGN_ERRORS`). Returns the old
         ``(communities, topics)`` arrays.
         """
         doc_ids = np.asarray(doc_ids, dtype=np.int64)
@@ -149,16 +161,18 @@ class CPDState:
         topics = np.asarray(topics, dtype=np.int64)
         if len(doc_ids) == 0:
             return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        if doc_ids.min() < 0 or doc_ids.max() >= self.n_docs:
+            raise ValueError(REASSIGN_ERRORS[0])
         if len(np.unique(doc_ids)) != len(doc_ids):
-            raise ValueError("reassign_many requires unique document ids")
+            raise ValueError(REASSIGN_ERRORS[1])
         if np.any(communities < 0) or np.any(communities >= self.n_communities):
-            raise ValueError("community ids out of range")
+            raise ValueError(REASSIGN_ERRORS[2])
         if np.any(topics < 0) or np.any(topics >= self.n_topics):
-            raise ValueError("topic ids out of range")
+            raise ValueError(REASSIGN_ERRORS[3])
         old_communities = self.doc_community[doc_ids].copy()
         old_topics = self.doc_topic[doc_ids].copy()
         if np.any(old_topics < 0):
-            raise ValueError("reassign_many requires currently-assigned documents")
+            raise ValueError(REASSIGN_ERRORS[4])
 
         users = self._doc_user[doc_ids]
         np.add.at(self.user_community, (users, old_communities), -1.0)
@@ -437,6 +451,25 @@ class CPDState:
         return (self.topic_word + self.beta) / (
             self.topic_totals[:, None] + self.n_words * self.beta
         )
+
+    def copy_caches(self, source: "CPDState") -> None:
+        """Take ``source``'s fresh ``pi_hat`` / ``theta_hat`` caches, in place.
+
+        For a state whose counts were just copied from ``source`` (the
+        parallel runner's helper refresh): the cache arrays keep their
+        identity, so a compiled kernel's context stays pointed at them.
+        """
+        for name, fresh in (
+            ("_pi_cache", source.pi_hat_view()),
+            ("_theta_cache", source.theta_hat_view()),
+        ):
+            cache = getattr(self, name)
+            if cache is None:
+                setattr(self, name, fresh.copy())
+            else:
+                np.copyto(cache, fresh)
+        self._pi_dirty.clear()
+        self._theta_dirty.clear()
 
     def _drop_caches(self) -> None:
         self._pi_cache = None

@@ -89,16 +89,18 @@ def _refresh_helper(helper: CPDSampler, sampler: CPDSampler, seed: int) -> None:
     """Copy the caller's live state into a helper's private sampler.
 
     Prefix copies: the caller may have grown past the runner's corpus by
-    streaming appends, which the helpers never see. The augmentation and
-    parameter arrays are fresh copies so the helper kernel's identity-keyed
-    caches notice the new iteration.
+    streaming appends, which the helpers never see. The pi/theta caches
+    are copied into the helper's own arrays, so its kernel context keeps
+    pointing at them. The augmentation and parameter arrays are fresh
+    copies so the helper kernel's identity-keyed caches notice the new
+    iteration.
     """
     state, source = helper.state, sampler.state
     for name in CPDState.SHARED_FIELDS:
         target = getattr(state, name)
         np.copyto(target, getattr(source, name)[: len(target)])
     state.n_unassigned = int(np.count_nonzero(state.doc_topic < 0))
-    state._drop_caches()
+    state.copy_caches(source)
     table = helper.popularity
     table.load_counts(sampler.popularity._counts[: len(table._counts)])
     helper.fixed_communities = sampler.fixed_communities

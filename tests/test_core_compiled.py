@@ -29,6 +29,7 @@ from repro.core.kernel import (
     compiled_fallback_reason,
     reset_fallback_state,
 )
+from repro.core.state import CPDState
 from repro.sampling.categorical import (
     draw_log_categorical_from_uniform,
     sample_log_categorical,
@@ -432,6 +433,101 @@ class TestCompiledSweepMachinery:
         )
 
 
+def _merge_state(sampler):
+    """Everything the runner's merge may touch, as bytes."""
+    state = sampler.state
+    arrays = [getattr(state, name) for name in CPDState.SHARED_FIELDS] + [
+        sampler.popularity._counts,
+        state.pi_hat_view(),
+        state.theta_hat_view(),
+    ]
+    return [array.tobytes() for array in arrays] + [state.n_unassigned]
+
+
+class TestCompiledMerge:
+    """``move_documents``, the runner's merge: the compiled ``cpd_move_docs``
+    against the reference kernel's ``reassign_many`` + ``move_many``."""
+
+    @staticmethod
+    def _swept(graph, kernel, rng=11):
+        sampler = _tiny_sampler(graph, sweep_kernel=kernel, rng=rng)
+        sampler.sweep_documents()
+        return sampler
+
+    @needs_backend
+    def test_matches_the_reference_merge(self, twitter_tiny):
+        graph, _ = twitter_tiny
+        samplers = [self._swept(graph, kernel) for kernel in ("reference", "compiled")]
+        batch_rng = np.random.default_rng(4)
+        doc_ids = batch_rng.choice(graph.n_documents, size=graph.n_documents // 2, replace=False)
+        communities = batch_rng.integers(0, 4, size=len(doc_ids))
+        topics = batch_rng.integers(0, 8, size=len(doc_ids))
+        # a third of the batch keeps its assignment: those documents do not move
+        keep = doc_ids[: len(doc_ids) // 3]
+        communities[: len(keep)] = samplers[0].state.doc_community[keep]
+        topics[: len(keep)] = samplers[0].state.doc_topic[keep]
+        assert _merge_state(samplers[0]) == _merge_state(samplers[1])
+        generator = samplers[1].rng.bit_generator.state
+        for sampler in samplers:
+            sampler.kernel.move_documents(doc_ids, communities, topics)
+            sampler.state.check_consistency()
+        assert samplers[1].rng.bit_generator.state == generator
+        assert _merge_state(samplers[0]) == _merge_state(samplers[1])
+        np.testing.assert_array_equal(samplers[1].state.doc_topic[doc_ids], topics)
+        # the compiled merge left no dirty row behind: its cache rows are fresh
+        assert not samplers[1].state._pi_dirty and not samplers[1].state._theta_dirty
+        # the next sweeps draw alike
+        for _ in range(2):
+            for sampler in samplers:
+                sampler.sweep_documents()
+        assert _merge_state(samplers[0]) == _merge_state(samplers[1])
+
+    @pytest.mark.filterwarnings("ignore:compiled sweep kernel unavailable")
+    @pytest.mark.parametrize("kernel", SWEEP_KERNELS)
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("id past the end", "document ids out of range"),
+            ("negative id", "document ids out of range"),
+            ("duplicate id", "unique document ids"),
+            ("duplicate id and bad topic", "unique document ids"),
+            ("community past the end", "community ids out of range"),
+            ("negative community", "community ids out of range"),
+            ("topic past the end", "topic ids out of range"),
+            ("unassigned document", "currently-assigned documents"),
+            ("misaligned arrays", "must align"),
+        ],
+    )
+    def test_rejected_input_changes_nothing(self, twitter_tiny, kernel, case, message):
+        graph, _ = twitter_tiny
+        sampler = self._swept(graph, kernel)
+        n_docs = graph.n_documents
+        doc_ids, communities, topics = [0, 5, 9], [1, 2, 3], [4, 5, 6]
+        if case == "id past the end":
+            doc_ids[1] = n_docs
+        elif case == "negative id":
+            doc_ids[2] = -1
+        elif case == "duplicate id":
+            doc_ids[2] = 0
+        elif case == "duplicate id and bad topic":
+            doc_ids[2], topics[0] = 0, 8
+        elif case == "community past the end":
+            communities[1] = 4
+        elif case == "negative community":
+            communities[0] = -1
+        elif case == "topic past the end":
+            topics[2] = 8
+        elif case == "unassigned document":
+            _community, topic = sampler.state.unassign(9)
+            sampler.popularity.decrement(int(sampler._doc_time[9]), topic)
+        else:
+            topics = topics[:2]
+        before = _merge_state(sampler)
+        with pytest.raises(ValueError, match=message):
+            sampler.kernel.move_documents(np.array(doc_ids), np.array(communities), np.array(topics))
+        assert _merge_state(sampler) == before
+
+
 def _exact_topic_weights(state, doc, community, length):
     """Eq. 13's content part per topic: the spec's log factors, ``fsum``-ed."""
     weights = np.empty(state.n_topics)
@@ -619,10 +715,11 @@ class TestFriendshipStatistics:
 
 
 def _eq14_scaled_total(sampler, doc, topic):
-    """The sweep's scaled Eq. 14 total for ``doc`` (unassigned) and
-    ``topic``: sum_k w_k exp(s_k - max s), with w_k the content product
-    and s_k the reference log-weight less that product's log, taken as a
-    sum of logs so it stays finite where the product underflows."""
+    """The scaled Eq. 14 total for ``doc`` (unassigned) and ``topic`` with
+    every content product kept in linear space: sum_k w_k exp(s_k - max s),
+    with w_k the content product and s_k the reference log-weight less that
+    product's log, taken as a sum of logs so it stays finite where the
+    product underflows."""
     state = sampler.state
     user = int(sampler._doc_user[doc])
     base = state.user_community[user] + state.rho
@@ -666,10 +763,10 @@ class TestLinearSpaceDraws:
         self._sweep_alike(self._pair(graph, rng=31, beta=1e-300), n_sweeps=4)
 
     def test_underflowing_total_draws_in_the_log_domain(self, twitter_tiny):
-        """Tiny priors leave a subnormal or zero w where the friendship and
-        diffusion terms, at lambda = delta = 1e3, put the largest scale, so
-        the scaled Eq. 14 total is not a normal double and the draw is made
-        on log(w) + s."""
+        """Tiny priors leave a subnormal or zero content product where the
+        friendship and diffusion terms, at lambda = delta = 1e3, put the
+        largest scale, so a total over those products is not a normal
+        double; the builder takes such a product by its logs instead."""
         graph, _ = twitter_tiny
         samplers = self._pair(graph, rng=2, rho=1e-300, alpha=1e-300)
         for sampler in samplers:
@@ -689,6 +786,19 @@ class TestLinearSpaceDraws:
             )
             state.assign(doc, community, topic)
         assert subnormal
+
+    def test_underflowing_content_product_draws_like_reference(self, twitter_tiny):
+        """At rho = alpha = 1e-300 the Eq. 14 content product of an empty
+        (user, community) and (community, topic) cell is ~1e-600, 0 as a
+        double, while lambda = delta = 1e6 can give that community the
+        largest scale; taken by its logs it keeps the reference's weight
+        (before, the first sweep drew differently)."""
+        graph, _ = twitter_tiny
+        samplers = self._pair(graph, rng=2, rho=1e-300, alpha=1e-300)
+        for sampler in samplers:
+            sampler.lambdas = np.full(sampler.n_friend_links, 1e6)
+            sampler.deltas = np.full(sampler.n_diff_links, 1e6)
+        self._sweep_alike(samplers, n_sweeps=6)
 
     @pytest.mark.parametrize("fixed", (False, True))
     def test_uniforms_per_document(self, twitter_tiny, fixed):

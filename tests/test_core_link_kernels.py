@@ -367,3 +367,37 @@ class TestPersistentContext:
                 sampler.popularity.increment(int(sampler._doc_time[doc]), topic)
                 state.assign(doc, community, topic)
         assert repointed == []
+
+    def test_helper_refresh_rewrites_the_caches_in_place(self, twitter_tiny, monkeypatch):
+        """The runner's helper refresh copies the caller's pi/theta caches
+        into the helper's own arrays: across refreshes from two callers no
+        ctx field is re-pointed, and the helper answers as a kernel built
+        fresh on it."""
+        graph, _ = twitter_tiny
+        helper = _mixed_sampler(graph, rng=6)
+        docs = range(0, graph.n_documents, 7)
+        _answers(helper.kernel, helper, docs)  # bind the ctx
+        caches = (helper.state._pi_cache, helper.state._theta_cache)
+        repointed = []
+        point = CompiledKernel._point
+
+        def spy(kernel, index, source):
+            if kernel is helper.kernel:
+                repointed.append(_CTX_POINTED[index])
+            point(kernel, index, source)
+
+        monkeypatch.setattr(CompiledKernel, "_point", spy)
+        for rng in (8, 9):
+            source = _mixed_sampler(graph, rng=rng)
+            _refresh_helper(helper, source, seed=3)
+            np.testing.assert_array_equal(helper.state.pi_hat_view(), source.state.pi_hat_view())
+            np.testing.assert_array_equal(
+                helper.state.theta_hat_view(), source.state.theta_hat_view()
+            )
+            kept = _answers(helper.kernel, helper, docs)
+            fresh = _answers(CompiledKernel(helper), helper, docs)
+            for one, other in zip(kept, fresh):
+                np.testing.assert_array_equal(one, other)
+        assert repointed == []
+        assert helper.state._pi_cache is caches[0]
+        assert helper.state._theta_cache is caches[1]

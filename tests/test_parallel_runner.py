@@ -10,7 +10,9 @@ import pytest
 
 from repro import obs
 from repro.core import CPDConfig, CPDModel, DiffusionParameters, FitOptions
+from repro.core import _compiled
 from repro.core.gibbs import CPDSampler
+from repro.core.state import CPDState
 from repro.datasets import twitter_scenario
 from repro.evaluation import normalized_mutual_information
 from repro.parallel import ParallelEStepRunner
@@ -241,6 +243,34 @@ class TestParallelRunner:
         )
         np.testing.assert_array_equal(sampler.state.doc_topic[others], before_t[others])
         sampler.state.check_consistency()
+
+
+class TestCompiledMerge:
+    @pytest.mark.skipif(
+        not _compiled.backend_status()[0], reason="no C toolchain on this host"
+    )
+    def test_compiled_sweep_merges_without_reassign_many(self, monkeypatch, runner_setup):
+        """The merge of a compiled 2-worker sweep is one C call: the numpy
+        merge ``CPDState.reassign_many`` is never reached."""
+        graph, config = runner_setup
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("CPDState.reassign_many called")
+
+        monkeypatch.setattr(CPDState, "reassign_many", refuse)
+        for kernel, merges_in_c in (("reference", False), ("compiled", True)):
+            kernel_config = config.with_overrides(sweep_kernel=kernel)
+            sampler = CPDSampler(
+                graph, kernel_config, DiffusionParameters.initial(4, 8), rng=1
+            )
+            with ParallelEStepRunner(graph, kernel_config, n_workers=2, rng=0) as runner:
+                if merges_in_c:
+                    for _ in range(2):
+                        runner(sampler)
+                    sampler.state.check_consistency()
+                else:  # the monkeypatch is live: the reference merge trips it
+                    with pytest.raises(AssertionError, match="reassign_many"):
+                        runner(sampler)
 
 
 def _fixed_workload(monkeypatch):
